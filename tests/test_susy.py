@@ -105,6 +105,47 @@ class TestValidateGradedSystems:
             validate_graded_complex_system(np.eye(2), SIGMA1, [SQRT2 * F])
 
 
+# Two independent fermion modes (Jordan-Wigner) on C^2 (x) C^2 with H = 1:
+# q_i = sqrt(2) c_i are nilpotent complex charges, odd under the parity
+# K = sigma_3 (x) sigma_3.  The real pair is sigma_1, sigma_2 with K = sigma_3.
+_C1 = SQRT2 * np.kron(F, np.eye(2))
+_C2 = SQRT2 * np.kron(SIGMA3, F)
+_PARITY = np.kron(SIGMA3, SIGMA3)
+
+_REAL_NAMES = [
+    "H self-adjoint", "H != 0", "Q1 self-adjoint", "Q2 self-adjoint",
+    "{Q1,Q1} = 2H", "{Q1,Q2} = 0", "{Q2,Q2} = 2H", "[H,Q1] = 0", "[H,Q2] = 0",
+]
+_COMPLEX_NAMES = [
+    "H self-adjoint", "H != 0",
+    "q1 not self-adjoint (a self-adjoint complex charge forces H = 0)",
+    "q2 not self-adjoint (a self-adjoint complex charge forces H = 0)",
+    "{q1,q1^dag} = 2H", "{q1,q1} = 0", "{q1^dag,q1^dag} = 0",
+    "{q1,q2^dag} = 0", "{q1,q2} = 0", "{q1^dag,q2^dag} = 0",
+    "{q2,q2^dag} = 2H", "{q2,q2} = 0", "{q2^dag,q2^dag} = 0",
+    "[H,q1] = 0", "[H,q2] = 0",
+]
+_INVOLUTION_NAMES = ["K self-adjoint", "K^2 = 1", "K != +1", "K != -1"]
+
+
+def _graded_names(label):
+    return _INVOLUTION_NAMES + [f"{{K,{label}1}} = 0", f"{{K,{label}2}} = 0",
+                                "[H,K] = 0"]
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: validate_real_system(np.eye(2), [SIGMA1, SIGMA2]), _REAL_NAMES),
+    (lambda: validate_complex_system(np.eye(4), [_C1, _C2]), _COMPLEX_NAMES),
+    (lambda: validate_graded_real_system(np.eye(2), SIGMA3, [SIGMA1, SIGMA2]),
+     _REAL_NAMES + _graded_names("Q")),
+    (lambda: validate_graded_complex_system(np.eye(4), _PARITY, [_C1, _C2]),
+     _COMPLEX_NAMES + _graded_names("q")),
+], ids=["real", "complex", "graded_real", "graded_complex"])
+def test_check_order_of_two_charge_systems(build, expected):
+    """The ordered check list is what ``susyqm validate --json`` emits."""
+    assert [c.name for c in build().checks] == expected
+
+
 class TestChargeConversions:
     def test_pauli_to_ladder(self):
         q = complex_from_real(SIGMA1, SIGMA2)
