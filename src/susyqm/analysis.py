@@ -25,6 +25,7 @@ from .core import (
     NumericPolicy,
     ShapeError,
     ValidationError,
+    _operator_scale,
     adjoint,
     as_operator,
     residual_norm,
@@ -96,6 +97,19 @@ def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _sector_spectra(rep, policy: NumericPolicy):
+    """Ascending sector eigenvalues and the zero-mode cut
+    ``kernel_tol * lambda_max``; eigenvalues at or below the cut are
+    zero modes in both reports."""
+    ev_b = eigvalsh(rep.h_plus, policy)
+    ev_f = eigvalsh(rep.h_minus, policy)
+    lam_max = max(
+        float(np.abs(ev_b).max(initial=0.0)),
+        float(np.abs(ev_f).max(initial=0.0)),
+    )
+    return ev_b, ev_f, policy.kernel_tol * lam_max
+
+
 def spectral_pairing_report(system: GradedSystem,
                             policy: NumericPolicy = DEFAULT_POLICY) -> SpectralReport:
     """Diagonalize both sectors and match their positive eigenvalues.
@@ -109,13 +123,7 @@ def spectral_pairing_report(system: GradedSystem,
     system or a too-tight pairing tolerance.
     """
     rep = standard_representation(system, policy)
-    ev_b = eigvalsh(rep.h_plus, policy)
-    ev_f = eigvalsh(rep.h_minus, policy)
-    lam_max = max(
-        float(np.abs(ev_b).max(initial=0.0)),
-        float(np.abs(ev_f).max(initial=0.0)),
-    )
-    zero_cut = policy.kernel_tol * lam_max
+    ev_b, ev_f, zero_cut = _sector_spectra(rep, policy)
 
     idx_b = [i for i, v in enumerate(ev_b) if v > zero_cut]
     idx_f = [j for j, v in enumerate(ev_f) if v > zero_cut]
@@ -175,13 +183,7 @@ def witten_index_report(system: GradedSystem,
     rep = standard_representation(system, policy)
     dim_ker_a = kernel_basis(rep.a_operator, policy).dim_kernel
     dim_ker_ad = kernel_basis(adjoint(rep.a_operator), policy).dim_kernel
-    ev_b = eigvalsh(rep.h_plus, policy)
-    ev_f = eigvalsh(rep.h_minus, policy)
-    lam_max = max(
-        float(np.abs(ev_b).max(initial=0.0)),
-        float(np.abs(ev_f).max(initial=0.0)),
-    )
-    zero_cut = policy.kernel_tol * lam_max
+    ev_b, ev_f, zero_cut = _sector_spectra(rep, policy)
     zeros_b = int(np.count_nonzero(ev_b <= zero_cut))
     zeros_f = int(np.count_nonzero(ev_f <= zero_cut))
     via_a = dim_ker_a - dim_ker_ad
@@ -227,7 +229,7 @@ def kernel_equality_check(q1, q2,
     h1 = a @ a
     h2 = b @ b
     pre_abs = residual_norm(h1 - h2)
-    pre_rel = pre_abs / max(1.0, residual_norm(h1), residual_norm(h2))
+    pre_rel = pre_abs / _operator_scale(h1, h2)
     if pre_rel > policy.algebra_tol:
         raise ValidationError(
             f"Q1^2 != Q2^2 (relative residual {pre_rel:.3e} above "
@@ -241,8 +243,8 @@ def kernel_equality_check(q1, q2,
             f"dim ker Q2 = {kb2.dim_kernel}")
 
     slack = float(np.sqrt(pre_abs))
-    threshold_b = policy.kernel_tol * max(1.0, residual_norm(b)) + slack
-    threshold_a = policy.kernel_tol * max(1.0, residual_norm(a)) + slack
+    threshold_b = policy.kernel_tol * _operator_scale(b) + slack
+    threshold_a = policy.kernel_tol * _operator_scale(a) + slack
     res_b = 0.0
     if kb1.dim_kernel:
         res_b = float(np.linalg.norm(b @ kb1.basis, axis=0).max())

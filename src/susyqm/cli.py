@@ -24,14 +24,7 @@ from .core import (
     ValidationError,
 )
 from .models import build_model
-from .susy import (
-    construct_involution,
-    standard_representation,
-    validate_complex_system,
-    validate_graded_complex_system,
-    validate_graded_real_system,
-    validate_real_system,
-)
+from .susy import _validate, construct_involution, standard_representation
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -58,19 +51,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _validate_file(sf: io.SystemFile, policy: NumericPolicy):
-    """Dispatch on the file shape: grading present and charge flavour."""
-    if sf.involution is None:
-        if sf.complex_charges:
-            return validate_complex_system(sf.hamiltonian, sf.charges, policy)
-        return validate_real_system(sf.hamiltonian, sf.charges, policy)
-    if sf.complex_charges:
-        return validate_graded_complex_system(
-            sf.hamiltonian, sf.involution, sf.charges, policy)
-    return validate_graded_real_system(
-        sf.hamiltonian, sf.involution, sf.charges, policy)
-
-
 def _checks_table(checks) -> str:
     width = max(len(c.name) for c in checks)
     lines = [
@@ -85,16 +65,16 @@ def _graded_single_charge(sf: io.SystemFile, policy: NumericPolicy):
     if sf.involution is None:
         raise io.FormatError("this verb needs a grading operator: the "
                              "system file has \"K\": null")
-    validator = (validate_graded_complex_system if sf.complex_charges
-                 else validate_graded_real_system)
     # Spectral verbs act on a single charge; the first one is used.
-    return validator(sf.hamiltonian, sf.involution, sf.charges[:1], policy)
+    return _validate(sf.hamiltonian, sf.charges[:1], sf.involution,
+                     sf.complex_charges, policy)
 
 
 def _cmd_validate(args, policy) -> int:
     sf = io.load_system(args.input)
     try:
-        system = _validate_file(sf, policy)
+        system = _validate(sf.hamiltonian, sf.charges, sf.involution,
+                           sf.complex_charges, policy)
     except ValidationError as exc:
         if args.json:
             _emit(args, io.dump_json({

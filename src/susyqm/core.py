@@ -2,9 +2,12 @@
 
 Operators are plain numpy ``complex128`` arrays.  :func:`as_operator`
 checks squareness and finiteness once, at the boundary; the algebra
-helpers stay thin after that.  All residual comparisons in the package
-are relative, scaled by ``max(1, norm)`` of the participating operators,
-so validators behave uniformly across operator scales.
+helpers stay thin after that.  Hermiticity and algebra residuals are
+relative, scaled by ``max(1, norm)`` of the participating operators,
+so validators behave uniformly across operator scales.  Two kinds of
+residual are not: the involution relations ``K^2 = 1`` and
+``K != +-1`` divide by the dimension, and ``H != 0`` compares the
+absolute norm ``||H||`` with ``algebra_tol``.
 """
 
 from __future__ import annotations
@@ -67,15 +70,27 @@ class RelationCheck:
     tolerance: float
     passed: bool
 
+    @classmethod
+    def judge(cls, name: str, residual: float, tolerance: float,
+              must_exceed: bool = False) -> "RelationCheck":
+        """Check that holds when ``residual <= tolerance``, or, for a
+        relation of the form ``X != Y`` (``must_exceed``), when
+        ``residual > tolerance``."""
+        passed = residual > tolerance if must_exceed else residual <= tolerance
+        return cls(name, residual, tolerance, passed)
+
 
 @dataclass(frozen=True)
 class NumericPolicy:
     """Tolerances for validators, kernel detection and the eigensolver.
 
-    Every tolerance is relative.  Hermiticity and algebra residuals are
-    scaled by ``max(1, norm)`` of the operands, kernel cutoffs by the
-    largest singular value, pairing windows by the larger eigenvalue of
-    a candidate pair.
+    Hermiticity and algebra residuals are scaled by ``max(1, norm)`` of
+    the operands, kernel cutoffs by the largest singular value, pairing
+    windows by the larger eigenvalue of a candidate pair.  Two relations
+    use ``algebra_tol`` differently: the involution relations
+    (``K^2 = 1``, ``K != +1``, ``K != -1``) divide their residual by the
+    dimension, not by ``max(1, ||K||)``, and ``H != 0`` compares the
+    absolute norm ``||H||`` with ``algebra_tol``.
     """
 
     hermiticity_tol: float = 1e-10
@@ -156,6 +171,15 @@ def residual_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def _operator_scale(*operands) -> float:
+    """``max(1, ||op||_F over operands)``, the denominator of every
+    relative residual."""
+    scale = 1.0
+    for op in operands:
+        scale = max(scale, residual_norm(op))
+    return scale
+
+
 def rel_residual(x, *operands) -> float:
     """Norm of ``x`` relative to the largest operand scale.
 
@@ -163,14 +187,25 @@ def rel_residual(x, *operands) -> float:
     comparable against a :class:`NumericPolicy` tolerance regardless of
     operator magnitudes.
     """
-    scale = 1.0
-    for op in operands:
-        scale = max(scale, residual_norm(op))
-    return residual_norm(x) / scale
+    return residual_norm(x) / _operator_scale(*operands)
+
+
+def _hermiticity_residual(a) -> float:
+    """``||A - A^dag|| / max(1, ||A||)``."""
+    return rel_residual(a - adjoint(a), a)
 
 
 def is_hermitian(a, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """True iff ``||A - A^dag|| <= hermiticity_tol * max(1, ||A||)``."""
-    arr = as_operator(a)
-    res = residual_norm(arr - adjoint(arr))
-    return res <= policy.hermiticity_tol * max(1.0, residual_norm(arr))
+    """True iff ``||A - A^dag|| / max(1, ||A||) <= hermiticity_tol``."""
+    return _hermiticity_residual(as_operator(a)) <= policy.hermiticity_tol
+
+
+def _raise_failures(checks, what: str) -> None:
+    """Raise :class:`ValidationError` naming every failed check, if any."""
+    failures = [c for c in checks if not c.passed]
+    if failures:
+        detail = "; ".join(
+            f"{c.name} (residual {c.residual:.3e}, tolerance {c.tolerance:.1e})"
+            for c in failures
+        )
+        raise ValidationError(f"{what}: {detail}", failures)

@@ -19,7 +19,8 @@ from .core import (
     NumericPolicy,
     RelationCheck,
     ShapeError,
-    ValidationError,
+    _hermiticity_residual,
+    _raise_failures,
     adjoint,
     as_operator,
     commutator,
@@ -77,30 +78,18 @@ def involution_checks(k, policy: NumericPolicy = DEFAULT_POLICY) -> list[Relatio
     arr = as_operator(k, "K")
     n = arr.shape[0]
     eye = np.eye(n)
-    herm = residual_norm(arr - adjoint(arr)) / max(1.0, residual_norm(arr))
-    square = residual_norm(arr @ arr - eye) / n
+    tol_a = policy.algebra_tol
     # K = +1 or K = -1 would make the grading trivial, so those residuals
     # must be LARGE for a valid involution.
-    triv_plus = residual_norm(arr - eye) / n
-    triv_minus = residual_norm(arr + eye) / n
-    tol_h = policy.hermiticity_tol
-    tol_a = policy.algebra_tol
     return [
-        RelationCheck("K self-adjoint", herm, tol_h, herm <= tol_h),
-        RelationCheck("K^2 = 1", square, tol_a, square <= tol_a),
-        RelationCheck("K != +1", triv_plus, tol_a, triv_plus > tol_a),
-        RelationCheck("K != -1", triv_minus, tol_a, triv_minus > tol_a),
+        RelationCheck.judge("K self-adjoint", _hermiticity_residual(arr),
+                            policy.hermiticity_tol),
+        RelationCheck.judge("K^2 = 1", residual_norm(arr @ arr - eye) / n, tol_a),
+        RelationCheck.judge("K != +1", residual_norm(arr - eye) / n, tol_a,
+                            must_exceed=True),
+        RelationCheck.judge("K != -1", residual_norm(arr + eye) / n, tol_a,
+                            must_exceed=True),
     ]
-
-
-def _raise_failures(checks, what: str) -> None:
-    failures = [c for c in checks if not c.passed]
-    if failures:
-        detail = "; ".join(
-            f"{c.name} (residual {c.residual:.3e}, tolerance {c.tolerance:.1e})"
-            for c in failures
-        )
-        raise ValidationError(f"{what}: {detail}", failures)
 
 
 def validate_involution(k, policy: NumericPolicy = DEFAULT_POLICY) -> Involution:

@@ -7,10 +7,10 @@ unconditionally convergent on Hermitian input and accurate enough at the
 desk-scale dimensions this package targets.
 
 The sweep kernel exists twice: a compiled Cython extension and a
-vectorised numpy mirror.  The compiled one is used when present;
-``jacobi_backend()`` reports which is active and the environment
-variable ``SUSYQM_PURE_PYTHON=1`` forces the fallback (handy for
-benchmarks, see ``benchmarks/bench_eigh.py``).
+vectorised numpy mirror.  The compiled one is used whenever it imports,
+the mirror otherwise; ``jacobi_backend()`` reports which is active.
+``benchmarks/bench_eigh.py`` imports both kernels directly to compare
+them.
 
 Kernel detection is threshold based and relative: a singular value
 counts as zero when it is at most ``kernel_tol`` times the largest one,
@@ -19,7 +19,6 @@ so refining a lattice does not silently reclassify near-zero modes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,10 @@ from .core import (
     ConvergenceError,
     NumericPolicy,
     ValidationError,
+    _hermiticity_residual,
     adjoint,
     as_operator,
     frozen_copy,
-    is_hermitian,
     residual_norm,
 )
 
@@ -49,19 +48,14 @@ __all__ = [
 
 DEFAULT_MAX_SWEEPS = 100
 
-if os.environ.get("SUSYQM_PURE_PYTHON", "") not in ("", "0"):
+try:
+    from . import _jacobi as _kernel
+
+    _BACKEND = "compiled"
+except ImportError:
     from . import _jacobi_py as _kernel
 
     _BACKEND = "python"
-else:
-    try:
-        from . import _jacobi as _kernel
-
-        _BACKEND = "compiled"
-    except ImportError:
-        from . import _jacobi_py as _kernel
-
-        _BACKEND = "python"
 
 
 def jacobi_backend() -> str:
@@ -117,8 +111,8 @@ def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
 
 def _require_hermitian(a, policy: NumericPolicy, who: str) -> np.ndarray:
     arr = as_operator(a)
-    if not is_hermitian(arr, policy):
-        res = residual_norm(arr - adjoint(arr)) / max(1.0, residual_norm(arr))
+    res = _hermiticity_residual(arr)
+    if res > policy.hermiticity_tol:
         raise ValidationError(
             f"{who} requires a Hermitian matrix "
             f"(relative asymmetry {res:.3e} above {policy.hermiticity_tol:.1e})"
@@ -175,6 +169,25 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     return KernelBasis(int(np.count_nonzero(mask)), frozen_copy(basis))
 
 
+def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
+    """Pseudo-inverse of a Hermitian matrix and the orthonormal columns
+    spanning its numerical kernel, both from one eigendecomposition.
+
+    Eigenvalues with ``|lambda|`` above ``kernel_tol`` times the spectral
+    radius are reciprocated; the rest span the kernel.  Sharing the split
+    keeps borderline eigenvalues from being classified differently by
+    the two results.
+    """
+    dec = eigh(a, policy)
+    magnitudes = np.abs(dec.eigenvalues)
+    scale = float(magnitudes.max(initial=0.0))
+    keep = magnitudes > policy.kernel_tol * scale
+    inverted = np.zeros_like(dec.eigenvalues)
+    inverted[keep] = 1.0 / dec.eigenvalues[keep]
+    u = dec.eigenvectors
+    return (u * inverted) @ adjoint(u), u[:, ~keep]
+
+
 def inverse_on_complement(q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Pseudo-inverse of a Hermitian matrix, zero on its numerical kernel.
 
@@ -183,11 +196,4 @@ def inverse_on_complement(q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarr
     orthogonal projector onto the complement of the kernel.
     """
     arr = _require_hermitian(q, policy, "inverse_on_complement")
-    dec = eigh(arr, policy)
-    magnitudes = np.abs(dec.eigenvalues)
-    scale = float(magnitudes.max(initial=0.0))
-    keep = magnitudes > policy.kernel_tol * scale
-    inverted = np.zeros_like(dec.eigenvalues)
-    inverted[keep] = 1.0 / dec.eigenvalues[keep]
-    u = dec.eigenvectors
-    return (u * inverted) @ adjoint(u)
+    return _pinv_and_kernel(arr, policy)[0]

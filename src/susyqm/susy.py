@@ -39,11 +39,15 @@ from .core import (
     SIGMA2,
     SIGMA3,
     ValidationError,
+    _hermiticity_residual,
+    _operator_scale,
+    _raise_failures,
     adjoint,
     anticommutator,
     as_operator,
     commutator,
     frozen_copy,
+    rel_residual,
     residual_norm,
 )
 from .grading import (
@@ -53,7 +57,7 @@ from .grading import (
     involution_checks,
     validate_involution,
 )
-from .spectral import eigh
+from .spectral import _pinv_and_kernel
 
 __all__ = [
     "GradedSystem",
@@ -130,175 +134,110 @@ class PairingSign(enum.Enum):
 # validators
 
 
-def _coerce_inputs(h, charges, label: str):
+def _validate(h, charges, k=None, complex_charges: bool = False,
+              policy: NumericPolicy = DEFAULT_POLICY):
+    """Check the defining relations of any of the four formulations.
+
+    Real charges (``complex_charges=False``) must be self-adjoint with
+    ``{Q_i,Q_j} = 2 delta_ij H``; complex ones must not be self-adjoint
+    and satisfy ``{q_i,q_j^dag} = 2 delta_ij H`` and
+    ``{q_i,q_j} = {q_i^dag,q_j^dag} = 0``.  Every charge must commute
+    with H.  Given an involution ``k``, the system is graded: K must also
+    pass :func:`involution_checks`, anticommute with every charge and
+    commute with H.  Returns a :class:`GradedSystem` when ``k`` is given,
+    a :class:`SuperchargeSystem` otherwise.
+    """
     h_arr = as_operator(h, "H")
-    if not charges:
+    if len(charges) == 0:
         raise ValidationError("at least one supercharge is required")
-    charge_arrs = []
-    for i, q in enumerate(charges):
-        arr = as_operator(q, f"{label}{i + 1}")
+
+    def coerce(a, name):
+        arr = as_operator(a, name)
         if arr.shape != h_arr.shape:
-            raise ShapeError(
-                f"{label}{i + 1} has shape {arr.shape}, expected {h_arr.shape}"
-            )
-        charge_arrs.append(arr)
-    return h_arr, charge_arrs
+            raise ShapeError(f"{name} has shape {arr.shape}, expected {h_arr.shape}")
+        return arr
 
-
-def _system_scale(h, charges, k=None) -> float:
-    scale = max(1.0, residual_norm(h))
-    for q in charges:
-        scale = max(scale, residual_norm(q))
-    if k is not None:
-        scale = max(scale, residual_norm(k))
-    return scale
-
-
-def _herm_check(name: str, m, policy: NumericPolicy) -> RelationCheck:
-    res = residual_norm(m - adjoint(m)) / max(1.0, residual_norm(m))
-    return RelationCheck(
-        f"{name} self-adjoint", res, policy.hermiticity_tol,
-        res <= policy.hermiticity_tol,
-    )
-
-
-def _nonzero_check(h, policy: NumericPolicy) -> RelationCheck:
-    res = residual_norm(h)
-    return RelationCheck("H != 0", res, policy.algebra_tol,
-                         res > policy.algebra_tol)
-
-
-def _real_checks(h, charges, policy, scale):
-    checks = [_herm_check("H", h, policy), _nonzero_check(h, policy)]
+    label = "q" if complex_charges else "Q"
+    names = [f"{label}{i + 1}" for i in range(len(charges))]
+    qs = [coerce(q, name) for name, q in zip(names, charges)]
+    graded = k is not None
+    k_arr = coerce(k, "K") if graded else None
+    scale = _operator_scale(h_arr, *qs, *([k_arr] if graded else []))
     tol = policy.algebra_tol
-    n = len(charges)
-    for i in range(n):
-        checks.append(_herm_check(f"Q{i + 1}", charges[i], policy))
-    for i in range(n):
-        for j in range(i, n):
-            target = 2.0 * h if i == j else 0.0
-            res = residual_norm(charges[i] @ charges[j]
-                                + charges[j] @ charges[i] - target) / scale
-            rhs = "2H" if i == j else "0"
-            checks.append(RelationCheck(
-                f"{{Q{i + 1},Q{j + 1}}} = {rhs}", res, tol, res <= tol))
-    for i in range(n):
+    h_tol = policy.hermiticity_tol
+    # A self-adjoint complex charge would force H = 0, so for complex
+    # charges the Hermiticity residual must be LARGE.
+    herm_rule = ("{} not self-adjoint (a self-adjoint complex charge forces "
+                 "H = 0)" if complex_charges else "{} self-adjoint")
+    checks = [
+        RelationCheck.judge("H self-adjoint", _hermiticity_residual(h_arr), h_tol),
+        RelationCheck.judge("H != 0", residual_norm(h_arr), tol, must_exceed=True),
+    ]
+    checks += [RelationCheck.judge(herm_rule.format(name), _hermiticity_residual(q),
+                                   h_tol, must_exceed=complex_charges)
+               for name, q in zip(names, qs)]
+
+    def relation(name, x):
+        checks.append(RelationCheck.judge(name, residual_norm(x) / scale, tol))
+
+    # Bare products: the operands are already checked, so the algebra
+    # helpers' own input checks would only repeat that work.
+    def anti(x, y):
+        return x @ y + y @ x
+
+    for i, (qi, a) in enumerate(zip(names, qs)):
+        for qj, b in zip(names[i:], qs[i:]):
+            target, rhs = (2.0 * h_arr, "2H") if qi == qj else (0.0, "0")
+            if complex_charges:
+                relation(f"{{{qi},{qj}^dag}} = {rhs}",
+                         anti(a, adjoint(b)) - target)
+                relation(f"{{{qi},{qj}}} = 0", anti(a, b))
+                relation(f"{{{qi}^dag,{qj}^dag}} = 0",
+                         anti(adjoint(a), adjoint(b)))
+            else:
+                relation(f"{{{qi},{qj}}} = {rhs}", anti(a, b) - target)
+    for name, q in zip(names, qs):
         # Conservation of the charges follows from the algebra; verified
         # anyway so a failure report points at the right operator.
-        res = residual_norm(h @ charges[i] - charges[i] @ h) / scale
-        checks.append(RelationCheck(f"[H,Q{i + 1}] = 0", res, tol, res <= tol))
-    return checks
+        relation(f"[H,{name}] = 0", h_arr @ q - q @ h_arr)
 
-
-def _complex_checks(h, charges, policy, scale):
-    checks = [_herm_check("H", h, policy), _nonzero_check(h, policy)]
-    tol = policy.algebra_tol
-    n = len(charges)
-    for i, q in enumerate(charges):
-        res = residual_norm(q - adjoint(q)) / max(1.0, residual_norm(q))
-        checks.append(RelationCheck(
-            f"q{i + 1} not self-adjoint (a self-adjoint complex charge "
-            f"forces H = 0)",
-            res, policy.hermiticity_tol, res > policy.hermiticity_tol))
-    for i in range(n):
-        for j in range(i, n):
-            target = 2.0 * h if i == j else 0.0
-            res = residual_norm(charges[i] @ adjoint(charges[j])
-                                + adjoint(charges[j]) @ charges[i]
-                                - target) / scale
-            rhs = "2H" if i == j else "0"
-            checks.append(RelationCheck(
-                f"{{q{i + 1},q{j + 1}^dag}} = {rhs}", res, tol, res <= tol))
-            res = residual_norm(charges[i] @ charges[j]
-                                + charges[j] @ charges[i]) / scale
-            checks.append(RelationCheck(
-                f"{{q{i + 1},q{j + 1}}} = 0", res, tol, res <= tol))
-            res = residual_norm(adjoint(charges[i]) @ adjoint(charges[j])
-                                + adjoint(charges[j]) @ adjoint(charges[i])) / scale
-            checks.append(RelationCheck(
-                f"{{q{i + 1}^dag,q{j + 1}^dag}} = 0", res, tol, res <= tol))
-    for i in range(n):
-        res = residual_norm(h @ charges[i] - charges[i] @ h) / scale
-        checks.append(RelationCheck(f"[H,q{i + 1}] = 0", res, tol, res <= tol))
-    return checks
-
-
-def _graded_checks(h, k, charges, policy, scale, label):
-    checks = involution_checks(k, policy)
-    tol = policy.algebra_tol
-    for i, q in enumerate(charges):
-        res = residual_norm(k @ q + q @ k) / scale
-        checks.append(RelationCheck(
-            f"{{K,{label}{i + 1}}} = 0", res, tol, res <= tol))
-    res = residual_norm(h @ k - k @ h) / scale
-    checks.append(RelationCheck("[H,K] = 0", res, tol, res <= tol))
-    return checks
-
-
-def _raise_failures(checks, what: str):
-    failures = [c for c in checks if not c.passed]
-    if failures:
-        detail = "; ".join(
-            f"{c.name} (residual {c.residual:.3e}, tolerance {c.tolerance:.1e})"
-            for c in failures
-        )
-        raise ValidationError(f"{what}: {detail}", failures)
+    flavour = "complex" if complex_charges else "real"
+    charges_out = tuple(frozen_copy(q) for q in qs)
+    if not graded:
+        _raise_failures(checks, f"not a valid {flavour}-supercharge system")
+        return SuperchargeSystem(frozen_copy(h_arr), charges_out,
+                                 complex_charges, tuple(checks))
+    checks += involution_checks(k_arr, policy)
+    for name, q in zip(names, qs):
+        relation(f"{{K,{name}}} = 0", anti(k_arr, q))
+    relation("[H,K] = 0", h_arr @ k_arr - k_arr @ h_arr)
+    _raise_failures(checks, f"not a valid graded {flavour}-supercharge system")
+    return GradedSystem(frozen_copy(h_arr), Involution(frozen_copy(k_arr)),
+                        charges_out, complex_charges, tuple(checks))
 
 
 def validate_real_system(h, charges: Sequence,
                          policy: NumericPolicy = DEFAULT_POLICY) -> SuperchargeSystem:
     """Validate self-adjoint charges satisfying ``{Q_i,Q_j} = 2 delta_ij H``."""
-    h_arr, charge_arrs = _coerce_inputs(h, charges, "Q")
-    scale = _system_scale(h_arr, charge_arrs)
-    checks = _real_checks(h_arr, charge_arrs, policy, scale)
-    _raise_failures(checks, "not a valid real-supercharge system")
-    return SuperchargeSystem(
-        frozen_copy(h_arr), tuple(frozen_copy(q) for q in charge_arrs),
-        False, tuple(checks))
+    return _validate(h, charges, policy=policy)
 
 
 def validate_complex_system(h, charges: Sequence,
                             policy: NumericPolicy = DEFAULT_POLICY) -> SuperchargeSystem:
     """Validate nilpotent complex charges with ``{q_i,q_j^dag} = 2 delta_ij H``."""
-    h_arr, charge_arrs = _coerce_inputs(h, charges, "q")
-    scale = _system_scale(h_arr, charge_arrs)
-    checks = _complex_checks(h_arr, charge_arrs, policy, scale)
-    _raise_failures(checks, "not a valid complex-supercharge system")
-    return SuperchargeSystem(
-        frozen_copy(h_arr), tuple(frozen_copy(q) for q in charge_arrs),
-        True, tuple(checks))
+    return _validate(h, charges, complex_charges=True, policy=policy)
 
 
 def validate_graded_real_system(h, k, charges: Sequence,
                                 policy: NumericPolicy = DEFAULT_POLICY) -> GradedSystem:
     """Real-supercharge validation plus ``{K,Q_i} = 0`` for an involution K."""
-    h_arr, charge_arrs = _coerce_inputs(h, charges, "Q")
-    k_arr = as_operator(k, "K")
-    if k_arr.shape != h_arr.shape:
-        raise ShapeError(f"K has shape {k_arr.shape}, expected {h_arr.shape}")
-    scale = _system_scale(h_arr, charge_arrs, k_arr)
-    checks = _real_checks(h_arr, charge_arrs, policy, scale)
-    checks += _graded_checks(h_arr, k_arr, charge_arrs, policy, scale, "Q")
-    _raise_failures(checks, "not a valid graded real-supercharge system")
-    return GradedSystem(
-        frozen_copy(h_arr), Involution(frozen_copy(k_arr)),
-        tuple(frozen_copy(q) for q in charge_arrs), False, tuple(checks))
+    return _validate(h, charges, k, policy=policy)
 
 
 def validate_graded_complex_system(h, k, charges: Sequence,
                                    policy: NumericPolicy = DEFAULT_POLICY) -> GradedSystem:
     """Complex-supercharge validation plus ``{K,q_i} = 0``."""
-    h_arr, charge_arrs = _coerce_inputs(h, charges, "q")
-    k_arr = as_operator(k, "K")
-    if k_arr.shape != h_arr.shape:
-        raise ShapeError(f"K has shape {k_arr.shape}, expected {h_arr.shape}")
-    scale = _system_scale(h_arr, charge_arrs, k_arr)
-    checks = _complex_checks(h_arr, charge_arrs, policy, scale)
-    checks += _graded_checks(h_arr, k_arr, charge_arrs, policy, scale, "q")
-    _raise_failures(checks, "not a valid graded complex-supercharge system")
-    return GradedSystem(
-        frozen_copy(h_arr), Involution(frozen_copy(k_arr)),
-        tuple(frozen_copy(q) for q in charge_arrs), True, tuple(checks))
+    return _validate(h, charges, k, complex_charges=True, policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +283,15 @@ def second_supercharge(k, q, sign: int = 1,
     validate_graded_real_system(h, inv.matrix, [q_arr], policy)
     q_prime = sign * 1j * (inv.matrix @ q_arr)
 
-    scale = _system_scale(h, [q_arr, q_prime], inv.matrix)
-    tol = policy.algebra_tol
+    scale = _operator_scale(h, q_arr, q_prime, inv.matrix)
     residuals = {
         "Q'^2 = Q^2": residual_norm(q_prime @ q_prime - h) / scale,
         "{Q,Q'} = 0": residual_norm(anticommutator(q_arr, q_prime)) / scale,
         "{K,Q'} = 0": residual_norm(anticommutator(inv.matrix, q_prime)) / scale,
     }
-    checks = [_herm_check("Q'", q_prime, policy)]
-    checks += [RelationCheck(name, res, tol, res <= tol)
+    checks = [RelationCheck.judge("Q' self-adjoint", _hermiticity_residual(q_prime),
+                                  policy.hermiticity_tol)]
+    checks += [RelationCheck.judge(name, res, policy.algebra_tol)
                for name, res in residuals.items()]
     _raise_failures(checks, "second supercharge failed its post conditions")
     return q_prime
@@ -371,7 +310,7 @@ def check_pairing_relation(k, q1, q2,
     b = as_operator(q2, "Q2")
     h = a @ a
     validate_graded_real_system(h, inv.matrix, [a, b], policy)
-    scale = _system_scale(h, [a, b], inv.matrix)
+    scale = _operator_scale(h, a, b, inv.matrix)
     kq1 = 1j * (inv.matrix @ a)
     if residual_norm(b + kq1) / scale <= policy.algebra_tol:
         return PairingSign.MINUS
@@ -408,30 +347,22 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     h = a @ a
     validate_real_system(h, [a, b], policy)
 
-    dec = eigh(a, policy)
-    magnitudes = np.abs(dec.eigenvalues)
-    scale = float(magnitudes.max(initial=0.0))
-    keep = magnitudes > policy.kernel_tol * scale
-    d = int(np.count_nonzero(~keep))
+    q1_pinv, kernel_vecs = _pinv_and_kernel(a, policy)
+    d = kernel_vecs.shape[1]
     if d_plus is None:
         d_plus = d
     if not 0 <= d_plus <= d:
         raise ValueError(
             f"d_plus must lie in [0, {d}] (dim ker Q1 = {d}), got {d_plus}")
 
-    inverted = np.zeros_like(dec.eigenvalues)
-    inverted[keep] = 1.0 / dec.eigenvalues[keep]
-    u = dec.eigenvectors
-    q1_pinv = (u * inverted) @ adjoint(u)
-    kernel_vecs = u[:, ~keep]
     signature = np.concatenate(
         [np.ones(d_plus), -np.ones(d - d_plus)]).astype(np.complex128)
     k = 1j * (b @ q1_pinv) + (kernel_vecs * signature) @ adjoint(kernel_vecs)
 
     involution = validate_involution(k, policy)
     validate_graded_real_system(h, involution.matrix, [a, b], policy)
-    pair_res = residual_norm(b + 1j * (involution.matrix @ a)) / _system_scale(
-        h, [a, b], involution.matrix)
+    pair_res = rel_residual(b + 1j * (involution.matrix @ a),
+                            h, a, b, involution.matrix)
     if pair_res > policy.algebra_tol:
         raise CrossCheckError(
             f"constructed involution violates Q2 = -iKQ1 "
@@ -463,7 +394,7 @@ def standard_representation(system: GradedSystem,
     basis = grading_basis(system.involution, policy)
     u = basis.unitary
     nb = basis.dim_bosonic
-    scale = _system_scale(h, [q])
+    scale = _operator_scale(h, q)
     tol = policy.algebra_tol
 
     qc = adjoint(u) @ q @ u
@@ -520,7 +451,9 @@ def _require_hermitian_parts(a1, a2, policy):
     p2 = as_operator(a2, "a2")
     if p1.shape != p2.shape:
         raise ShapeError(f"part shapes differ: {p1.shape} vs {p2.shape}")
-    checks = [_herm_check("a1", p1, policy), _herm_check("a2", p2, policy)]
+    checks = [RelationCheck.judge(f"{name} self-adjoint", _hermiticity_residual(p),
+                                  policy.hermiticity_tol)
+              for name, p in (("a1", p1), ("a2", p2))]
     _raise_failures(checks, "parts must be Hermitian")
     return p1, p2
 

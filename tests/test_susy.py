@@ -146,6 +146,39 @@ def test_check_order_of_two_charge_systems(build, expected):
     assert [c.name for c in build().checks] == expected
 
 
+_STACK_VALIDATORS = {
+    "real": lambda h, k, qs: validate_real_system(h, qs),
+    "complex": lambda h, k, qs: validate_complex_system(h, qs),
+    "graded_real": lambda h, k, qs: validate_graded_real_system(h, k, qs),
+    "graded_complex": lambda h, k, qs: validate_graded_complex_system(h, k, qs),
+}
+_STACK_SYSTEMS = {
+    "real": (np.eye(2), SIGMA3, [SIGMA1, SIGMA2]),
+    "complex": (np.eye(4), _PARITY, [_C1, _C2]),
+    "graded_real": (np.eye(2), SIGMA3, [SIGMA1, SIGMA2]),
+    "graded_complex": (np.eye(4), _PARITY, [_C1]),
+}
+
+
+@pytest.mark.parametrize("flavour", sorted(_STACK_VALIDATORS))
+def test_stacked_charge_array_matches_charge_list(flavour):
+    validate = _STACK_VALIDATORS[flavour]
+    h, k, charges = _STACK_SYSTEMS[flavour]
+    from_list = validate(h, k, charges)
+    from_stack = validate(h, k, np.stack(charges))
+    assert from_stack.checks == from_list.checks
+    assert len(from_stack.charges) == len(charges)
+
+
+@pytest.mark.parametrize("flavour", sorted(_STACK_VALIDATORS))
+def test_empty_charge_stack_rejected(flavour):
+    h, k, _ = _STACK_SYSTEMS[flavour]
+    empty = np.zeros((0,) + h.shape, dtype=complex)
+    with pytest.raises(ValidationError,
+                       match="^at least one supercharge is required$"):
+        _STACK_VALIDATORS[flavour](h, k, empty)
+
+
 class TestChargeConversions:
     def test_pauli_to_ladder(self):
         q = complex_from_real(SIGMA1, SIGMA2)
