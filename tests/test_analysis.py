@@ -19,6 +19,7 @@ from susyqm import (
     reparametrize,
     real_from_complex,
     spectral_pairing_report,
+    standard_representation,
     validate_graded_real_system,
     witten_index,
     witten_index_report,
@@ -236,3 +237,43 @@ class TestReportInvariants:
         pos_f = np.array(report.fermionic_eigenvalues[zf:])
         assert pos_b.shape == pos_f.shape
         assert np.abs(pos_b - pos_f).max() <= 1e-8 * pos_b.max()
+
+
+def _c07_system(w_sign):
+    spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
+    return witten_model_lattice(spec, w_sign * spec.coordinates())
+
+
+CROSS_REPORT_CASES = [
+    pytest.param(lambda: _c07_system(1.0), id="c07-W=x"),
+    pytest.param(lambda: _c07_system(-1.0), id="c07-W=-x"),
+] + [
+    pytest.param(lambda db=db, df=df, conj=conj: random_graded_system(
+        db, df, seed=29, conjugate=conj),
+        id=f"random-{db}x{df}{'-conjugated' if conj else ''}")
+    for db, df in ((1, 4), (5, 3), (10, 10), (64, 48))
+    for conj in (False, True)
+]
+
+
+def _svd_kernel_dim(a, policy=NumericPolicy()):
+    """dim ker A from LAPACK singular values under kernel_basis's cutoff
+    ``max(kernel_tol^2, 2 max(shape) eps) sigma_max^2`` on sigma^2."""
+    sigma = np.linalg.svd(np.asarray(a), compute_uv=False)
+    floor = 2.0 * max(a.shape) * np.finfo(np.float64).eps
+    cutoff = max(policy.kernel_tol**2, floor) * float(sigma.max(initial=0.0))**2
+    return a.shape[1] - int(np.count_nonzero(sigma**2 > cutoff))
+
+
+@pytest.mark.parametrize("build", CROSS_REPORT_CASES)
+def test_zero_counts_agree_across_reports(build):
+    system = build()
+    pair_report = spectral_pairing_report(system)
+    index_report = witten_index_report(system)
+    assert (index_report.bosonic_zero_modes,
+            index_report.fermionic_zero_modes) == (
+        pair_report.unpaired_bosonic_zero_modes,
+        pair_report.unpaired_fermionic_zero_modes)
+    a = np.asarray(standard_representation(system).a_operator)
+    assert index_report.dim_kernel_a == _svd_kernel_dim(a)
+    assert index_report.dim_kernel_a_dagger == _svd_kernel_dim(adjoint(a))
