@@ -30,7 +30,7 @@ from .core import (
     as_operator,
     residual_norm,
 )
-from .spectral import eigvalsh, kernel_basis
+from .spectral import _require_hermitian, _Tridiagonal, eigvalsh, kernel_basis
 from .susy import GradedSystem, standard_representation
 
 __all__ = [
@@ -97,17 +97,20 @@ def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _zero_cut(policy: NumericPolicy, *magnitudes: float) -> float:
+    """The zero-mode cut ``kernel_tol * lambda_max``, where ``lambda_max``
+    is the largest of the sectors' eigenvalue magnitudes; eigenvalues at
+    or below the cut are zero modes in both reports."""
+    return policy.kernel_tol * max(magnitudes)
+
+
 def _sector_spectra(rep, policy: NumericPolicy):
-    """Ascending sector eigenvalues and the zero-mode cut
-    ``kernel_tol * lambda_max``; eigenvalues at or below the cut are
-    zero modes in both reports."""
+    """Ascending sector eigenvalues and the zero-mode cut."""
     ev_b = eigvalsh(rep.h_plus, policy)
     ev_f = eigvalsh(rep.h_minus, policy)
-    lam_max = max(
-        float(np.abs(ev_b).max(initial=0.0)),
-        float(np.abs(ev_f).max(initial=0.0)),
-    )
-    return ev_b, ev_f, policy.kernel_tol * lam_max
+    return ev_b, ev_f, _zero_cut(policy,
+                                 float(np.abs(ev_b).max(initial=0.0)),
+                                 float(np.abs(ev_f).max(initial=0.0)))
 
 
 def spectral_pairing_report(system: GradedSystem,
@@ -176,16 +179,22 @@ def witten_index_report(system: GradedSystem,
     Formula one counts kernel dimensions of the extracted map A and of
     its adjoint; formula two counts sector eigenvalues at or below
     ``kernel_tol`` times the spectral radius of H, the same zero-mode
-    rule :func:`spectral_pairing_report` applies.  Disagreement raises
-    :class:`CrossCheckError` (it signals kernel-threshold instability)
-    and is never averaged away.
+    rule :func:`spectral_pairing_report` applies.  Neither formula needs
+    a spectrum: each sector is reduced to tridiagonal form, its extreme
+    eigenvalues are bisected and the eigenvalues at or below the cut are
+    counted from the inertia of a shifted factorization.  Disagreement
+    raises :class:`CrossCheckError` (it signals kernel-threshold
+    instability) and is never averaged away.
     """
     rep = standard_representation(system, policy)
     dim_ker_a = kernel_basis(rep.a_operator, policy).dim_kernel
     dim_ker_ad = kernel_basis(adjoint(rep.a_operator), policy).dim_kernel
-    ev_b, ev_f, zero_cut = _sector_spectra(rep, policy)
-    zeros_b = int(np.count_nonzero(ev_b <= zero_cut))
-    zeros_f = int(np.count_nonzero(ev_f <= zero_cut))
+    sectors = [
+        _Tridiagonal(_require_hermitian(block, policy, "witten_index_report"))
+        for block in (rep.h_plus, rep.h_minus)
+    ]
+    zero_cut = _zero_cut(policy, *(t.radius() for t in sectors))
+    zeros_b, zeros_f = (t.count(zero_cut) for t in sectors)
     via_a = dim_ker_a - dim_ker_ad
     via_blocks = zeros_b - zeros_f
     if via_a != via_blocks:

@@ -13,6 +13,7 @@ import sys
 from . import io
 from .analysis import (
     PairingError,
+    _sector_spectra,
     spectral_pairing_report,
     witten_index_report,
 )
@@ -140,13 +141,12 @@ def _cmd_index(args, policy) -> int:
 
 
 def _cmd_spectrum(args, policy) -> int:
-    from .spectral import eigvalsh
-
     sf = io.load_system(args.input)
     system = _graded_single_charge(sf, policy)
     rep = standard_representation(system, policy)
-    ev_b = [float(v) for v in eigvalsh(rep.h_plus, policy)]
-    ev_f = [float(v) for v in eigvalsh(rep.h_minus, policy)]
+    ev_b, ev_f, _ = _sector_spectra(rep, policy)
+    ev_b = [float(v) for v in ev_b]
+    ev_f = [float(v) for v in ev_f]
     if args.json:
         _emit(args, io.dump_json({"bosonic": ev_b, "fermionic": ev_f}))
     else:

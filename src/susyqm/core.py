@@ -82,7 +82,7 @@ class RelationCheck:
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Tolerances for validators, kernel detection and the eigensolver.
+    """Tolerances for validators, kernel detection and the Jacobi eigensolver.
 
     Hermiticity and algebra residuals are scaled by ``max(1, norm)`` of
     the operands, kernel cutoffs by the largest singular value, pairing
@@ -90,7 +90,10 @@ class NumericPolicy:
     use ``algebra_tol`` differently: the involution relations
     (``K^2 = 1``, ``K != +1``, ``K != -1``) divide their residual by the
     dimension, not by ``max(1, ||K||)``, and ``H != 0`` compares the
-    absolute norm ``||H||`` with ``algebra_tol``.
+    absolute norm ``||H||`` with ``algebra_tol``.  ``eigensolver_tol``
+    governs the Jacobi sweeps only: kernel dimensions and the index
+    report's zero-mode counts come from bisection down to adjacent
+    floats, which needs no tolerance.
     """
 
     hermiticity_tol: float = 1e-10

@@ -23,8 +23,6 @@ from .core import (
     _raise_failures,
     adjoint,
     as_operator,
-    commutator,
-    anticommutator,
     frozen_copy,
     residual_norm,
 )
@@ -130,9 +128,11 @@ def classify_operator(k: Involution, m, policy: NumericPolicy = DEFAULT_POLICY) 
     if arr.shape[0] != k.dim:
         raise ShapeError(f"operator dim {arr.shape[0]} does not match K dim {k.dim}")
     scale = residual_norm(arr)
-    if residual_norm(commutator(k.matrix, arr)) <= policy.algebra_tol * scale:
+    km = k.matrix @ arr
+    mk = arr @ k.matrix
+    if residual_norm(km - mk) <= policy.algebra_tol * scale:
         return Parity.EVEN
-    if residual_norm(anticommutator(k.matrix, arr)) <= policy.algebra_tol * scale:
+    if residual_norm(km + mk) <= policy.algebra_tol * scale:
         return Parity.ODD
     return Parity.MIXED
 

@@ -1,12 +1,26 @@
-"""Self-contained Hermitian eigensolver, numerical kernels, pseudo-inverse.
+"""Self-contained Hermitian eigensolvers, numerical kernels, pseudo-inverse.
 
-The eigensolver runs cyclic Jacobi sweeps of 2x2 unitary rotations until
-the off-diagonal Frobenius norm drops below ``eigensolver_tol * ||A||``.
-Jacobi was chosen over QR iteration because it is simple to verify,
-unconditionally convergent on Hermitian input and accurate enough at the
-desk-scale dimensions this package targets.
+Two paths, neither of which calls LAPACK:
 
-The sweep kernel exists twice: a compiled Cython extension and a
+* Full spectra and eigenvectors (:func:`eigh`, :func:`eigvalsh`, the
+  pseudo-inverse) come from cyclic Jacobi sweeps of 2x2 unitary
+  rotations, run until the off-diagonal Frobenius norm drops below
+  ``eigensolver_tol * ||A||``.  Jacobi was chosen over QR iteration
+  because it is simple to verify, unconditionally convergent on
+  Hermitian input and accurate enough at the desk-scale dimensions this
+  package targets.
+* Counts below a cutoff and kernel vectors (:func:`kernel_basis` and the
+  Witten index's sector zero-mode counts) come from a Householder
+  reduction to a real symmetric tridiagonal matrix.  Eigenvalues at or
+  below ``x`` are counted from the inertia of ``T - x = L D L^T`` (Sturm
+  count, with LAPACK ``dstebz``'s guard against zero pivots), extreme
+  eigenvalues are bisected on that count until the bracket closes on
+  adjacent floats, and kernel vectors come from a few steps of inverse
+  iteration on the tridiagonal from a fixed-seed start block, so the
+  output is byte-deterministic.  No whole spectrum and no eigenvector
+  matrix is formed, and no tolerance is involved.
+
+The Jacobi sweep kernel exists twice: a compiled Cython extension and a
 vectorised numpy mirror.  The compiled one is used whenever it imports,
 the mirror otherwise; ``jacobi_backend()`` reports which is active.
 ``benchmarks/bench_eigh.py`` imports both kernels directly to compare
@@ -19,6 +33,8 @@ so refining a lattice does not silently reclassify near-zero modes.
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +157,213 @@ def eigvalsh(a, policy: NumericPolicy = DEFAULT_POLICY,
     return w
 
 
+# ---------------------------------------------------------------------------
+# tridiagonal path: counts below a cutoff, extreme eigenvalues, kernels
+
+_EPS = float(np.finfo(np.float64).eps)
+_SAFMIN = float(np.finfo(np.float64).tiny)
+# Inverse-iteration solves per kernel basis.  Kernel eigenvalues sit at
+# or below the cutoff and the rest above it, so each solve shrinks the
+# non-kernel part of the block by their ratio.
+_INVERSE_ITERATIONS = 3
+_START_SEED = 20240117
+
+
+def _float_key(x: float) -> int:
+    """Integer that orders like ``x`` and steps by one between adjacent floats."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _key_float(key: int) -> float:
+    bits = key if key >= 0 else -key | -0x8000_0000_0000_0000
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+class _Tridiagonal:
+    """Real symmetric tridiagonal ``T`` unitarily similar to a Hermitian
+    matrix ``a``: ``a = s Q P T P^dag Q^dag`` with ``Q`` a product of
+    Householder reflectors, ``P`` a diagonal of phases that makes the
+    subdiagonal real and nonnegative, and ``s`` a power of two that puts
+    the largest entry of ``T`` near one, so squares neither overflow nor
+    underflow.  Scaling by a power of two is exact; eigenvalues are taken
+    and returned in the units of ``a``.
+    """
+
+    def __init__(self, a: np.ndarray):
+        work = np.array(0.5 * (a + adjoint(a)), dtype=np.complex128)
+        peak = float(np.abs(work).max(initial=0.0))
+        self._scale = math.ldexp(1.0, math.frexp(peak)[1]) if peak > 0.0 else 1.0
+        work /= self._scale
+        n = work.shape[0]
+        sub = np.zeros(max(n - 1, 0), dtype=np.complex128)
+        self._reflectors = []
+        for k in range(n - 1):
+            x = work[k + 1:, k]
+            tail_sq = float(np.vdot(x[1:], x[1:]).real)
+            if tail_sq == 0.0:
+                sub[k] = x[0]
+                continue
+            alpha = complex(x[0])
+            norm = math.sqrt(abs(alpha) ** 2 + tail_sq)
+            phase = alpha / abs(alpha) if alpha != 0 else 1.0
+            v = x.copy()
+            v[0] += phase * norm
+            beta = 2.0 / float(np.vdot(v, v).real)
+            # Two-sided update of the trailing block by I - beta v v^dag.
+            block = work[k + 1:, k + 1:]
+            p = beta * (block @ v)
+            w = p - (0.5 * beta * float(np.vdot(v, p).real)) * v
+            block -= np.outer(v, w.conj())
+            block -= np.outer(w, v.conj())
+            sub[k] = -phase * norm
+            self._reflectors.append((k + 1, v, beta))
+        self.n = n
+        self._d = np.diagonal(work).real.copy()
+        self._e = np.abs(sub)
+        phases = np.ones(n, dtype=np.complex128)
+        for k, c in enumerate(sub):
+            phases[k + 1] = phases[k] * (c / abs(c) if c != 0 else 1.0)
+        self._phases = phases
+        e2 = (self._e * self._e).tolist()
+        # dstebz's pivot guard: a pivot smaller than this is taken as
+        # -pivmin, so an eigenvalue exactly at x counts as at or below it.
+        self._pivmin = _SAFMIN * max([1.0] + e2)
+        self._rows = list(zip(self._d.tolist(), [0.0] + e2))
+        radii = np.zeros(n)
+        radii[1:] += self._e
+        radii[:-1] += self._e
+        lo = float((self._d - radii).min(initial=0.0))
+        hi = float((self._d + radii).max(initial=0.0))
+        pad = 2.1 * n * _EPS * max(abs(lo), abs(hi)) + 4.2 * self._pivmin
+        self._bracket = (lo - pad, hi + pad)
+
+    def count(self, x: float) -> int:
+        """Number of eigenvalues at or below ``x``."""
+        return self._below(x / self._scale)
+
+    def _below(self, x: float) -> int:
+        """Number of eigenvalues of ``T`` at or below ``x``: the negative
+        pivots of ``T - x = L D L^T``, a pivot within ``pivmin`` of zero
+        counting as negative."""
+        pivmin = self._pivmin
+        below = 0
+        q = 1.0
+        for dj, e2 in self._rows:
+            q = dj - e2 / q - x
+            if abs(q) < pivmin:
+                q = -pivmin
+            if q <= 0.0:
+                below += 1
+        return below
+
+    def eigenvalue(self, k: int) -> float:
+        """The ``k``-th smallest eigenvalue (from 0): the smallest float
+        ``x`` with more than ``k`` eigenvalues at or below it, bisected
+        over the float ordering until the bracket holds two adjacent
+        floats."""
+        lo, hi = (_float_key(b) for b in self._bracket)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._below(_key_float(mid)) > k:
+                hi = mid
+            else:
+                lo = mid
+        return _key_float(hi) * self._scale
+
+    def radius(self) -> float:
+        """Largest eigenvalue magnitude (0 for an empty matrix)."""
+        if self.n == 0:
+            return 0.0
+        return max(abs(self.eigenvalue(0)), abs(self.eigenvalue(self.n - 1)))
+
+    def lowest_vectors(self, m: int, lam_max: float) -> np.ndarray:
+        """Orthonormal columns spanning the eigenvectors of ``a`` for its
+        ``m`` eigenvalues of smallest magnitude, by inverse iteration at
+        shift zero; ``lam_max`` is the largest eigenvalue magnitude."""
+        n = self.n
+        if m == n:
+            return np.eye(n, dtype=np.complex128)
+        if m == 0:
+            return np.zeros((n, 0), dtype=np.complex128)
+        unit = lam_max / self._scale if lam_max > 0.0 else 1.0
+        lu = _tridiagonal_lu(self._d / unit, self._e / unit)
+        z = np.random.default_rng(_START_SEED).standard_normal((n, m))
+        for _ in range(_INVERSE_ITERATIONS):
+            z = _orthonormal_columns(_tridiagonal_solve(lu, z))
+        x = self._phases[:, None] * z
+        for k, v, beta in reversed(self._reflectors):
+            x[k:] -= np.outer(beta * v, v.conj() @ x[k:])
+        return x
+
+
+def _tridiagonal_lu(d: np.ndarray, e: np.ndarray):
+    """LU factors of the symmetric tridiagonal ``(d, e)`` with partial
+    pivoting (LAPACK ``dgttrf``).  The input is scaled to a largest
+    eigenvalue magnitude of one, and a pivot below ``eps`` in magnitude
+    (``eps * lambda_max`` before scaling) is replaced by ``+-eps``, so an
+    exactly singular matrix still factors."""
+    d = d.tolist()
+    dl = e.tolist()
+    du = e.tolist()
+    n = len(d)
+    du2 = [0.0] * max(n - 2, 0)
+    swapped = [False] * max(n - 1, 0)
+
+    def pivot(value):
+        return value if abs(value) >= _EPS else math.copysign(_EPS, value)
+
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            d[i] = pivot(d[i])
+            fact = dl[i] / d[i]
+            dl[i] = fact
+            d[i + 1] -= fact * du[i]
+        else:
+            piv = pivot(dl[i])
+            fact = d[i] / piv
+            d[i] = piv
+            dl[i] = fact
+            upper = du[i]
+            du[i] = d[i + 1]
+            d[i + 1] = upper - fact * d[i + 1]
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du[i + 1]
+            swapped[i] = True
+    if n:
+        d[n - 1] = pivot(d[n - 1])
+    return d, dl, du, du2, swapped
+
+
+def _tridiagonal_solve(lu, b: np.ndarray) -> np.ndarray:
+    """Solve with :func:`_tridiagonal_lu`'s factors for the columns of ``b``."""
+    d, dl, du, du2, swapped = lu
+    n = len(d)
+    x = np.array(b, dtype=np.float64)
+    for i in range(n - 1):
+        if swapped[i]:
+            x[[i, i + 1]] = x[[i + 1, i]]
+        x[i + 1] -= dl[i] * x[i]
+    x[n - 1] /= d[n - 1]
+    if n > 1:
+        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    return x
+
+
+def _orthonormal_columns(z: np.ndarray) -> np.ndarray:
+    """Two-pass classical Gram-Schmidt on the columns of ``z``."""
+    q = np.empty_like(z)
+    for j in range(z.shape[1]):
+        col = z[:, j] / np.abs(z[:, j]).max()
+        for _ in range(2):
+            col = col - q[:, :j] @ (q[:, :j].T @ col)
+        q[:, j] = col / math.sqrt(float(col @ col))
+    return q
+
+
 def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     """Orthonormal basis of the numerical kernel of ``a``.
 
@@ -153,20 +376,26 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     ``sqrt(dim * eps)`` times the largest one, so the cutoff never drops
     below that floor; otherwise rounding in the matrix product would
     randomly evict exact kernel directions.
+
+    The Gram matrix goes down the tridiagonal path, not through
+    :func:`eigh`: its largest eigenvalue is bisected, the eigenvalues at
+    or below the cutoff are counted, and only that many vectors are
+    computed, by inverse iteration.  The basis is deterministic, but it
+    is one orthonormal basis of the kernel among many; compare kernels
+    by their projectors.
     """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValidationError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("kernel_basis input contains non-finite entries")
-    gram = adjoint(arr) @ arr
-    dec = eigh(gram, policy)
-    lam_max = max(float(dec.eigenvalues[-1]), 0.0)
-    gram_floor = 2.0 * max(arr.shape) * np.finfo(np.float64).eps
+    gram = _Tridiagonal(adjoint(arr) @ arr)
+    lam_max = max(gram.eigenvalue(gram.n - 1), 0.0)
+    gram_floor = 2.0 * max(arr.shape) * _EPS
     cutoff = max(policy.kernel_tol**2, gram_floor) * lam_max
-    mask = dec.eigenvalues <= cutoff
-    basis = dec.eigenvectors[:, mask]
-    return KernelBasis(int(np.count_nonzero(mask)), frozen_copy(basis))
+    dim = gram.count(cutoff)
+    basis = gram.lowest_vectors(dim, lam_max)
+    return KernelBasis(dim, frozen_copy(basis))
 
 
 def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):

@@ -43,9 +43,7 @@ from .core import (
     _operator_scale,
     _raise_failures,
     adjoint,
-    anticommutator,
     as_operator,
-    commutator,
     frozen_copy,
     rel_residual,
     residual_norm,
@@ -286,8 +284,8 @@ def second_supercharge(k, q, sign: int = 1,
     scale = _operator_scale(h, q_arr, q_prime, inv.matrix)
     residuals = {
         "Q'^2 = Q^2": residual_norm(q_prime @ q_prime - h) / scale,
-        "{Q,Q'} = 0": residual_norm(anticommutator(q_arr, q_prime)) / scale,
-        "{K,Q'} = 0": residual_norm(anticommutator(inv.matrix, q_prime)) / scale,
+        "{Q,Q'} = 0": residual_norm(q_arr @ q_prime + q_prime @ q_arr) / scale,
+        "{K,Q'} = 0": residual_norm(inv.matrix @ q_prime + q_prime @ inv.matrix) / scale,
     }
     checks = [RelationCheck.judge("Q' self-adjoint", _hermiticity_residual(q_prime),
                                   policy.hermiticity_tol)]
@@ -479,7 +477,7 @@ def hamiltonian_from_parts(a1, a2,
     ``1 (x) (a1^2 + a2^2) + sigma_3 (x) i[a1, a2]``."""
     p1, p2 = _require_hermitian_parts(a1, a2, policy)
     even = np.kron(np.eye(2), p1 @ p1 + p2 @ p2)
-    twist = np.kron(SIGMA3, 1j * commutator(p1, p2))
+    twist = np.kron(SIGMA3, 1j * (p1 @ p2 - p2 @ p1))
     return even + twist
 
 

@@ -19,8 +19,9 @@ from susyqm import (
     witten_model_lattice,
 )
 from susyqm import _jacobi_py
+from susyqm.spectral import _Tridiagonal
 
-from conftest import random_hermitian
+from conftest import random_complex, random_hermitian, rank_deficient
 
 F = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -199,3 +200,101 @@ class TestInverseOnComplement:
         assert np.linalg.norm(singular @ pinv @ singular - singular) < tol
         projector = pinv @ singular
         assert np.linalg.norm(projector @ projector - projector) < tol
+
+
+def _svd_kernel_dim(a, policy=NumericPolicy()):
+    """dim ker A from LAPACK singular values under kernel_basis's cutoff."""
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return a.shape[1] - int(np.count_nonzero(sigma**2 > _gram_cutoff(a, policy)))
+
+
+def _gram_cutoff(a, policy=NumericPolicy()):
+    floor = 2.0 * max(a.shape) * np.finfo(np.float64).eps
+    return max(policy.kernel_tol**2, floor) * np.linalg.norm(a, 2)**2
+
+
+class TestTridiagonalPath:
+    @pytest.mark.parametrize("n", [1, 2, 7, 33])
+    def test_sturm_count_matches_oracle(self, rng, n):
+        a = random_hermitian(rng, n)
+        w = np.linalg.eigvalsh(a)
+        tri = _Tridiagonal(a)
+        probes = np.concatenate([[w[0] - 1.0], 0.5 * (w[1:] + w[:-1]),
+                                 [w[-1] + 1.0]])
+        for x in probes:
+            assert tri.count(x) == np.count_nonzero(w <= x)
+
+    def test_count_includes_eigenvalue_at_x(self):
+        # eigenvalues 0 and 2, both exact; a pivot within the underflow
+        # threshold of zero counts as zero, so the probe below 0 keeps clear
+        tri = _Tridiagonal(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+        assert [tri.count(x) for x in (-1e-300, 0.0, np.nextafter(2.0, 0.0),
+                                       2.0)] == [0, 1, 1, 2]
+
+    def test_kernel_includes_value_at_cutoff(self):
+        tol = 1e-3
+        policy = NumericPolicy(kernel_tol=tol)
+        assert tol * tol == tol**2
+        # Gram eigenvalues 1 and tol^2: the second sits exactly at the cutoff
+        assert kernel_basis(np.diag([1.0, tol]), policy).dim_kernel == 1
+        above = np.diag([1.0, np.nextafter(tol, 1.0)])
+        assert kernel_basis(above, policy).dim_kernel == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 101])
+    def test_extreme_eigenvalues_to_a_few_ulps(self, n):
+        # second-difference matrix, already real tridiagonal, so the
+        # reduction is exact; eigenvalues 2 - 2 cos(k pi / (n + 1))
+        t = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)).astype(complex)
+        exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+        tri = _Tridiagonal(t)
+        ulp = np.spacing(exact[-1])
+        for k in (0, n - 1):
+            lam = tri.eigenvalue(k)
+            assert abs(lam - exact[k]) <= 2 * ulp
+            # bisected to adjacent floats: lam is the first float whose
+            # count includes the (k+1)-th eigenvalue
+            assert tri.count(lam) > k >= tri.count(np.nextafter(lam, -np.inf))
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_extreme_eigenvalues_of_dense_input(self, rng, n):
+        a = random_hermitian(rng, n)
+        w = np.linalg.eigvalsh(a)
+        tri = _Tridiagonal(a)
+        tol = 4 * n * np.spacing(np.abs(w).max())
+        assert abs(tri.eigenvalue(0) - w[0]) <= tol
+        assert abs(tri.eigenvalue(n - 1) - w[-1]) <= tol
+        assert tri.radius() == max(abs(tri.eigenvalue(0)), abs(tri.eigenvalue(n - 1)))
+
+
+KERNEL_CASES = {
+    "zero": lambda rng: np.zeros((4, 4)),
+    "zero-tall": lambda rng: np.zeros((5, 2)),
+    "identity": lambda rng: np.eye(6),
+    "row": lambda rng: random_complex(rng, 1, 9),
+    "column": lambda rng: random_complex(rng, 9, 1),
+    "tall-rank-deficient": lambda rng: rank_deficient(rng, 40, 25, rank=17),
+    "wide-rank-deficient": lambda rng: rank_deficient(rng, 25, 40, rank=17),
+    "square-corank-one": lambda rng: rank_deficient(rng, 30, 30, rank=29),
+}
+
+
+class TestKernelBasisTridiagonal:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_against_svd_oracle(self, rng, case):
+        a = np.asarray(KERNEL_CASES[case](rng), dtype=complex)
+        for m in (a, adjoint(a)):
+            kb = kernel_basis(m)
+            assert kb.dim_kernel == _svd_kernel_dim(m)
+            assert kb.basis.shape == (m.shape[1], kb.dim_kernel)
+            gram = adjoint(kb.basis) @ kb.basis
+            assert np.linalg.norm(gram - np.eye(kb.dim_kernel)) < 1e-13
+            if kb.dim_kernel:
+                residual = np.linalg.norm(m @ kb.basis, axis=0).max()
+                assert residual**2 <= _gram_cutoff(m)
+            again = kernel_basis(m)
+            assert again.basis.tobytes() == kb.basis.tobytes()
+
+    def test_zero_matrix_is_whole_domain(self):
+        kb = kernel_basis(np.zeros((3, 5)))
+        assert kb.dim_kernel == 5
+        assert np.array_equal(kb.basis, np.eye(5))
