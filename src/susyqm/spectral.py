@@ -272,9 +272,7 @@ class _Tridiagonal:
         return _key_float(hi) * self._scale
 
     def radius(self) -> float:
-        """Largest eigenvalue magnitude (0 for an empty matrix)."""
-        if self.n == 0:
-            return 0.0
+        """Largest eigenvalue magnitude."""
         return max(abs(self.eigenvalue(0)), abs(self.eigenvalue(self.n - 1)))
 
     def lowest_vectors(self, m: int, lam_max: float) -> np.ndarray:

@@ -293,8 +293,3 @@ class TestKernelBasisTridiagonal:
                 assert residual**2 <= _gram_cutoff(m)
             again = kernel_basis(m)
             assert again.basis.tobytes() == kb.basis.tobytes()
-
-    def test_zero_matrix_is_whole_domain(self):
-        kb = kernel_basis(np.zeros((3, 5)))
-        assert kb.dim_kernel == 5
-        assert np.array_equal(kb.basis, np.eye(5))
