@@ -144,7 +144,7 @@ def _cmd_spectrum(args, policy) -> int:
     sf = io.load_system(args.input)
     system = _graded_single_charge(sf, policy)
     rep = standard_representation(system, policy)
-    ev_b, ev_f, _ = _sector_spectra(rep, policy)
+    ev_b, ev_f, _ = _sector_spectra(rep, policy, "spectrum")
     ev_b = [float(v) for v in ev_b]
     ev_f = [float(v) for v in ev_f]
     if args.json:

@@ -12,6 +12,7 @@ absolute norm ``||H||`` with ``algebra_tol``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,8 @@ class RelationCheck:
               must_exceed: bool = False) -> "RelationCheck":
         """Check that holds when ``residual <= tolerance``, or, for a
         relation of the form ``X != Y`` (``must_exceed``), when
-        ``residual > tolerance``."""
+        ``residual > tolerance``.  A NaN residual fails either way: every
+        comparison with NaN is false."""
         passed = residual > tolerance if must_exceed else residual <= tolerance
         return cls(name, residual, tolerance, passed)
 
@@ -91,9 +93,11 @@ class NumericPolicy:
     (``K^2 = 1``, ``K != +1``, ``K != -1``) divide their residual by the
     dimension, not by ``max(1, ||K||)``, and ``H != 0`` compares the
     absolute norm ``||H||`` with ``algebra_tol``.  ``eigensolver_tol``
-    governs the Jacobi sweeps only: kernel dimensions and the index
-    report's zero-mode counts come from bisection down to adjacent
-    floats, which needs no tolerance.
+    governs the Jacobi sweeps only (``eigh``, ``eigvalsh``, the
+    pseudo-inverse and the grading basis): kernel dimensions, the index
+    report's zero-mode counts and the sector spectra of the pairing
+    report and the ``spectrum`` verb come from bisection down to
+    adjacent floats, which needs no tolerance.
     """
 
     hermiticity_tol: float = 1e-10
@@ -169,9 +173,45 @@ def adjoint(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128).conj().T
 
 
+# Frobenius norms inside this range come from sums of squares that
+# neither overflowed nor lost digits to underflow.
+_SAFE_NORMS = (2.0**-450, 2.0**450)
+
+
+def _binary_exponent(a) -> int:
+    """Exponent ``e`` with ``max |a_ij| * 2**-e`` in ``[0.5, 1)``, or 0 for
+    a zero or empty ``a``.  Scaling by ``2**-e`` puts the squares of the
+    entries clear of overflow and underflow."""
+    return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+
+
+def _ldexp(a, e: int) -> np.ndarray:
+    """``a * 2**e`` entrywise: exact while the results stay normal floats,
+    and, unlike complex arithmetic, it keeps the sign of every zero."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        return np.ldexp(a, e)
+    out = np.empty_like(a)
+    out.real = np.ldexp(a.real, e)
+    out.imag = np.ldexp(a.imag, e)
+    return out
+
+
 def residual_norm(a) -> float:
-    """Frobenius norm, the scalar residual of a matrix equation."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm, the scalar residual of a matrix equation.
+
+    Outside a safe range the entries are scaled by a power of two first
+    (:func:`_binary_exponent`), so entries beyond about ``1e+-154``
+    neither overflow nor underflow when squared; inside it that scaling
+    would change no bit.
+    """
+    arr = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+        if _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1] or not arr.any():
+            return norm
+        e = _binary_exponent(arr)
+        return float(np.ldexp(np.linalg.norm(_ldexp(arr, -e)), e))
 
 
 def _operator_scale(*operands) -> float:

@@ -2,29 +2,33 @@
 
 Two paths, neither of which calls LAPACK:
 
-* Full spectra and eigenvectors (:func:`eigh`, :func:`eigvalsh`, the
-  pseudo-inverse) come from cyclic Jacobi sweeps of 2x2 unitary
-  rotations, run until the off-diagonal Frobenius norm drops below
-  ``eigensolver_tol * ||A||``.  Jacobi was chosen over QR iteration
-  because it is simple to verify, unconditionally convergent on
-  Hermitian input and accurate enough at the desk-scale dimensions this
-  package targets.
-* Counts below a cutoff and kernel vectors (:func:`kernel_basis` and the
+* Eigendecompositions with vectors and the public eigenvalue functions
+  (:func:`eigh`, :func:`eigvalsh`, the pseudo-inverse, the grading
+  basis) come from cyclic Jacobi sweeps of 2x2 unitary rotations, run
+  until the off-diagonal Frobenius norm drops below
+  ``eigensolver_tol * ||A||``.  The matrix is first scaled by a power of
+  two, so entries far from one neither overflow nor underflow.  Jacobi
+  was chosen over QR iteration because it is simple to verify,
+  unconditionally convergent on Hermitian input and accurate enough at
+  the desk-scale dimensions this package targets.
+* Sector spectra (the pairing report and the ``spectrum`` verb), counts
+  below a cutoff and kernel vectors (:func:`kernel_basis` and the
   Witten index's sector zero-mode counts) come from a Householder
   reduction to a real symmetric tridiagonal matrix.  Eigenvalues at or
   below ``x`` are counted from the inertia of ``T - x = L D L^T`` (Sturm
-  count, with LAPACK ``dstebz``'s guard against zero pivots), extreme
-  eigenvalues are bisected on that count until the bracket closes on
-  adjacent floats, and kernel vectors come from a few steps of inverse
-  iteration on the tridiagonal from a fixed-seed start block, so the
-  output is byte-deterministic.  No whole spectrum and no eigenvector
-  matrix is formed, and no tolerance is involved.
+  count, with LAPACK ``dstebz``'s guard against zero pivots).  Each
+  eigenvalue is bisected on that count until its bracket closes on
+  adjacent floats; a whole spectrum bisects all brackets together, one
+  count of every midpoint per round (multisection; Demmel, Marques,
+  Parlett & Voemel, SIAM J. Sci. Comput. 30 (2008) 1508).  Kernel
+  vectors come from a few steps of inverse iteration on the tridiagonal
+  from a fixed-seed start block, so the output is byte-deterministic.
+  No eigenvector matrix is formed, and no tolerance is involved.
 
 The Jacobi sweep kernel exists twice: a compiled Cython extension and a
 vectorised numpy mirror.  The compiled one is used whenever it imports,
 the mirror otherwise; ``jacobi_backend()`` reports which is active.
-``benchmarks/bench_eigh.py`` imports both kernels directly to compare
-them.
+``benchmarks/bench_eigh.py`` times both kernels and multisection.
 
 Kernel detection is threshold based and relative: a singular value
 counts as zero when it is at most ``kernel_tol`` times the largest one,
@@ -44,7 +48,9 @@ from .core import (
     ConvergenceError,
     NumericPolicy,
     ValidationError,
+    _binary_exponent,
     _hermiticity_residual,
+    _ldexp,
     adjoint,
     as_operator,
     frozen_copy,
@@ -102,8 +108,13 @@ class KernelBasis:
 def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
                  track_vectors: bool):
     # Work on the exactly Hermitian part so the kernels can mirror rows
-    # into columns and the diagonal stays real.
+    # into columns and the diagonal stays real, scaled by a power of two
+    # so the sums of squared entries neither overflow nor underflow.
+    # Every rotation is invariant under that scaling, so it changes no
+    # bit of the result for entries within about 1e+-154.
     work = np.ascontiguousarray(0.5 * (a + adjoint(a)), dtype=np.complex128)
+    e = _binary_exponent(work)
+    work = _ldexp(work, -e)
     n = work.shape[0]
     tol_off = policy.eigensolver_tol * residual_norm(work)
     if track_vectors:
@@ -115,9 +126,10 @@ def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
     if off > tol_off:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge after {sweeps} sweeps: "
-            f"off-diagonal norm {off:.3e} above target {tol_off:.3e}"
+            f"off-diagonal norm {np.ldexp(off, e):.3e} above target "
+            f"{np.ldexp(tol_off, e):.3e}"
         )
-    w = np.diagonal(work).real.copy()
+    w = np.ldexp(np.diagonal(work).real, e)
     order = np.argsort(w, kind="stable")
     if not track_vectors:
         return w[order], None
@@ -128,7 +140,8 @@ def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
 def _require_hermitian(a, policy: NumericPolicy, who: str) -> np.ndarray:
     arr = as_operator(a)
     res = _hermiticity_residual(arr)
-    if res > policy.hermiticity_tol:
+    # Written so that a NaN residual fails too.
+    if not res <= policy.hermiticity_tol:
         raise ValidationError(
             f"{who} requires a Hermitian matrix "
             f"(relative asymmetry {res:.3e} above {policy.hermiticity_tol:.1e})"
@@ -180,21 +193,35 @@ def _key_float(key: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
+# Float keys span about 2**64, more than int64 holds, so vectorised
+# bisection offsets them by 2**63 into uint64, where the midpoint
+# ``lo + (hi - lo) // 2`` cannot overflow and equals the signed one
+# shifted by the (even) offset.
+_KEY_OFFSET = 1 << 63
+_SIGN_BIT = np.uint64(_KEY_OFFSET)
+
+
+def _offset_key_floats(keys: np.ndarray) -> np.ndarray:
+    """Floats of the offset keys ``_float_key(x) + 2**63`` (uint64)."""
+    bits = np.where(keys >= _SIGN_BIT, keys - _SIGN_BIT,
+                    (_SIGN_BIT - keys) | _SIGN_BIT)
+    return bits.view(np.float64)
+
+
 class _Tridiagonal:
     """Real symmetric tridiagonal ``T`` unitarily similar to a Hermitian
     matrix ``a``: ``a = s Q P T P^dag Q^dag`` with ``Q`` a product of
     Householder reflectors, ``P`` a diagonal of phases that makes the
-    subdiagonal real and nonnegative, and ``s`` a power of two that puts
-    the largest entry of ``T`` near one, so squares neither overflow nor
-    underflow.  Scaling by a power of two is exact; eigenvalues are taken
-    and returned in the units of ``a``.
+    subdiagonal real and nonnegative, and ``s = 2**e`` a power of two
+    that puts the largest entry of ``T`` near one, so squares neither
+    overflow nor underflow.  Scaling by a power of two is exact;
+    eigenvalues are taken and returned in the units of ``a``.
     """
 
     def __init__(self, a: np.ndarray):
         work = np.array(0.5 * (a + adjoint(a)), dtype=np.complex128)
-        peak = float(np.abs(work).max(initial=0.0))
-        self._scale = math.ldexp(1.0, math.frexp(peak)[1]) if peak > 0.0 else 1.0
-        work /= self._scale
+        self._exp = _binary_exponent(work)
+        work = _ldexp(work, -self._exp)
         n = work.shape[0]
         sub = np.zeros(max(n - 1, 0), dtype=np.complex128)
         self._reflectors = []
@@ -240,7 +267,7 @@ class _Tridiagonal:
 
     def count(self, x: float) -> int:
         """Number of eigenvalues at or below ``x``."""
-        return self._below(x / self._scale)
+        return self._below(float(np.ldexp(x, -self._exp)))
 
     def _below(self, x: float) -> int:
         """Number of eigenvalues of ``T`` at or below ``x``: the negative
@@ -257,6 +284,28 @@ class _Tridiagonal:
                 below += 1
         return below
 
+    def _counts(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`_below` at every shift in ``xs`` at once: the same
+        recurrence and guard, one row of ``T`` at a time across all
+        shifts, so each count is the one :meth:`_below` gives."""
+        pivmin = self._pivmin
+        pivots = np.empty((self.n, len(xs)))
+        q = np.ones_like(xs)
+        for row, (dj, e2) in zip(pivots, self._rows):
+            np.divide(e2, q, out=row)
+            np.subtract(dj, row, out=row)
+            np.subtract(row, xs, out=row)
+            row[np.abs(row) < pivmin] = -pivmin
+            q = row
+        return np.count_nonzero(pivots <= 0.0, axis=0)
+
+    def _unscale(self, x):
+        """A bisected eigenvalue of ``T`` in the units of ``a``.  An exactly
+        zero eigenvalue comes out within ``pivmin`` of zero (the count
+        includes it for every shift in ``(-pivmin, pivmin)``) and is
+        returned as ``0.0``."""
+        return np.ldexp(np.where(np.abs(x) <= self._pivmin, 0.0, x), self._exp)
+
     def eigenvalue(self, k: int) -> float:
         """The ``k``-th smallest eigenvalue (from 0): the smallest float
         ``x`` with more than ``k`` eigenvalues at or below it, bisected
@@ -269,7 +318,25 @@ class _Tridiagonal:
                 hi = mid
             else:
                 lo = mid
-        return _key_float(hi) * self._scale
+        return float(self._unscale(_key_float(hi)))
+
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues, ascending: :meth:`eigenvalue` for every ``k``,
+        bit for bit.  The ``n`` brackets are bisected together
+        (multisection): each round makes one Sturm count at all ``n``
+        midpoints, and a bracket stops once it holds two adjacent floats,
+        so at most 64 rounds run."""
+        lo, hi = (np.full(self.n, _float_key(b) + _KEY_OFFSET, dtype=np.uint64)
+                  for b in self._bracket)
+        ks = np.arange(self.n)
+        while True:
+            open_ = hi - lo > 1
+            if not open_.any():
+                return self._unscale(_offset_key_floats(hi))
+            mid = lo + (hi - lo) // 2
+            above = self._counts(_offset_key_floats(mid)) > ks
+            hi = np.where(open_ & above, mid, hi)
+            lo = np.where(open_ & ~above, mid, lo)
 
     def radius(self) -> float:
         """Largest eigenvalue magnitude."""
@@ -284,7 +351,7 @@ class _Tridiagonal:
             return np.eye(n, dtype=np.complex128)
         if m == 0:
             return np.zeros((n, 0), dtype=np.complex128)
-        unit = lam_max / self._scale if lam_max > 0.0 else 1.0
+        unit = math.ldexp(lam_max, -self._exp) if lam_max > 0.0 else 1.0
         lu = _tridiagonal_lu(self._d / unit, self._e / unit)
         z = np.random.default_rng(_START_SEED).standard_normal((n, m))
         for _ in range(_INVERSE_ITERATIONS):

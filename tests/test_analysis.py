@@ -277,3 +277,23 @@ def test_zero_counts_agree_across_reports(build):
     a = np.asarray(standard_representation(system).a_operator)
     assert index_report.dim_kernel_a == _svd_kernel_dim(a)
     assert index_report.dim_kernel_a_dagger == _svd_kernel_dim(adjoint(a))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: _c07_system(1.0), id="c07-W=x"),
+    pytest.param(lambda: _c07_system(-1.0), id="c07-W=-x"),
+] + [
+    pytest.param(lambda seed=seed: random_graded_system(64, 48, seed, conjugate=True),
+                 id=f"random-64x48-conjugated-seed{seed}")
+    for seed in (3, 17)
+])
+def test_zero_cut_is_shared_by_both_reports(build):
+    # The pairing report cuts its bisected spectra at kernel_tol times the
+    # largest magnitude; the index report takes the cut from the extreme
+    # eigenvalues alone.  Both must land on the same float.
+    policy = NumericPolicy()
+    rep = standard_representation(build(), policy)
+    _, _, pairing_cut = analysis._sector_spectra(rep, policy, "test")
+    sectors = analysis._sector_tridiagonals(rep, policy, "test")
+    index_cut = analysis._zero_cut(policy, *(t.radius() for t in sectors))
+    assert pairing_cut == index_cut

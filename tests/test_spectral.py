@@ -16,9 +16,13 @@ from susyqm import (
     inverse_on_complement,
     jacobi_backend,
     kernel_basis,
+    spectral_pairing_report,
+    standard_representation,
+    tensor_supercharge,
     witten_model_lattice,
 )
 from susyqm import _jacobi_py
+from susyqm.core import RelationCheck, residual_norm
 from susyqm.spectral import _Tridiagonal
 
 from conftest import random_complex, random_hermitian, rank_deficient
@@ -88,6 +92,41 @@ class TestEighInvariants:
     def test_reports_non_convergence(self):
         with pytest.raises(ConvergenceError, match="off-diagonal"):
             eigh(SIGMA1, max_sweeps=0)
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+    def test_eigvalsh_against_oracle(self, rng, scale):
+        b = rng.normal(size=(6, 6))
+        a = scale * (b + b.T)
+        w_ref = np.linalg.eigvalsh(a)
+        tol = 6 * 1e-12 * np.abs(w_ref).max()
+        assert np.abs(eigvalsh(a) - w_ref).max() <= tol
+        assert np.abs(eigh(a).eigenvalues - w_ref).max() <= tol
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        a = random_hermitian(rng, 9)
+        dec = eigh(a)
+        for e in (-500, 500):
+            scaled = eigh(np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e))
+            assert np.array_equal(scaled.eigenvalues, np.ldexp(dec.eigenvalues, e))
+            assert np.array_equal(scaled.eigenvectors, dec.eigenvectors)
+
+    # At 8e307 both norms of the residual overflow: inf / inf is NaN.
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300, 8e307])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        with pytest.raises(ValidationError, match="Hermitian"):
+            eigvalsh(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_residual_norm_does_not_overflow(self, scale):
+        a = np.full((3, 4), scale * (3.0 + 4.0j))
+        assert residual_norm(a) == pytest.approx(scale * 5.0 * np.sqrt(12.0), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("must_exceed", [False, True])
+    def test_nan_residual_fails(self, must_exceed):
+        check = RelationCheck.judge("X", float("nan"), 1e-10, must_exceed)
+        assert not check.passed
 
 
 class TestBackends:
@@ -213,6 +252,36 @@ def _gram_cutoff(a, policy=NumericPolicy()):
     return max(policy.kernel_tol**2, floor) * np.linalg.norm(a, 2)**2
 
 
+def _second_difference(n):
+    return (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)).astype(complex)
+
+
+def _c07_sector(name):
+    spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
+    rep = standard_representation(witten_model_lattice(spec, spec.coordinates()))
+    return getattr(rep, name)
+
+
+def _witten_101_hamiltonian():
+    spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
+    return witten_model_lattice(spec, spec.coordinates()).hamiltonian
+
+
+SPECTRUM_CASES = {
+    "c07-h_plus": lambda rng: _c07_sector("h_plus"),
+    "c07-h_minus": lambda rng: _c07_sector("h_minus"),
+    "second-difference": lambda rng: _second_difference(40),
+    "witten-101": lambda rng: _witten_101_hamiltonian(),
+    "repeated-diagonal": lambda rng: np.diag([2.0, -1.0, 2.0, 0.0, 2.0, -1.0]),
+    "one-by-one": lambda rng: np.array([[-3.5]]),
+    "zero": lambda rng: np.zeros((5, 5)),
+}
+SPECTRUM_CASES.update({
+    f"random-{n}": (lambda rng, n=n: random_hermitian(rng, n))
+    for n in (2, 3, 8, 17, 33, 64)
+})
+
+
 class TestTridiagonalPath:
     @pytest.mark.parametrize("n", [1, 2, 7, 33])
     def test_sturm_count_matches_oracle(self, rng, n):
@@ -264,6 +333,48 @@ class TestTridiagonalPath:
         assert abs(tri.eigenvalue(0) - w[0]) <= tol
         assert abs(tri.eigenvalue(n - 1) - w[-1]) <= tol
         assert tri.radius() == max(abs(tri.eigenvalue(0)), abs(tri.eigenvalue(n - 1)))
+
+    @pytest.mark.parametrize("case", sorted(SPECTRUM_CASES))
+    def test_multisection_matches_scalar_bisection(self, rng, case):
+        a = np.asarray(SPECTRUM_CASES[case](rng), dtype=complex)
+        tri = _Tridiagonal(a)
+        w = tri.eigenvalues()
+        scalar = np.array([tri.eigenvalue(k) for k in range(tri.n)])
+        assert w.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(SPECTRUM_CASES))
+    def test_against_dense_oracle(self, rng, case):
+        a = np.asarray(SPECTRUM_CASES[case](rng), dtype=complex)
+        n = a.shape[0]
+        w = _Tridiagonal(a).eigenvalues()
+        w_ref = np.linalg.eigvalsh(a)
+        tol = 2 * n * np.finfo(np.float64).eps * np.abs(w_ref).max()
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.abs(w - w_ref).max() <= tol
+
+    @pytest.mark.parametrize("case", sorted(SPECTRUM_CASES))
+    def test_power_of_two_scaling_is_exact(self, rng, case):
+        a = np.asarray(SPECTRUM_CASES[case](rng), dtype=complex)
+        w = _Tridiagonal(a).eigenvalues()
+        for e in (-500, 500):
+            scaled = np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
+            assert np.array_equal(_Tridiagonal(scaled).eigenvalues(), np.ldexp(w, e))
+
+    def test_exact_zero_eigenvalues_are_zero(self):
+        for a in (np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0, 0.0])):
+            tri = _Tridiagonal(a.astype(complex))
+            w = tri.eigenvalues()
+            zeros = w[np.abs(w) < 0.5]
+            assert zeros.tobytes() == np.zeros(len(zeros)).tobytes()
+            assert [tri.eigenvalue(k) for k in range(len(zeros))] == list(zeros)
+        assert _Tridiagonal(np.zeros((4, 4))).radius() == 0.0
+
+    def test_pairing_report_lists_exact_zero_modes_as_zero(self):
+        report = spectral_pairing_report(tensor_supercharge(np.diag([1.0, 2.0, 0.0])))
+        for sector in (report.bosonic_eigenvalues, report.fermionic_eigenvalues):
+            assert np.array(sector[:1]).tobytes() == np.zeros(1).tobytes()
+        assert (report.unpaired_bosonic_zero_modes,
+                report.unpaired_fermionic_zero_modes) == (1, 1)
 
 
 KERNEL_CASES = {
