@@ -112,9 +112,9 @@ def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
     # so the sums of squared entries neither overflow nor underflow.
     # Every rotation is invariant under that scaling, so it changes no
     # bit of the result for entries within about 1e+-154.
-    work = np.ascontiguousarray(0.5 * (a + adjoint(a)), dtype=np.complex128)
-    e = _binary_exponent(work)
-    work = _ldexp(work, -e)
+    e = _binary_exponent(a)
+    work = _ldexp(a, -e)
+    work = np.ascontiguousarray(0.5 * (work + adjoint(work)), dtype=np.complex128)
     n = work.shape[0]
     tol_off = policy.eigensolver_tol * residual_norm(work)
     if track_vectors:
@@ -219,9 +219,9 @@ class _Tridiagonal:
     """
 
     def __init__(self, a: np.ndarray):
-        work = np.array(0.5 * (a + adjoint(a)), dtype=np.complex128)
-        self._exp = _binary_exponent(work)
-        work = _ldexp(work, -self._exp)
+        self._exp = _binary_exponent(a)
+        work = _ldexp(a, -self._exp)
+        work = np.array(0.5 * (work + adjoint(work)), dtype=np.complex128)
         n = work.shape[0]
         sub = np.zeros(max(n - 1, 0), dtype=np.complex128)
         self._reflectors = []
@@ -454,6 +454,9 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
         raise ValidationError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("kernel_basis input contains non-finite entries")
+    # Scaled by a power of two so the Gram matrix cannot overflow; the
+    # cutoff is relative, so the kernel does not depend on the scale.
+    arr = _ldexp(arr, -_binary_exponent(arr))
     gram = _Tridiagonal(adjoint(arr) @ arr)
     lam_max = max(gram.eigenvalue(gram.n - 1), 0.0)
     gram_floor = 2.0 * max(arr.shape) * _EPS

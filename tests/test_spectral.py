@@ -112,6 +112,13 @@ class TestExtremeScales:
             assert np.array_equal(scaled.eigenvalues, np.ldexp(dec.eigenvalues, e))
             assert np.array_equal(scaled.eigenvectors, dec.eigenvectors)
 
+    def test_entries_near_the_float_maximum(self):
+        # a + a^dag would overflow here; both paths scale before symmetrizing
+        a = 5e307 * np.array([[1.0, 1.0], [1.0, 1.0]])
+        for w in (eigvalsh(a), _Tridiagonal(a).eigenvalues()):
+            assert w[0] == 0.0
+            assert w[1] == pytest.approx(1e308, rel=1e-15)
+
     # At 8e307 both norms of the residual overflow: inf / inf is NaN.
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300, 8e307])
     def test_rejects_non_hermitian_at_any_scale(self, scale):
@@ -121,7 +128,8 @@ class TestExtremeScales:
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
     def test_residual_norm_does_not_overflow(self, scale):
         a = np.full((3, 4), scale * (3.0 + 4.0j))
-        assert residual_norm(a) == pytest.approx(scale * 5.0 * np.sqrt(12.0), rel=1e-15, abs=0.0)
+        exact = scale * 5.0 * np.sqrt(12.0)
+        assert residual_norm(a) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("must_exceed", [False, True])
     def test_nan_residual_fails(self, must_exceed):
@@ -366,7 +374,8 @@ class TestTridiagonalPath:
             w = tri.eigenvalues()
             zeros = w[np.abs(w) < 0.5]
             assert zeros.tobytes() == np.zeros(len(zeros)).tobytes()
-            assert [tri.eigenvalue(k) for k in range(len(zeros))] == list(zeros)
+            scalar = np.array([tri.eigenvalue(k) for k in range(len(zeros))])
+            assert scalar.tobytes() == zeros.tobytes()
         assert _Tridiagonal(np.zeros((4, 4))).radius() == 0.0
 
     def test_pairing_report_lists_exact_zero_modes_as_zero(self):
@@ -404,3 +413,12 @@ class TestKernelBasisTridiagonal:
                 assert residual**2 <= _gram_cutoff(m)
             again = kernel_basis(m)
             assert again.basis.tobytes() == kb.basis.tobytes()
+
+    @pytest.mark.parametrize("e", [-1000, -540, 540, 1000])
+    def test_power_of_two_scaling_is_exact(self, rng, e):
+        # The Gram matrix of the unscaled input would overflow or underflow.
+        a = rank_deficient(rng, 20, 20, rank=15)
+        kb = kernel_basis(a)
+        scaled = kernel_basis(np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e))
+        assert scaled.dim_kernel == kb.dim_kernel == 5
+        assert scaled.basis.tobytes() == kb.basis.tobytes()
