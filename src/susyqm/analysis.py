@@ -130,12 +130,13 @@ def spectral_pairing_report(system: GradedSystem,
     Each sector is reduced to tridiagonal form and all its eigenvalues
     are bisected together, down to adjacent floats (no Jacobi sweeps and
     no eigenvectors).  Eigenvalues at or below ``kernel_tol`` times the
-    spectral radius of H count as zero modes and are never paired.  Positive eigenvalues are
-    matched ascending with a two-pointer walk, accepting a pair when its
-    relative gap is within ``pairing_tol``; degenerate clusters match by
-    count.  An unmatched positive eigenvalue raises :class:`PairingError`
-    naming the worst orphan and its sector, which signals either a broken
-    system or a too-tight pairing tolerance.
+    spectral radius of H count as zero modes and are never paired.
+    Positive eigenvalues are matched ascending with a two-pointer walk,
+    accepting a pair when its relative gap is within ``pairing_tol``;
+    degenerate clusters match by count.  An unmatched positive eigenvalue
+    raises :class:`PairingError` naming the worst orphan and its sector,
+    which signals either a broken system or a too-tight pairing
+    tolerance.
     """
     rep = standard_representation(system, policy)
     ev_b, ev_f, zero_cut = _sector_spectra(rep, policy, "spectral_pairing_report")
