@@ -1,8 +1,10 @@
-"""Numpy fallback for the cyclic Jacobi sweep kernel.
+"""Cyclic Jacobi sweep kernel for complex Hermitian matrices.
 
-Mirrors ``susyqm._jacobi`` (the Cython extension) one-to-one so the two
-backends are interchangeable; row recombination and column mirroring are
-vectorised, but the rotation schedule and formulas are identical.
+The iterate stays exactly Hermitian: each rotation recombines the two
+affected rows and restores the matching columns by conjugation, and the
+rotation product is accumulated as ``V^dag``, whose update is also
+row-wise.  Rows are recombined and columns mirrored as numpy vectors;
+the rotations themselves run one pair at a time in cyclic order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,15 @@ def _offdiag_sq(a: np.ndarray) -> float:
 
 
 def jacobi_sweeps(a, vt, tol_off, max_sweeps, track_vectors):
-    """In-place cyclic Jacobi sweeps; see the compiled kernel's docstring."""
+    """Drive ``a`` toward diagonal form with cyclic 2x2 unitary rotations.
+
+    ``a`` must be exactly Hermitian, C-contiguous ``complex128``, and is
+    modified in place.  When ``track_vectors`` is true the rotations
+    accumulate into ``vt`` so that on exit ``a_in = vt^dag a_out vt`` up
+    to rounding (``vt`` holds the adjoint of the eigenvector matrix).
+    Returns ``(sweeps, off)`` with ``off`` the final off-diagonal
+    Frobenius norm; the caller decides whether ``off`` met its target.
+    """
     n = a.shape[0]
     tol_sq = tol_off * tol_off
     skip = tol_off / (2.0 * n) if n > 0 else 0.0
@@ -32,6 +42,9 @@ def jacobi_sweeps(a, vt, tol_off, max_sweeps, track_vectors):
             for q in range(p + 1, n):
                 apq = a[p, q]
                 r = abs(apq)
+                # Entries at or below `skip` cannot keep the off-norm
+                # above tol_off on their own; skipping them leaves the
+                # convergence test decisive.
                 if r <= skip:
                     continue
                 app = a[p, p].real

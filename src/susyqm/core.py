@@ -93,8 +93,10 @@ class NumericPolicy:
     (``K^2 = 1``, ``K != +1``, ``K != -1``) divide their residual by the
     dimension, not by ``max(1, ||K||)``, and ``H != 0`` compares the
     absolute norm ``||H||`` with ``algebra_tol``.  ``eigensolver_tol``
-    governs the Jacobi sweeps only (``eigh``, ``eigvalsh``, the
-    pseudo-inverse and the grading basis): kernel dimensions, the index
+    governs the Jacobi sweeps of ``eigh``, ``eigvalsh`` and the grading
+    basis.  The pseudo-inverse sweeps down to the rounding floor instead
+    (at most ``dim * eps``), because reciprocating small eigenvalues
+    amplifies any leftover residual.  Kernel dimensions, the index
     report's zero-mode counts and the sector spectra of the pairing
     report and the ``spectrum`` verb come from bisection down to
     adjacent floats, which needs no tolerance.

@@ -3,8 +3,10 @@
 Matrix files are ``{"dim": n, "entries": [[re, im], ...]}`` with exactly
 ``n**2`` row-major entries; system files are ``{"H": <matrix>, "K":
 <matrix or null>, "charges": [<matrix>, ...], "complex": <bool>}``.
-Serialization is deterministic (sorted keys, plain decimal doubles), so
-identical inputs produce byte-identical files.
+Sizes must be JSON integers, entries JSON numbers and ``complex`` a JSON
+boolean; anything else raises :class:`FormatError`.  Serialization is
+deterministic (sorted keys, plain decimal doubles), so identical inputs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -61,19 +63,26 @@ def matrix_to_obj(a) -> dict:
             "entries": entries}
 
 
+def _is_number(value, types) -> bool:
+    """``isinstance(value, types)``, but JSON ``true``/``false`` (Python
+    bools, a subclass of int) never count as numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, Mapping):
         raise FormatError(f"matrix object must be a mapping, got {type(obj).__name__}")
     try:
         if "dim" in obj:
-            rows = cols = int(obj["dim"])
+            rows = cols = obj["dim"]
         else:
-            rows = int(obj["rows"])
-            cols = int(obj["cols"])
+            rows, cols = obj["rows"], obj["cols"]
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise FormatError(f"matrix object needs 'dim' (or 'rows'/'cols') "
                           f"and 'entries': {exc}") from exc
+    if not (_is_number(rows, int) and _is_number(cols, int)):
+        raise FormatError(f"matrix shape must be integers, got {rows!r}x{cols!r}")
     if rows < 1 or cols < 1:
         raise FormatError(f"matrix shape must be positive, got {rows}x{cols}")
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -84,7 +93,7 @@ def matrix_from_obj(obj) -> np.ndarray:
     out = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(entries):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+                or not all(_is_number(x, (int, float)) for x in pair)):
             raise FormatError(f"entry {i} must be a [re, im] number pair, "
                               f"got {pair!r}")
         out[i] = complex(pair[0], pair[1])
@@ -121,10 +130,14 @@ def system_from_obj(obj) -> SystemFile:
     charges = obj["charges"]
     if not isinstance(charges, list) or not charges:
         raise FormatError("system object needs a non-empty 'charges' list")
+    complex_charges = obj["complex"]
+    if not isinstance(complex_charges, bool):
+        raise FormatError(f"system field 'complex' must be true or false, "
+                          f"got {complex_charges!r}")
     h = matrix_from_obj(obj["H"])
     k = None if obj["K"] is None else matrix_from_obj(obj["K"])
     return SystemFile(
-        h, k, tuple(matrix_from_obj(q) for q in charges), bool(obj["complex"]))
+        h, k, tuple(matrix_from_obj(q) for q in charges), complex_charges)
 
 
 def report_to_obj(report: SpectralReport) -> dict:

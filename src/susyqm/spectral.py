@@ -25,10 +25,10 @@ Two paths, neither of which calls LAPACK:
   from a fixed-seed start block, so the output is byte-deterministic.
   No eigenvector matrix is formed, and no tolerance is involved.
 
-The Jacobi sweep kernel exists twice: a compiled Cython extension and a
-vectorised numpy mirror.  The compiled one is used whenever it imports,
-the mirror otherwise; ``jacobi_backend()`` reports which is active.
-``benchmarks/bench_eigh.py`` times both kernels and multisection.
+The Jacobi sweeps run in one kernel, ``susyqm._jacobi_py``, which
+recombines rows and mirrors columns with numpy; ``jacobi_backend()``
+names it.  It is looked up as ``_kernel.jacobi_sweeps`` at every call,
+so ``perfbench/tracer.py`` can wrap it.
 
 Kernel detection is threshold based and relative: a singular value
 counts as zero when it is at most ``kernel_tol`` times the largest one,
@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _jacobi_py as _kernel
 from .core import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -70,19 +71,11 @@ __all__ = [
 
 DEFAULT_MAX_SWEEPS = 100
 
-try:
-    from . import _jacobi as _kernel
-
-    _BACKEND = "compiled"
-except ImportError:
-    from . import _jacobi_py as _kernel
-
-    _BACKEND = "python"
-
 
 def jacobi_backend() -> str:
-    """Name of the active sweep kernel: ``"compiled"`` or ``"python"``."""
-    return _BACKEND
+    """Name of the Jacobi sweep kernel, always ``"python"``: the numpy
+    kernel in ``susyqm._jacobi_py`` is the only one."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -474,8 +467,14 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
     radius are reciprocated; the rest span the kernel.  Sharing the split
     keeps borderline eigenvalues from being classified differently by
     the two results.
+
+    Reciprocating amplifies an eigen-residual ``||A V - V Lambda||`` by up
+    to ``1 / (kernel_tol * radius)``, so the sweeps run down to the
+    rounding floor, ``min(eigensolver_tol, n * eps)``, not just to
+    ``eigensolver_tol``.
     """
-    dec = eigh(a, policy)
+    floor = min(policy.eigensolver_tol, max(a.shape[0], 1) * _EPS)
+    dec = eigh(a, replace(policy, eigensolver_tol=floor))
     magnitudes = np.abs(dec.eigenvalues)
     scale = float(magnitudes.max(initial=0.0))
     keep = magnitudes > policy.kernel_tol * scale

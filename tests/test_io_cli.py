@@ -48,6 +48,16 @@ class TestMatrixFormat:
         with pytest.raises(io.FormatError, match="finite"):
             io.matrix_from_obj({"dim": 1, "entries": [[float("inf"), 0.0]]})
 
+    @pytest.mark.parametrize("obj,match", [
+        ({"dim": 1, "entries": [[True, False]]}, "pair"),
+        ({"dim": 1.9, "entries": [[1.0, 0.0]]}, "integers"),
+        ({"dim": True, "entries": [[1.0, 0.0]]}, "integers"),
+        ({"rows": 1, "cols": "1", "entries": [[1.0, 0.0]]}, "integers"),
+    ])
+    def test_rejects_off_schema_values(self, obj, match):
+        with pytest.raises(io.FormatError, match=match):
+            io.matrix_from_obj(obj)
+
 
 class TestSystemFormat:
     def test_round_trip_with_involution(self, rng, tmp_path):
@@ -74,6 +84,13 @@ class TestSystemFormat:
         path.write_text(json.dumps({"H": io.matrix_to_obj(np.eye(2))}))
         with pytest.raises(io.FormatError, match="missing"):
             io.load_system(path)
+
+    @pytest.mark.parametrize("flag", ["no", 0, None])
+    def test_rejects_non_boolean_complex_flag(self, flag):
+        obj = io.system_to_obj(io.SystemFile(np.eye(2), SIGMA3, (SIGMA1,), False))
+        obj["complex"] = flag
+        with pytest.raises(io.FormatError, match="complex"):
+            io.system_from_obj(obj)
 
     def test_serializes_validated_system(self):
         from susyqm import validate_graded_real_system
@@ -103,6 +120,18 @@ class TestCliValidate:
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("complex", "no"),
+        ("H", {"dim": 2.5, "entries": [[1.0, 0.0], [0.0, 0.0],
+                                       [0.0, 0.0], [1.0, 0.0]]}),
+        ("H", {"dim": 2, "entries": [[True, False], [0, 0], [0, 0], [1, 0]]}),
+    ])
+    def test_off_schema_file_exits_two(self, minimal_system_file, field, value):
+        obj = json.loads(minimal_system_file.read_text())
+        obj[field] = value
+        minimal_system_file.write_text(json.dumps(obj))
+        assert main(["validate", str(minimal_system_file)]) == 2
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2

@@ -143,22 +143,11 @@ class TestBackends:
         work = np.ascontiguousarray(0.5 * (a + adjoint(a)))
         vt = np.eye(24, dtype=complex)
         tol = 1e-12 * np.linalg.norm(work)
-        py_work = work.copy()
-        py_vt = vt.copy()
-        sweeps_py, off_py = _jacobi_py.jacobi_sweeps(py_work, py_vt, tol, 100, True)
-        assert off_py <= tol
-        try:
-            from susyqm import _jacobi
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        sweeps_c, off_c = _jacobi.jacobi_sweeps(work, vt, tol, 100, True)
-        assert sweeps_c == sweeps_py
-        assert np.allclose(np.diagonal(work).real, np.diagonal(py_work).real,
-                           atol=1e-12 * np.linalg.norm(a))
-        assert np.allclose(vt, py_vt, atol=1e-12)
+        _, off = _jacobi_py.jacobi_sweeps(work, vt, tol, 100, True)
+        assert off <= tol
 
     def test_backend_reported(self):
-        assert jacobi_backend() in ("compiled", "python")
+        assert jacobi_backend() == "python"
 
 
 class TestEighWittenLattice:

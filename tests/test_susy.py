@@ -20,6 +20,7 @@ from susyqm import (
     grading_basis,
     hamiltonian_from_parts,
     hermitian_parts,
+    random_graded_system,
     real_from_complex,
     reparametrize,
     residual_norm,
@@ -323,6 +324,14 @@ class TestConstructInvolution:
     def test_invalid_pair_rejected(self):
         with pytest.raises(ValidationError):
             construct_involution(SIGMA1, SIGMA1)
+
+    def test_ill_conditioned_charge_passes_its_own_validation(self):
+        # cond(Q1) = 188: a pseudo-inverse from sweeps stopped at
+        # eigensolver_tol left [H, K] at 1.2e-10, above algebra_tol.
+        system = random_graded_system(20, 20, 4345165276468298827)
+        q1, q2 = real_from_complex(system.charges[0])
+        inv = construct_involution(q1, q2)
+        assert np.allclose(inv.matrix, system.involution.matrix, atol=1e-12)
 
     def test_superpotential_lattice_kernel_enumeration(self):
         # A = D + x on the symmetric lattice: the numerical kernel of Q1
