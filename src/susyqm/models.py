@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -310,34 +311,54 @@ def random_graded_system(dim_b: int, dim_f: int, seed: int,
     return validate_graded_complex_system(h, k, [q], policy)
 
 
+def _spec_int(value, name: str) -> int:
+    """A model-spec size or seed: an integer (numpy integers too), never a
+    boolean, string or float, not even an integral one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _spec_reals(value, name: str):
+    """A model-spec number or array of samples: every entry a real number
+    (numpy ones too), never a boolean or string."""
+    entries = np.asarray(value, dtype=object).reshape(-1)
+    for x in entries:
+        if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+            raise TypeError(f"{name} must be real, got {x!r}")
+    return value
+
+
 def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> GradedSystem:
     """Build a graded system from a model description mapping.
 
     The ``"model"`` key selects the builder (``free_particle``,
     ``witten``, ``pauli`` or ``random``); each builder reads only the
     fields it needs (``sites``, ``dx``, ``W``, ``A_field``, ``dims``,
-    ``seed``) and ignores the rest.
+    ``seed``) and ignores the rest.  Sizes and the seed must be integers;
+    ``dx`` and the ``W`` and ``A_field`` samples must be real numbers.
+    Booleans and strings are rejected with :class:`TypeError`.
     """
     kind = spec.get("model")
-    if kind == "free_particle":
-        lattice = LatticeSpec(int(spec["sites"]), float(spec["dx"]),
-                              Boundary.PERIODIC)
-        return free_particle_lattice(lattice, policy)
-    if kind == "witten":
-        lattice = LatticeSpec(int(spec["sites"]), float(spec["dx"]),
-                              Boundary.DIRICHLET)
-        return witten_model_lattice(lattice, spec["W"], policy)
-    if kind == "pauli":
-        lattice = LatticeSpec(int(spec["sites"]), float(spec["dx"]),
-                              Boundary.PERIODIC)
-        field = spec["A_field"]
-        if not isinstance(field, Sequence) or len(field) != 2:
-            raise ValueError("A_field must hold two sample arrays")
-        return pauli_lattice(lattice, field[0], field[1], policy)
     if kind == "random":
         dims = spec["dims"]
         if not isinstance(dims, Sequence) or len(dims) != 2:
             raise ValueError("dims must hold the two sector dimensions")
-        return random_graded_system(int(dims[0]), int(dims[1]),
-                                    int(spec.get("seed", 0)), policy=policy)
-    raise ValueError(f"unknown model kind: {kind!r}")
+        return random_graded_system(_spec_int(dims[0], "dims"),
+                                    _spec_int(dims[1], "dims"),
+                                    _spec_int(spec.get("seed", 0), "seed"),
+                                    policy=policy)
+    if kind not in ("free_particle", "witten", "pauli"):
+        raise ValueError(f"unknown model kind: {kind!r}")
+    boundary = Boundary.DIRICHLET if kind == "witten" else Boundary.PERIODIC
+    lattice = LatticeSpec(_spec_int(spec["sites"], "sites"),
+                          float(_spec_reals(spec["dx"], "dx")), boundary)
+    if kind == "free_particle":
+        return free_particle_lattice(lattice, policy)
+    if kind == "witten":
+        return witten_model_lattice(lattice, _spec_reals(spec["W"], "W"), policy)
+    field = spec["A_field"]
+    if not isinstance(field, Sequence) or len(field) != 2:
+        raise ValueError("A_field must hold two sample arrays")
+    return pauli_lattice(lattice, _spec_reals(field[0], "A_field"),
+                         _spec_reals(field[1], "A_field"), policy)

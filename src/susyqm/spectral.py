@@ -22,8 +22,10 @@ Two paths, neither of which calls LAPACK:
   count of every midpoint per round (multisection; Demmel, Marques,
   Parlett & Voemel, SIAM J. Sci. Comput. 30 (2008) 1508).  Kernel
   vectors come from a few steps of inverse iteration on the tridiagonal
-  from a fixed-seed start block, so the output is byte-deterministic.
-  No eigenvector matrix is formed, and no tolerance is involved.
+  from a fixed-seed start block, so the output is byte-deterministic;
+  each step solves with the unpivoted ``T = L D L^T`` factorization,
+  which needs positive semidefinite input (a Gram matrix).  No
+  eigenvector matrix is formed, and no tolerance is involved.
 
 The Jacobi sweeps run in one kernel, ``susyqm._jacobi_py``, which
 recombines rows and mirrors columns with numpy; ``jacobi_backend()``
@@ -338,76 +340,49 @@ class _Tridiagonal:
     def lowest_vectors(self, m: int, lam_max: float) -> np.ndarray:
         """Orthonormal columns spanning the eigenvectors of ``a`` for its
         ``m`` eigenvalues of smallest magnitude, by inverse iteration at
-        shift zero; ``lam_max`` is the largest eigenvalue magnitude."""
+        shift zero; ``lam_max`` is the largest eigenvalue magnitude.
+
+        ``a`` must be positive semidefinite (:func:`kernel_basis` passes a
+        Gram matrix).  Each step solves with ``T = L D L^T``, unpivoted:
+        in a semidefinite tridiagonal a tiny pivot ``q_j`` forces a tiny
+        next coupling, ``e_j^2 <= q_j T_{j+1,j+1}``, so the factors
+        cannot grow."""
         n = self.n
         if m == n:
             return np.eye(n, dtype=np.complex128)
         if m == 0:
             return np.zeros((n, 0), dtype=np.complex128)
         unit = math.ldexp(lam_max, -self._exp) if lam_max > 0.0 else 1.0
-        lu = _tridiagonal_lu(self._d / unit, self._e / unit)
+        e = (self._e / unit).tolist()
+        # The pivots of T / unit = L D L^T, :meth:`_below`'s recurrence at
+        # x = 0.  A pivot below eps in magnitude (eps * lam_max before
+        # scaling) is replaced by +-eps, so an exactly singular T factors.
+        q = []
+        qj = 1.0
+        for dj, e_prev in zip((self._d / unit).tolist(), [0.0] + e):
+            qj = dj - e_prev * e_prev / qj
+            if abs(qj) < _EPS:
+                qj = math.copysign(_EPS, qj)
+            q.append(qj)
+        ell = [ej / qj for ej, qj in zip(e, q)]
         z = np.random.default_rng(_START_SEED).standard_normal((n, m))
         for _ in range(_INVERSE_ITERATIONS):
-            z = _orthonormal_columns(_tridiagonal_solve(lu, z))
+            z = _orthonormal_columns(_ldl_solve(q, ell, z))
         x = self._phases[:, None] * z
         for k, v, beta in reversed(self._reflectors):
             x[k:] -= np.outer(beta * v, v.conj() @ x[k:])
         return x
 
 
-def _tridiagonal_lu(d: np.ndarray, e: np.ndarray):
-    """LU factors of the symmetric tridiagonal ``(d, e)`` with partial
-    pivoting (LAPACK ``dgttrf``).  The input is scaled to a largest
-    eigenvalue magnitude of one, and a pivot below ``eps`` in magnitude
-    (``eps * lambda_max`` before scaling) is replaced by ``+-eps``, so an
-    exactly singular matrix still factors."""
-    d = d.tolist()
-    dl = e.tolist()
-    du = e.tolist()
-    n = len(d)
-    du2 = [0.0] * max(n - 2, 0)
-    swapped = [False] * max(n - 1, 0)
-
-    def pivot(value):
-        return value if abs(value) >= _EPS else math.copysign(_EPS, value)
-
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            d[i] = pivot(d[i])
-            fact = dl[i] / d[i]
-            dl[i] = fact
-            d[i + 1] -= fact * du[i]
-        else:
-            piv = pivot(dl[i])
-            fact = d[i] / piv
-            d[i] = piv
-            dl[i] = fact
-            upper = du[i]
-            du[i] = d[i + 1]
-            d[i + 1] = upper - fact * d[i + 1]
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du[i + 1]
-            swapped[i] = True
-    if n:
-        d[n - 1] = pivot(d[n - 1])
-    return d, dl, du, du2, swapped
-
-
-def _tridiagonal_solve(lu, b: np.ndarray) -> np.ndarray:
-    """Solve with :func:`_tridiagonal_lu`'s factors for the columns of ``b``."""
-    d, dl, du, du2, swapped = lu
-    n = len(d)
+def _ldl_solve(q: list, ell: list, b: np.ndarray) -> np.ndarray:
+    """Solve ``L D L^T x = b`` for the columns of ``b``, with ``D`` the
+    pivots ``q`` and ``L`` unit lower bidiagonal with subdiagonal ``ell``."""
     x = np.array(b, dtype=np.float64)
-    for i in range(n - 1):
-        if swapped[i]:
-            x[[i, i + 1]] = x[[i + 1, i]]
-        x[i + 1] -= dl[i] * x[i]
-    x[n - 1] /= d[n - 1]
-    if n > 1:
-        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    for j in range(1, len(q)):
+        x[j] -= ell[j - 1] * x[j - 1]
+    x /= np.array(q)[:, None]
+    for j in range(len(q) - 2, -1, -1):
+        x[j] -= ell[j] * x[j + 1]
     return x
 
 
@@ -438,7 +413,9 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     The Gram matrix goes down the tridiagonal path, not through
     :func:`eigh`: its largest eigenvalue is bisected, the eigenvalues at
     or below the cutoff are counted, and only that many vectors are
-    computed, by inverse iteration.  The basis is deterministic, but it
+    computed, by inverse iteration with the ``L D L^T`` factorization of
+    the tridiagonal, which is unpivoted because a Gram matrix is positive
+    semidefinite.  The basis is deterministic, but it
     is one orthonormal basis of the kernel among many; compare kernels
     by their projectors.
     """

@@ -42,6 +42,7 @@ from .core import (
     _hermiticity_residual,
     _operator_scale,
     _raise_failures,
+    _same_dim,
     adjoint,
     as_operator,
     frozen_copy,
@@ -51,9 +52,9 @@ from .core import (
 from .grading import (
     GradingBasis,
     Involution,
+    block_extract,
     grading_basis,
     involution_checks,
-    validate_involution,
 )
 from .spectral import _pinv_and_kernel
 
@@ -142,8 +143,9 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     ``{q_i,q_j} = {q_i^dag,q_j^dag} = 0``.  Every charge must commute
     with H.  Given an involution ``k``, the system is graded: K must also
     pass :func:`involution_checks`, anticommute with every charge and
-    commute with H.  Returns a :class:`GradedSystem` when ``k`` is given,
-    a :class:`SuperchargeSystem` otherwise.
+    commute with H.  ``k`` may be a matrix or an :class:`Involution`.
+    Returns a :class:`GradedSystem` when ``k`` is given, a
+    :class:`SuperchargeSystem` otherwise.
     """
     h_arr = as_operator(h, "H")
     if len(charges) == 0:
@@ -159,6 +161,8 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     names = [f"{label}{i + 1}" for i in range(len(charges))]
     qs = [coerce(q, name) for name, q in zip(names, charges)]
     graded = k is not None
+    if isinstance(k, Involution):
+        k = k.matrix
     k_arr = coerce(k, "K") if graded else None
     scale = _operator_scale(h_arr, *qs, *([k_arr] if graded else []))
     tol = policy.algebra_tol
@@ -259,39 +263,22 @@ def real_from_complex(q) -> tuple[np.ndarray, np.ndarray]:
     return (arr + qd) / _SQRT2, -1j * (arr - qd) / _SQRT2
 
 
-def _coerce_involution(k, policy: NumericPolicy) -> Involution:
-    if isinstance(k, Involution):
-        return k
-    return validate_involution(k, policy)
-
-
 def second_supercharge(k, q, sign: int = 1,
                        policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Build the companion charge ``Q' = sign * i K Q`` of a single-charge
     graded system.
 
-    The output is re-verified to be self-adjoint, odd with respect to K,
-    to square to ``Q^2`` and to anticommute with Q.
+    ``(H = Q^2, K, [Q, Q'])`` is validated as a graded two-charge system,
+    which checks the input and verifies that ``Q'`` is self-adjoint, odd
+    with respect to K, squares to ``H`` and anticommutes with Q.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    inv = _coerce_involution(k, policy)
+    k_arr = as_operator(k.matrix if isinstance(k, Involution) else k, "K")
     q_arr = as_operator(q, "Q")
-    h = q_arr @ q_arr
-    validate_graded_real_system(h, inv.matrix, [q_arr], policy)
-    q_prime = sign * 1j * (inv.matrix @ q_arr)
-
-    scale = _operator_scale(h, q_arr, q_prime, inv.matrix)
-    residuals = {
-        "Q'^2 = Q^2": residual_norm(q_prime @ q_prime - h) / scale,
-        "{Q,Q'} = 0": residual_norm(q_arr @ q_prime + q_prime @ q_arr) / scale,
-        "{K,Q'} = 0": residual_norm(inv.matrix @ q_prime + q_prime @ inv.matrix) / scale,
-    }
-    checks = [RelationCheck.judge("Q' self-adjoint", _hermiticity_residual(q_prime),
-                                  policy.hermiticity_tol)]
-    checks += [RelationCheck.judge(name, res, policy.algebra_tol)
-               for name, res in residuals.items()]
-    _raise_failures(checks, "second supercharge failed its post conditions")
+    _same_dim(k_arr, q_arr)
+    q_prime = sign * 1j * (k_arr @ q_arr)
+    validate_graded_real_system(q_arr @ q_arr, k_arr, [q_arr, q_prime], policy)
     return q_prime
 
 
@@ -303,13 +290,12 @@ def check_pairing_relation(k, q1, q2,
     satisfying neither sign relation (possible for degenerate spectra,
     where the second charge is not unique up to sign).
     """
-    inv = _coerce_involution(k, policy)
     a = as_operator(q1, "Q1")
     b = as_operator(q2, "Q2")
     h = a @ a
-    validate_graded_real_system(h, inv.matrix, [a, b], policy)
-    scale = _operator_scale(h, a, b, inv.matrix)
-    kq1 = 1j * (inv.matrix @ a)
+    k_arr = validate_graded_real_system(h, k, [a, b], policy).involution.matrix
+    scale = _operator_scale(h, a, b, k_arr)
+    kq1 = 1j * (k_arr @ a)
     if residual_norm(b + kq1) / scale <= policy.algebra_tol:
         return PairingSign.MINUS
     if residual_norm(b - kq1) / scale <= policy.algebra_tol:
@@ -357,8 +343,7 @@ def construct_involution(q1, q2, d_plus: int | None = None,
         [np.ones(d_plus), -np.ones(d - d_plus)]).astype(np.complex128)
     k = 1j * (b @ q1_pinv) + (kernel_vecs * signature) @ adjoint(kernel_vecs)
 
-    involution = validate_involution(k, policy)
-    validate_graded_real_system(h, involution.matrix, [a, b], policy)
+    involution = validate_graded_real_system(h, k, [a, b], policy).involution
     pair_res = rel_residual(b + 1j * (involution.matrix @ a),
                             h, a, b, involution.matrix)
     if pair_res > policy.algebra_tol:
@@ -390,32 +375,27 @@ def standard_representation(system: GradedSystem,
     q = system.charges[0]
     h = system.hamiltonian
     basis = grading_basis(system.involution, policy)
-    u = basis.unitary
-    nb = basis.dim_bosonic
     scale = _operator_scale(h, q)
     tol = policy.algebra_tol
 
-    qc = adjoint(u) @ q @ u
-    diag_res = math.hypot(residual_norm(qc[:nb, :nb]),
-                          residual_norm(qc[nb:, nb:])) / scale
+    q_bb, q_bf, q_fb, q_ff = block_extract(basis, q)
+    diag_res = math.hypot(residual_norm(q_bb), residual_norm(q_ff)) / scale
     if diag_res > tol:
         raise ValidationError(
             f"charge is not odd in the grading basis "
             f"(diagonal-block residual {diag_res:.3e})")
     if system.complex_charges:
-        lower_res = residual_norm(qc[nb:, :nb]) / scale
+        lower_res = residual_norm(q_fb) / scale
         if lower_res > tol:
             raise ValidationError(
                 f"complex charge has a lower-left block "
                 f"(residual {lower_res:.3e}); it does not reduce to the "
                 f"standard strictly-upper form")
-        a_op = adjoint(qc[:nb, nb:]) / _SQRT2
+        a_op = adjoint(q_bf) / _SQRT2
     else:
-        a_op = qc[nb:, :nb]
+        a_op = q_fb
 
-    hc = adjoint(u) @ h @ u
-    h_plus = hc[:nb, :nb]
-    h_minus = hc[nb:, nb:]
+    h_plus, _, _, h_minus = block_extract(basis, h)
     res_plus = residual_norm(h_plus - adjoint(a_op) @ a_op) / scale
     res_minus = residual_norm(h_minus - a_op @ adjoint(a_op)) / scale
     if res_plus > tol or res_minus > tol:

@@ -214,6 +214,21 @@ class TestCliPipeline:
         spec_path.write_text(json.dumps({"model": "witten", "sites": 9}))
         assert main(["model", str(spec_path)]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"model": "random", "dims": [2.9, 1.2]},
+        {"model": "random", "dims": [True, 1]},
+        {"model": "random", "dims": ["3", "2"]},
+        {"model": "random", "dims": [3, 2], "seed": "5"},
+        {"model": "free_particle", "sites": 5.7, "dx": 1.0},
+        {"model": "free_particle", "sites": True, "dx": 1.0},
+        {"model": "free_particle", "sites": 5, "dx": "0.5"},
+        {"model": "witten", "sites": 3, "dx": 0.5, "W": ["1", True, -1]},
+    ])
+    def test_model_mistyped_field_exits_two(self, tmp_path, spec):
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["model", str(spec_path)]) == 2
+
 
 class TestCliSpectrumPairRepr:
     def test_spectrum(self, minimal_system_file, capsys):

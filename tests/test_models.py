@@ -262,3 +262,33 @@ class TestBuildModel:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             build_model({"model": "hydrogen"})
+
+    @pytest.mark.parametrize("spec,match", [
+        ({"model": "random", "dims": [2.9, 1.2]}, "dims must be an integer"),
+        ({"model": "random", "dims": [True, 1]}, "dims must be an integer"),
+        ({"model": "random", "dims": ["3", "2"]}, "dims must be an integer"),
+        ({"model": "random", "dims": [3, 2], "seed": "5"}, "seed must be an integer"),
+        ({"model": "random", "dims": [3, 2], "seed": 5.0}, "seed must be an integer"),
+        ({"model": "free_particle", "sites": 5.7, "dx": 1.0}, "sites must be an integer"),
+        ({"model": "free_particle", "sites": True, "dx": 1.0}, "sites must be an integer"),
+        ({"model": "free_particle", "sites": 5, "dx": "0.5"}, "dx must be real"),
+        ({"model": "free_particle", "sites": 5, "dx": True}, "dx must be real"),
+        ({"model": "witten", "sites": 3, "dx": 0.5, "W": ["1", True, -1]},
+         "W must be real"),
+        ({"model": "witten", "sites": 3, "dx": 0.5, "W": [1.0, True, -1.0]},
+         "W must be real"),
+        ({"model": "pauli", "sites": 3, "dx": 1.0,
+          "A_field": [[0.0] * 9, [False] * 9]}, "A_field must be real"),
+    ])
+    def test_rejects_mistyped_fields(self, spec, match):
+        with pytest.raises(TypeError, match=match):
+            build_model(spec)
+
+    def test_accepts_numpy_numbers(self):
+        spec = {"model": "random", "dims": [np.int64(2), np.int32(3)],
+                "seed": np.uint64(4)}
+        assert build_model(spec).hamiltonian.tobytes() == build_model(
+            {"model": "random", "dims": [2, 3], "seed": 4}).hamiltonian.tobytes()
+        spec = {"model": "witten", "sites": np.int64(5), "dx": np.float64(0.5),
+                "W": np.linspace(-1.0, 1.0, 5)}
+        assert build_model(spec).dim == 10

@@ -375,6 +375,21 @@ class TestTridiagonalPath:
                 report.unpaired_fermionic_zero_modes) == (1, 1)
 
 
+def _block_with_zero_middle(rng):
+    """diag(A1, 0, A2): the tridiagonal of its Gram matrix is
+    diag(T1, 0, T2), so pivots are replaced partway through."""
+    a = np.zeros((14, 14), dtype=complex)
+    a[:6, :6] = random_complex(rng, 6, 6)
+    a[9:, 9:] = random_complex(rng, 5, 5)
+    return a
+
+
+def _c07_map(sign):
+    spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
+    system = witten_model_lattice(spec, sign * spec.coordinates())
+    return standard_representation(system).a_operator
+
+
 KERNEL_CASES = {
     "zero": lambda rng: np.zeros((4, 4)),
     "zero-tall": lambda rng: np.zeros((5, 2)),
@@ -384,6 +399,13 @@ KERNEL_CASES = {
     "tall-rank-deficient": lambda rng: rank_deficient(rng, 40, 25, rank=17),
     "wide-rank-deficient": lambda rng: rank_deficient(rng, 25, 40, rank=17),
     "square-corank-one": lambda rng: rank_deficient(rng, 30, 30, rank=29),
+    # For the unpivoted L D L^T solve: zero pivots partway through (a zero
+    # middle block, rank one) and both C07 lattice maps.
+    "block-zero-middle": _block_with_zero_middle,
+    "ones-row": lambda rng: np.ones((1, 9)),
+    "ones-column": lambda rng: np.ones((9, 1)),
+    "c07-a-w-plus": lambda rng: _c07_map(1),
+    "c07-a-w-minus": lambda rng: _c07_map(-1),
 }
 
 
