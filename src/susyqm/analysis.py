@@ -26,11 +26,12 @@ from .core import (
     ShapeError,
     ValidationError,
     _operator_scale,
+    _require_hermitian,
     adjoint,
     as_operator,
     residual_norm,
 )
-from .spectral import _require_hermitian, _Tridiagonal, kernel_basis
+from .spectral import _Tridiagonal, kernel_basis
 # Not called here; ``analysis.eigvalsh`` stays bound because the
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401

@@ -92,10 +92,13 @@ class NumericPolicy:
     use ``algebra_tol`` differently: the involution relations
     (``K^2 = 1``, ``K != +1``, ``K != -1``) divide their residual by the
     dimension, not by ``max(1, ||K||)``, and ``H != 0`` compares the
-    absolute norm ``||H||`` with ``algebra_tol``.  ``eigensolver_tol``
-    governs the Jacobi sweeps of ``eigh``, ``eigvalsh`` and the grading
-    basis.  The pseudo-inverse sweeps down to the rounding floor instead
-    (at most ``dim * eps``), because reciprocating small eigenvalues
+    absolute norm ``||H||`` with ``algebra_tol``.  The grading basis
+    bounds each column norm of ``K U - U diag(+-1)`` by
+    ``dim * algebra_tol``, the bound the involution relations put on
+    ``||K^2 - 1||_F``.  ``eigensolver_tol`` governs the Jacobi sweeps of
+    ``eigh`` and ``eigvalsh`` only; the grading basis takes no
+    eigensolver.  The pseudo-inverse sweeps down to the rounding floor
+    instead (at most ``dim * eps``), because reciprocating small eigenvalues
     amplifies any leftover residual.  Kernel dimensions, the index
     report's zero-mode counts and the sector spectra of the pairing
     report and the ``spectrum`` verb come from bisection down to
@@ -238,6 +241,20 @@ def rel_residual(x, *operands) -> float:
 def _hermiticity_residual(a) -> float:
     """``||A - A^dag|| / max(1, ||A||)``."""
     return rel_residual(a - adjoint(a), a)
+
+
+def _require_hermitian(a, policy: NumericPolicy, who: str) -> np.ndarray:
+    """``a`` as an operator, or :class:`ValidationError` naming ``who`` if
+    it is not Hermitian within ``hermiticity_tol``."""
+    arr = as_operator(a)
+    res = _hermiticity_residual(arr)
+    # Written so that a NaN residual fails too.
+    if not res <= policy.hermiticity_tol:
+        raise ValidationError(
+            f"{who} requires a Hermitian matrix "
+            f"(relative asymmetry {res:.3e} above {policy.hermiticity_tol:.1e})"
+        )
+    return arr
 
 
 def is_hermitian(a, policy: NumericPolicy = DEFAULT_POLICY) -> bool:

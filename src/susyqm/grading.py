@@ -10,6 +10,7 @@ the standard block form ``diag(1, -1)``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +20,15 @@ from .core import (
     NumericPolicy,
     RelationCheck,
     ShapeError,
+    ValidationError,
     _hermiticity_residual,
     _raise_failures,
+    _require_hermitian,
     adjoint,
     as_operator,
     frozen_copy,
     residual_norm,
 )
-from .spectral import eigh
 
 __all__ = [
     "GradingBasis",
@@ -39,6 +41,8 @@ __all__ = [
     "projectors",
     "validate_involution",
 ]
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -140,17 +144,110 @@ def classify_operator(k: Involution, m, policy: NumericPolicy = DEFAULT_POLICY) 
 def grading_basis(k: Involution, policy: NumericPolicy = DEFAULT_POLICY) -> GradingBasis:
     """Unitary diagonalizing K with the +1 eigenvectors first.
 
-    Inside each degenerate eigensector the eigensolver's output order is
-    kept; downstream code must treat the basis as opaque and rely only
-    on the block positions.
+    No eigensolver is involved.  ``K^2 = 1`` makes the sectors the ranges
+    of the projectors ``P+- = (1 +- K)/2``, and ``dim_b = (n + Tr K)/2``
+    (rounded) counts the +1 columns.  The structure of K picks one of two
+    cases:
+
+    * a signed permutation, with one nonzero of modulus exactly one in
+      every row and ``K_ji = conj(K_ij)`` exactly (every lattice model):
+      a fixed point ``i`` gives ``e_i``, a 2-cycle ``i < j`` gives
+      ``(e_i +- K_ji e_j)/sqrt(2)``, and each sector is ordered by the
+      smallest index of its columns.  A diagonal K gives the identity
+      columns, +1 indices ascending, then -1 indices ascending.
+    * anything else: column-pivoted two-pass Gram-Schmidt on the columns
+      of ``P+``, stopped after ``dim_b`` columns, then on those of ``P-``
+      against the +1 columns too, stopped after ``dim_f``.  The result is
+      unitary to rounding and deterministic.  One matrix product then
+      checks that every column norm of ``K U - U diag(+-1)`` is at most
+      ``n * algebra_tol``, which every K that passes
+      :func:`validate_involution` meets; a larger one raises
+      :class:`ValidationError`.
+
+    Inside each sector the basis is opaque: downstream code must rely
+    only on the block positions, never on the columns themselves.
     """
-    dec = eigh(k.matrix, policy)
-    order = np.argsort(-dec.eigenvalues, kind="stable")
-    w = dec.eigenvalues[order]
-    u = dec.eigenvectors[:, order]
-    dim_b = int(np.count_nonzero(w > 0.0))
-    dim_f = k.dim - dim_b
-    return GradingBasis(frozen_copy(u), dim_b, dim_f)
+    arr = _require_hermitian(k.matrix, policy, "grading_basis")
+    n = arr.shape[0]
+    dim_b = min(n, max(0, round((n + float(np.trace(arr).real)) / 2.0)))
+    u = _signed_permutation_basis(arr)
+    if u is None:
+        u = _projector_basis(arr, dim_b)
+        signs = np.concatenate([np.ones(dim_b), -np.ones(n - dim_b)])
+        worst = float(np.linalg.norm(arr @ u - u * signs, axis=0).max(initial=0.0))
+        # Written so that a NaN residual fails too.
+        if not worst <= n * policy.algebra_tol:
+            raise ValidationError(
+                f"grading_basis: K is not an involution to working accuracy "
+                f"(largest column of K U - U diag(+-1) has norm {worst:.3e}, "
+                f"above n * algebra_tol = {n * policy.algebra_tol:.1e})")
+    return GradingBasis(frozen_copy(u), dim_b, n - dim_b)
+
+
+def _signed_permutation_basis(k: np.ndarray):
+    """Closed-form eigenbasis of a signed-permutation K, or None for any
+    other K (see :func:`grading_basis`)."""
+    n = k.shape[0]
+    nonzero = k != 0
+    if not (np.count_nonzero(nonzero, axis=1) == 1).all():
+        return None
+    rows = np.arange(n)
+    cols = np.argmax(nonzero, axis=1)
+    z = k[rows, cols]
+    # z[cols[i]] is K_ji for j = cols[i] once the permutation is an
+    # involution; a fixed point then needs K_ii = +-1.
+    if not ((np.abs(z) == 1.0).all() and (cols[cols] == rows).all()
+            and (z[cols] == z.conj()).all()):
+        return None
+    lead = rows[rows <= cols]
+    mate = cols[lead]
+    cycle = lead != mate
+    u = np.zeros((n, n), dtype=np.complex128)
+    start = 0
+    for sign in (1.0, -1.0):
+        keep = cycle | (z[lead].real == sign)
+        first, second, pair = lead[keep], mate[keep], cycle[keep]
+        slots = start + np.arange(len(first))
+        u[first, slots] = np.where(pair, _SQRT_HALF, 1.0)
+        u[second[pair], slots[pair]] = sign * z[first[pair]] * _SQRT_HALF
+        start += len(first)
+    # u holds the conjugate basis (z[first] is K_ij = conj(K_ji)).
+    # Conjugating it gives every zero a negative imaginary part, as in the
+    # Jacobi eigenvectors this replaces, so a diagonal K keeps its basis
+    # bit for bit.
+    return u.conj()
+
+
+def _projector_basis(k: np.ndarray, dim_b: int) -> np.ndarray:
+    """Orthonormal columns spanning the ranges of ``(1 + K)/2`` (the first
+    ``dim_b``) and ``(1 - K)/2`` (the rest), by column-pivoted two-pass
+    Gram-Schmidt (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50
+    (2005) 1069)."""
+    n = k.shape[0]
+    herm = 0.5 * (k + adjoint(k))
+    eye = np.eye(n)
+    u = np.empty((n, n), dtype=np.complex128)
+    done = 0
+    for sign, count in ((1.0, dim_b), (-1.0, n - dim_b)):
+        # Residual columns of the projector: each new column is removed
+        # from all of them (the first pass) and orthogonalized once more
+        # against every earlier column when it is picked (the second).
+        w = 0.5 * (eye + sign * herm)
+        w -= u[:, :done] @ (adjoint(u[:, :done]) @ w)
+        for _ in range(count):
+            norms = (w.real * w.real + w.imag * w.imag).sum(axis=0)
+            pick = int(np.argmax(norms))
+            if not norms[pick] > 0.0:
+                which = "1 + K" if sign > 0 else "1 - K"
+                raise ValidationError(
+                    f"grading_basis: ({which})/2 has rank below {count}, "
+                    f"the count that Tr K gives")
+            col = w[:, pick] - u[:, :done] @ (adjoint(u[:, :done]) @ w[:, pick])
+            col /= np.linalg.norm(col)
+            u[:, done] = col
+            w -= np.outer(col, col.conj() @ w)
+            done += 1
+    return u
 
 
 def block_extract(basis: GradingBasis, m):

@@ -259,10 +259,27 @@ class Lcg:
         return 2.0 * self.uniform() - 1.0
 
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """Matrix of ``complex(symmetric(), symmetric())`` in row-major
+        order, all drawn at once.
+
+        The k-th state after ``s`` is
+        ``a^k s + c (1 + a + ... + a^(k-1)) mod 2^64``; uint64 arithmetic
+        wraps modulo ``2^64``, so cumulative products and sums give every
+        state, and the doubles are the same as one draw at a time.
+        """
+        count = 2 * rows * cols
         out = np.empty((rows, cols), dtype=np.complex128)
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = complex(self.symmetric(), self.symmetric())
+        if count == 0:
+            return out
+        powers = np.cumprod(np.full(count, self.MULTIPLIER, dtype=np.uint64))
+        series = np.cumsum(np.concatenate(
+            [np.ones(1, dtype=np.uint64), powers[:-1]]))
+        states = (powers * np.uint64(self._state)
+                  + series * np.uint64(self.INCREMENT))
+        self._state = int(states[-1])
+        draws = 2.0 * ((states >> np.uint64(11)).astype(np.float64) * 2.0**-53) - 1.0
+        out.real = draws[0::2].reshape(rows, cols)
+        out.imag = draws[1::2].reshape(rows, cols)
         return out
 
 
@@ -329,6 +346,16 @@ def _spec_reals(value, name: str):
     return value
 
 
+def _spec_pair(value, message: str):
+    """A model-spec field of two entries: a sequence or a numpy array
+    (its rows, for a matrix) of length two; the entries are checked by
+    the caller."""
+    array = isinstance(value, np.ndarray) and value.ndim > 0
+    if not (array or isinstance(value, Sequence)) or len(value) != 2:
+        raise ValueError(message)
+    return value
+
+
 def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> GradedSystem:
     """Build a graded system from a model description mapping.
 
@@ -341,9 +368,7 @@ def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> Graded
     """
     kind = spec.get("model")
     if kind == "random":
-        dims = spec["dims"]
-        if not isinstance(dims, Sequence) or len(dims) != 2:
-            raise ValueError("dims must hold the two sector dimensions")
+        dims = _spec_pair(spec["dims"], "dims must hold the two sector dimensions")
         return random_graded_system(_spec_int(dims[0], "dims"),
                                     _spec_int(dims[1], "dims"),
                                     _spec_int(spec.get("seed", 0), "seed"),
@@ -357,8 +382,6 @@ def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> Graded
         return free_particle_lattice(lattice, policy)
     if kind == "witten":
         return witten_model_lattice(lattice, _spec_reals(spec["W"], "W"), policy)
-    field = spec["A_field"]
-    if not isinstance(field, Sequence) or len(field) != 2:
-        raise ValueError("A_field must hold two sample arrays")
+    field = _spec_pair(spec["A_field"], "A_field must hold two sample arrays")
     return pauli_lattice(lattice, _spec_reals(field[0], "A_field"),
                          _spec_reals(field[1], "A_field"), policy)

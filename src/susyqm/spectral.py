@@ -3,9 +3,9 @@
 Two paths, neither of which calls LAPACK:
 
 * Eigendecompositions with vectors and the public eigenvalue functions
-  (:func:`eigh`, :func:`eigvalsh`, the pseudo-inverse, the grading
-  basis) come from cyclic Jacobi sweeps of 2x2 unitary rotations, run
-  until the off-diagonal Frobenius norm drops below
+  (:func:`eigh`, :func:`eigvalsh`, the pseudo-inverse) come from cyclic
+  Jacobi sweeps of 2x2 unitary rotations, run until the off-diagonal
+  Frobenius norm drops below
   ``eigensolver_tol * ||A||``.  The matrix is first scaled by a power of
   two, so entries far from one neither overflow nor underflow.  Jacobi
   was chosen over QR iteration because it is simple to verify,
@@ -26,6 +26,10 @@ Two paths, neither of which calls LAPACK:
   each step solves with the unpivoted ``T = L D L^T`` factorization,
   which needs positive semidefinite input (a Gram matrix).  No
   eigenvector matrix is formed, and no tolerance is involved.
+
+The grading basis (:func:`susyqm.grading.grading_basis`) takes neither
+path: ``K^2 = 1`` gives its sectors as projector ranges, with no
+eigensolver.
 
 The Jacobi sweeps run in one kernel, ``susyqm._jacobi_py``, which
 recombines rows and mirrors columns with numpy; ``jacobi_backend()``
@@ -52,10 +56,9 @@ from .core import (
     NumericPolicy,
     ValidationError,
     _binary_exponent,
-    _hermiticity_residual,
     _ldexp,
+    _require_hermitian,
     adjoint,
-    as_operator,
     frozen_copy,
     residual_norm,
 )
@@ -130,18 +133,6 @@ def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
         return w[order], None
     # The kernels accumulate the adjoint of the eigenvector matrix.
     return w[order], adjoint(vt)[:, order]
-
-
-def _require_hermitian(a, policy: NumericPolicy, who: str) -> np.ndarray:
-    arr = as_operator(a)
-    res = _hermiticity_residual(arr)
-    # Written so that a NaN residual fails too.
-    if not res <= policy.hermiticity_tol:
-        raise ValidationError(
-            f"{who} requires a Hermitian matrix "
-            f"(relative asymmetry {res:.3e} above {policy.hermiticity_tol:.1e})"
-        )
-    return arr
 
 
 def eigh(a, policy: NumericPolicy = DEFAULT_POLICY,

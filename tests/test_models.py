@@ -233,6 +233,19 @@ class TestRandomGradedSystem:
         values = [Lcg(9).uniform() for _ in range(1)]
         assert 0.0 <= values[0] < 1.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 + 7, 2**64 - 1])
+    def test_complex_matrix_matches_one_draw_at_a_time(self, seed):
+        for rows, cols in [(48, 64), (1, 1), (3, 5), (0, 4)]:
+            stream, reference = Lcg(seed), Lcg(seed)
+            expected = np.empty((rows, cols), dtype=complex)
+            for i in range(rows):
+                for j in range(cols):
+                    re = 2.0 * ((reference.next_u64() >> 11) * 2.0**-53) - 1.0
+                    im = 2.0 * ((reference.next_u64() >> 11) * 2.0**-53) - 1.0
+                    expected[i, j] = complex(re, im)
+            assert stream.complex_matrix(rows, cols).tobytes() == expected.tobytes()
+            assert stream.next_u64() == reference.next_u64()
+
 
 class TestBuildModel:
     def test_free_particle_spec(self):
@@ -283,6 +296,30 @@ class TestBuildModel:
     def test_rejects_mistyped_fields(self, spec, match):
         with pytest.raises(TypeError, match=match):
             build_model(spec)
+
+    def test_accepts_numpy_arrays(self):
+        random_spec = {"model": "random", "dims": [2, 3], "seed": 4}
+        built = build_model(dict(random_spec, dims=np.array([2, 3])))
+        assert built.hamiltonian.tobytes() == build_model(
+            random_spec).hamiltonian.tobytes()
+        pauli_spec = {"model": "pauli", "sites": 3, "dx": 1.0,
+                      "A_field": [[0.0] * 9, [0.0] * 9]}
+        built = build_model(dict(pauli_spec, A_field=np.zeros((2, 9))))
+        assert built.hamiltonian.tobytes() == build_model(
+            pauli_spec).hamiltonian.tobytes()
+
+    @pytest.mark.parametrize("dims", [np.array(5), np.array([1, 2, 3]),
+                                      np.zeros((3, 2), dtype=int)])
+    def test_rejects_numpy_arrays_of_the_wrong_length(self, dims):
+        with pytest.raises(ValueError, match="dims must hold"):
+            build_model({"model": "random", "dims": dims})
+
+    def test_rejects_numpy_string_arrays(self):
+        with pytest.raises(TypeError, match="dims must be an integer"):
+            build_model({"model": "random", "dims": np.array(["2", "3"])})
+        with pytest.raises(TypeError, match="A_field must be real"):
+            build_model({"model": "pauli", "sites": 3, "dx": 1.0,
+                         "A_field": np.array([["0.0"] * 9] * 2)})
 
     def test_accepts_numpy_numbers(self):
         spec = {"model": "random", "dims": [np.int64(2), np.int32(3)],
