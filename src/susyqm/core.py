@@ -96,10 +96,11 @@ class NumericPolicy:
     bounds each column norm of ``K U - U diag(+-1)`` by
     ``dim * algebra_tol``, the bound the involution relations put on
     ``||K^2 - 1||_F``.  ``eigensolver_tol`` governs the Jacobi sweeps of
-    ``eigh`` and ``eigvalsh`` only; the grading basis takes no
-    eigensolver.  The pseudo-inverse sweeps down to the rounding floor
-    instead (at most ``dim * eps``), because reciprocating small eigenvalues
-    amplifies any leftover residual.  Kernel dimensions, the index
+    ``eigh`` and ``eigvalsh``, which Jacobi now serves alone; the grading
+    basis and the pseudo-inverse take no eigensolver.  The pseudo-inverse
+    shares the kernel cut of ``kernel_basis``: ``|lambda|`` at most
+    ``max(kernel_tol, sqrt(2 * dim * eps))`` times the spectral radius is
+    zero.  Kernel dimensions, the index
     report's zero-mode counts and the sector spectra of the pairing
     report and the ``spectrum`` verb come from bisection down to
     adjacent floats, which needs no tolerance.

@@ -12,6 +12,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -152,8 +153,60 @@ def report_to_obj(report: SpectralReport) -> dict:
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON text (sorted keys, trailing newline)."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text (sorted keys, trailing newline): the bytes
+    of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.  With an
+    indent, ``json`` takes its pure-Python encoder, so the layout is
+    rendered here instead, with every ``[re, im]`` entry pair formatted
+    in one step; anything this renderer does not cover (non-finite
+    floats, which ``json`` writes as ``NaN``/``Infinity``, non-string
+    keys, other types) goes to ``json.dumps`` itself."""
+    try:
+        return _render(obj, "\n") + "\n"
+    except _Unrendered:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class _Unrendered(Exception):
+    """A value :func:`_render` leaves to ``json.dumps``."""
+
+
+def _is_float_pair(value) -> bool:
+    return (type(value) is list and len(value) == 2
+            and type(value[0]) is float and type(value[1]) is float)
+
+
+def _render(obj, newline: str) -> str:
+    """``obj`` in ``json.dumps``'s ``indent=2, sort_keys=True`` layout,
+    nested where ``newline`` (a newline and the current indent) starts
+    each line."""
+    if isinstance(obj, str) or obj is None or obj is True or obj is False:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise _Unrendered
+        return float.__repr__(obj)
+    if not isinstance(obj, (list, tuple, dict)):
+        raise _Unrendered
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise _Unrendered
+        items = [json.dumps(key) + ": " + _render(value, inner)
+                 for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if all(_is_float_pair(value) for value in obj):
+        pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+        text = ("," + inner).join([pair % (re, im) for re, im in obj])
+        # A finite float's repr has no letter n; inf and nan do.
+        if "n" in text:
+            raise _Unrendered
+    else:
+        text = ("," + inner).join([_render(value, inner) for value in obj])
+    return "[" + inner + text + newline + "]"
 
 
 def _load_json(path):

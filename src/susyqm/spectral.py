@@ -2,9 +2,8 @@
 
 Two paths, neither of which calls LAPACK:
 
-* Eigendecompositions with vectors and the public eigenvalue functions
-  (:func:`eigh`, :func:`eigvalsh`, the pseudo-inverse) come from cyclic
-  Jacobi sweeps of 2x2 unitary rotations, run until the off-diagonal
+* Jacobi now serves only the public :func:`eigh` and :func:`eigvalsh`:
+  cyclic sweeps of 2x2 unitary rotations, run until the off-diagonal
   Frobenius norm drops below
   ``eigensolver_tol * ||A||``.  The matrix is first scaled by a power of
   two, so entries far from one neither overflow nor underflow.  Jacobi
@@ -27,6 +26,11 @@ Two paths, neither of which calls LAPACK:
   which needs positive semidefinite input (a Gram matrix).  No
   eigenvector matrix is formed, and no tolerance is involved.
 
+The pseudo-inverse (:func:`inverse_on_complement`) takes its kernel
+columns ``N`` and the spectral radius ``r`` from :func:`kernel_basis`'s
+tridiagonal split, inverts ``Q + r N N^dag`` by Gaussian elimination
+with partial pivoting and subtracts ``N N^dag / r``.
+
 The grading basis (:func:`susyqm.grading.grading_basis`) takes neither
 path: ``K^2 = 1`` gives its sectors as projector ranges, with no
 eigensolver.
@@ -37,15 +41,17 @@ names it.  It is looked up as ``_kernel.jacobi_sweeps`` at every call,
 so ``perfbench/tracer.py`` can wrap it.
 
 Kernel detection is threshold based and relative: a singular value
-counts as zero when it is at most ``kernel_tol`` times the largest one,
-so refining a lattice does not silently reclassify near-zero modes.
+counts as zero when it is at most ``max(kernel_tol, sqrt(2 * dim *
+eps))`` times the largest one, so refining a lattice does not silently
+reclassify near-zero modes.  :func:`kernel_basis` and the pseudo-inverse
+share that one cut.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -417,47 +423,77 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
         raise ValueError("kernel_basis input contains non-finite entries")
     # Scaled by a power of two so the Gram matrix cannot overflow; the
     # cutoff is relative, so the kernel does not depend on the scale.
-    arr = _ldexp(arr, -_binary_exponent(arr))
+    basis, _ = _gram_kernel(_ldexp(arr, -_binary_exponent(arr)), policy)
+    return KernelBasis(basis.shape[1], frozen_copy(basis))
+
+
+def _gram_kernel(arr: np.ndarray, policy: NumericPolicy):
+    """:func:`kernel_basis`'s split of ``arr``, which must already be
+    scaled so that its Gram matrix cannot overflow: the kernel columns and
+    ``lam_max``, the largest eigenvalue of the Gram matrix ``arr^dag arr``
+    (the square of the largest singular value)."""
     gram = _Tridiagonal(adjoint(arr) @ arr)
     lam_max = max(gram.eigenvalue(gram.n - 1), 0.0)
     gram_floor = 2.0 * max(arr.shape) * _EPS
     cutoff = max(policy.kernel_tol**2, gram_floor) * lam_max
-    dim = gram.count(cutoff)
-    basis = gram.lowest_vectors(dim, lam_max)
-    return KernelBasis(dim, frozen_copy(basis))
+    return gram.lowest_vectors(gram.count(cutoff), lam_max), lam_max
+
+
+def _pivoted_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular square matrix by Gaussian elimination
+    with partial pivoting (backward stable in practice; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 9)."""
+    lu = np.array(a, dtype=np.complex128)
+    n = lu.shape[0]
+    x = np.eye(n, dtype=np.complex128)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        lu[[k, p]] = lu[[p, k]]
+        x[[k, p]] = x[[p, k]]
+        f = lu[k + 1:, k] / lu[k, k]
+        lu[k + 1:, k:] -= np.outer(f, lu[k, k:])
+        x[k + 1:] -= np.outer(f, x[k])
+    for k in range(n - 1, -1, -1):
+        x[k] -= lu[k, k + 1:] @ x[k + 1:]
+        x[k] /= lu[k, k]
+    return x
 
 
 def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
     """Pseudo-inverse of a Hermitian matrix and the orthonormal columns
-    spanning its numerical kernel, both from one eigendecomposition.
+    ``N`` spanning its numerical kernel, with no eigendecomposition.
 
-    Eigenvalues with ``|lambda|`` above ``kernel_tol`` times the spectral
-    radius are reciprocated; the rest span the kernel.  Sharing the split
-    keeps borderline eigenvalues from being classified differently by
-    the two results.
-
-    Reciprocating amplifies an eigen-residual ``||A V - V Lambda||`` by up
-    to ``1 / (kernel_tol * radius)``, so the sweeps run down to the
-    rounding floor, ``min(eigensolver_tol, n * eps)``, not just to
-    ``eigensolver_tol``.
+    The kernel is :func:`kernel_basis`'s: ``|lambda|`` at most
+    ``max(kernel_tol, sqrt(2 * dim * eps))`` times the spectral radius
+    ``r`` counts as zero (the Gram cut; with the default policy always
+    the ``sqrt(2 * dim * eps)`` floor).  Sharing that split keeps
+    borderline eigenvalues from being classified differently by the two
+    results.  Shifting the kernel to ``r`` makes the matrix invertible,
+    ``Q^+ = (Q + r N N^dag)^-1 - N N^dag / r``, and the inverse comes from
+    Gaussian elimination with partial pivoting; its condition is at most
+    the reciprocal of the cut.  The zero matrix gives zeros and an
+    identity kernel.
     """
-    floor = min(policy.eigensolver_tol, max(a.shape[0], 1) * _EPS)
-    dec = eigh(a, replace(policy, eigensolver_tol=floor))
-    magnitudes = np.abs(dec.eigenvalues)
-    scale = float(magnitudes.max(initial=0.0))
-    keep = magnitudes > policy.kernel_tol * scale
-    inverted = np.zeros_like(dec.eigenvalues)
-    inverted[keep] = 1.0 / dec.eigenvalues[keep]
-    u = dec.eigenvectors
-    return (u * inverted) @ adjoint(u), u[:, ~keep]
+    e = _binary_exponent(a)
+    work = _ldexp(a, -e)
+    work = 0.5 * (work + adjoint(work))
+    kernel, lam_max = _gram_kernel(work, policy)
+    n = work.shape[0]
+    if kernel.shape[1] == n:
+        return np.zeros((n, n), dtype=np.complex128), kernel
+    r = math.sqrt(lam_max)
+    proj = kernel @ adjoint(kernel)
+    pinv = _pivoted_inverse(work + r * proj) - proj / r
+    return _ldexp(0.5 * (pinv + adjoint(pinv)), -e), kernel
 
 
 def inverse_on_complement(q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Pseudo-inverse of a Hermitian matrix, zero on its numerical kernel.
 
-    Eigenvalues with ``|lambda|`` above ``kernel_tol`` times the spectral
-    radius are reciprocated, the rest are dropped, so ``Q^+ Q`` is the
-    orthogonal projector onto the complement of the kernel.
+    Eigenvalues with ``|lambda|`` above ``max(kernel_tol, sqrt(2 * dim *
+    eps))`` times the spectral radius (:func:`kernel_basis`'s cut) are
+    reciprocated, the rest are dropped, so ``Q^+ Q`` is the orthogonal
+    projector onto the complement of the kernel.
     """
     arr = _require_hermitian(q, policy, "inverse_on_complement")
     return _pinv_and_kernel(arr, policy)[0]

@@ -320,9 +320,13 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     :func:`check_pairing_relation` report ``MINUS``; the opposite overall
     sign is reachable by swapping the charge order.
 
-    The pseudo-inverse and the kernel basis are taken from one
-    eigendecomposition of Q1 so borderline eigenvalues cannot be
-    classified inconsistently between the two ingredients.
+    The pseudo-inverse and the kernel basis are taken from one kernel
+    split of Q1, :func:`~susyqm.spectral.kernel_basis`'s Gram cut, so
+    borderline eigenvalues cannot be classified inconsistently between
+    the two ingredients: ``|lambda|`` at most ``max(kernel_tol,
+    sqrt(2 * dim * eps))`` times the spectral radius counts as zero,
+    which with the default policy is always the ``sqrt(2 * dim * eps)``
+    floor.  No eigendecomposition is formed.
     """
     a = as_operator(q1, "Q1")
     b = as_operator(q2, "Q2")

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from susyqm import SIGMA1, SIGMA2, SIGMA3, io
+from susyqm import (
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
+    io,
+    random_graded_system,
+    spectral_pairing_report,
+)
 from susyqm.cli import main
 
 from conftest import random_complex, rank_deficient, real_pair_from_block
@@ -99,6 +106,72 @@ class TestSystemFormat:
         obj = io.system_to_obj(system)
         assert obj["complex"] is False
         assert obj["K"] is not None
+
+
+def _json_reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestDumpJson:
+    """``dump_json`` lays out its own text; it must be ``json.dumps``'s
+    ``indent=2, sort_keys=True`` output byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 5), (1, 1)])
+    def test_matrices(self, rng, shape):
+        obj = io.matrix_to_obj(random_complex(rng, *shape))
+        assert io.dump_json(obj) == _json_reference(obj)
+
+    def test_systems_with_and_without_involution(self, rng):
+        h, k, q1, q2 = real_pair_from_block(rank_deficient(rng, 3, 4, 2))
+        for sf in (io.SystemFile(h, k, (q1,), False),
+                   io.SystemFile(h, None, (q1, q2), False)):
+            obj = io.system_to_obj(sf)
+            assert io.dump_json(obj) == _json_reference(obj)
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e300, -1e-300,
+        1.7976931348623157e308, 3.0, -7.0, 1e16, 1e22, 0.1, 123456789.0])
+    def test_special_entries(self, value):
+        obj = io.matrix_to_obj(np.array([[complex(value, -value), value],
+                                         [0.0, complex(-0.0, value)]]))
+        assert io.dump_json(obj) == _json_reference(obj)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_fall_back_to_json(self, value):
+        for obj in ({"entries": [[1.0, 2.0], [value, 0.0]]}, [value], value):
+            text = io.dump_json(obj)
+            assert text == _json_reference(obj)
+            assert "NaN" in text or "Infinity" in text
+
+    def test_mixed_and_empty_containers(self):
+        obj = {"b": {}, "a": [], "c": [[1, 2.5, "x\u00e9\n", None, True, False]],
+               "d": ([1.0, 2.0], [3.0, 4]), "e": [[1.0, 2.0], [3.0]]}
+        assert io.dump_json(obj) == _json_reference(obj)
+
+    def test_non_string_keys_fall_back_to_json(self):
+        obj = {2: [1.0], 1: {"x": None}}
+        assert io.dump_json(obj) == _json_reference(obj)
+
+    def test_reports(self):
+        system = random_graded_system(5, 3, seed=11)
+        obj = io.report_to_obj(spectral_pairing_report(system))
+        assert io.dump_json(obj) == _json_reference(obj)
+
+    def test_cli_json_outputs(self, rng, tmp_path, capsys):
+        h, _, q1, q2 = real_pair_from_block(rank_deficient(rng, 3, 4, 2))
+        plain, graded = tmp_path / "plain.json", tmp_path / "graded.json"
+        bad = tmp_path / "bad.json"
+        io.save_system(plain, io.SystemFile(h, None, (q1, q2), False))
+        io.save_system(bad, io.SystemFile(h, None, (q1, q2 + 1e-3 * q1), False))
+        assert main(["involution", str(plain), "--output", str(graded)]) == 0
+        for argv in (["validate", str(graded)], ["validate", str(bad)],
+                     ["index", str(graded)], ["pair", str(graded)],
+                     ["spectrum", str(graded)]):
+            main(argv + ["--json"])
+            out = capsys.readouterr().out
+            assert out == _json_reference(json.loads(out)), argv
+        text = graded.read_text()
+        assert text == _json_reference(json.loads(text))
 
 
 class TestCliValidate:

@@ -11,9 +11,11 @@ from susyqm import (
     SIGMA3,
     ValidationError,
     adjoint,
+    construct_involution,
     eigh,
     eigvalsh,
     inverse_on_complement,
+    io,
     jacobi_backend,
     kernel_basis,
     spectral_pairing_report,
@@ -21,11 +23,18 @@ from susyqm import (
     tensor_supercharge,
     witten_model_lattice,
 )
-from susyqm import _jacobi_py
+from susyqm import _jacobi_py, spectral
+from susyqm.cli import main
 from susyqm.core import RelationCheck, residual_norm
-from susyqm.spectral import _Tridiagonal
+from susyqm.spectral import _pinv_and_kernel, _Tridiagonal
 
-from conftest import random_complex, random_hermitian, rank_deficient
+from conftest import (
+    haar_unitary,
+    random_complex,
+    random_hermitian,
+    rank_deficient,
+    real_pair_from_block,
+)
 
 F = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -236,6 +245,85 @@ class TestInverseOnComplement:
         assert np.linalg.norm(singular @ pinv @ singular - singular) < tol
         projector = pinv @ singular
         assert np.linalg.norm(projector @ projector - projector) < tol
+
+
+@pytest.fixture
+def no_jacobi(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Jacobi sweeps on the pseudo-inverse path")
+
+    monkeypatch.setattr(spectral._kernel, "jacobi_sweeps", refuse)
+
+
+def _hermitian_of_rank(rng, n, rank):
+    """Indefinite Hermitian matrix of the given rank, nonzero eigenvalues
+    of modulus in [1, 2]."""
+    u = haar_unitary(rng, n)[:, :rank]
+    w = rng.uniform(1.0, 2.0, rank) * rng.choice([-1.0, 1.0], rank)
+    return (u * w) @ adjoint(u)
+
+
+@pytest.mark.usefixtures("no_jacobi")
+class TestPseudoInverseWithoutJacobi:
+    """The pseudo-inverse and the involution construction built on it take
+    the tridiagonal path and one pivoted elimination, never Jacobi."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_matrix_is_all_kernel(self, n):
+        zero = np.zeros((n, n), dtype=complex)
+        pinv, kernel = _pinv_and_kernel(zero, NumericPolicy())
+        assert np.array_equal(pinv, zero)
+        assert np.array_equal(kernel, np.eye(n))
+        assert np.array_equal(inverse_on_complement(zero), zero)
+
+    @pytest.mark.parametrize("x", [-4.0, 3e-200, 1e200])
+    def test_one_by_one(self, x):
+        pinv = inverse_on_complement(np.array([[x]]))
+        assert pinv.shape == (1, 1)
+        assert pinv[0, 0] == pytest.approx(1.0 / x, rel=1e-15)
+
+    def test_full_rank_is_the_inverse(self, rng):
+        a = random_hermitian(rng, 12)
+        pinv = inverse_on_complement(a)
+        assert np.array_equal(pinv, adjoint(pinv))
+        assert np.linalg.norm(pinv @ a - np.eye(12)) < 1e-10
+        assert _pinv_and_kernel(a, NumericPolicy())[1].shape == (12, 0)
+
+    @pytest.mark.parametrize("rank", range(9))
+    def test_kernel_dimension_on_a_rank_sweep(self, rng, rank):
+        q = _hermitian_of_rank(rng, 8, rank)
+        pinv = inverse_on_complement(q)
+        assert kernel_basis(q).dim_kernel == 8 - rank
+        assert kernel_basis(pinv).dim_kernel == kernel_basis(q).dim_kernel
+        assert np.linalg.norm(q @ pinv @ q - q) < 1e-12
+        assert np.linalg.norm(pinv @ q @ pinv - pinv) < 1e-12
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        q = _hermitian_of_rank(rng, 6, 4)
+        for e in (-600, 600):
+            scaled = np.ldexp(q.real, e) + 1j * np.ldexp(q.imag, e)
+            out = inverse_on_complement(scaled)
+            assert np.array_equal(
+                np.ldexp(out.real, e) + 1j * np.ldexp(out.imag, e),
+                inverse_on_complement(q))
+
+    @pytest.mark.parametrize("d_plus", [None, 0, 1])
+    def test_construct_involution(self, rng, d_plus):
+        h, _, q1, q2 = real_pair_from_block(rank_deficient(rng, 3, 4, 2))
+        k = construct_involution(q1, q2, d_plus=d_plus).matrix
+        signature = 2 * (3 if d_plus is None else d_plus) - 3
+        assert np.trace(k).real == pytest.approx(signature, abs=1e-12)
+        assert np.linalg.norm(k @ q1 + q1 @ k) < 1e-12
+
+    def test_involution_verb(self, rng, tmp_path):
+        h, _, q1, q2 = real_pair_from_block(rank_deficient(rng, 3, 4, 2))
+        plain = tmp_path / "plain.json"
+        io.save_system(plain, io.SystemFile(h, None, (q1, q2), False))
+        for extra in ([], ["--d-plus", "0"]):
+            out = tmp_path / "graded.json"
+            assert main(["involution", str(plain), "--output", str(out)]
+                        + extra) == 0
+            assert io.load_system(out).involution is not None
 
 
 def _svd_kernel_dim(a, policy=NumericPolicy()):

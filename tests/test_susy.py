@@ -26,6 +26,7 @@ from susyqm import (
     residual_norm,
     second_supercharge,
     standard_representation,
+    tensor_supercharge,
     validate_complex_system,
     validate_graded_complex_system,
     validate_graded_real_system,
@@ -332,6 +333,29 @@ class TestConstructInvolution:
         q1, q2 = real_from_complex(system.charges[0])
         inv = construct_involution(q1, q2)
         assert np.allclose(inv.matrix, system.involution.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("e", np.arange(3.0, 12.25, 0.5))
+    def test_near_cut_singular_value(self, e):
+        # One singular value of A at 10^-e of the largest.  For e <= 6
+        # the pseudo-inverse resolves it; for e >= 10 it falls under the
+        # Gram cut (about 8e-8 at dim 16) and the kernel extension is
+        # within algebra_tol.  In between either i Q2 Q1^+ amplifies
+        # rounding past algebra_tol or the kernel extension breaks
+        # {K, Q1} = 0 by about 10^-e; the construction must then refuse,
+        # never return an involution it did not validate.
+        rng = np.random.default_rng(8)
+        u, v = haar_unitary(rng, 8), haar_unitary(rng, 8)
+        s = np.linspace(1.0, 0.3, 8)
+        s[-1] = 10.0**-e
+        system = tensor_supercharge((u * s) @ adjoint(v))
+        q1 = system.charges[0]
+        q2 = second_supercharge(system.involution, q1)
+        if e <= 6 or e >= 10:
+            k = construct_involution(q1, q2).matrix
+            validate_graded_real_system(q1 @ q1, k, [q1, q2])
+        else:
+            with pytest.raises(ValidationError):
+                construct_involution(q1, q2)
 
     def test_superpotential_lattice_kernel_enumeration(self):
         # A = D + x on the symmetric lattice: the numerical kernel of Q1
