@@ -96,7 +96,7 @@ class NumericPolicy:
     bounds each column norm of ``K U - U diag(+-1)`` by
     ``dim * algebra_tol``, the bound the involution relations put on
     ``||K^2 - 1||_F``.  ``eigensolver_tol`` governs the Jacobi sweeps of
-    ``eigh`` and ``eigvalsh``, which Jacobi now serves alone; the grading
+    ``eigh`` and ``eigvalsh``, the only users of Jacobi; the grading
     basis and the pseudo-inverse take no eigensolver.  The pseudo-inverse
     shares the kernel cut of ``kernel_basis``: ``|lambda|`` at most
     ``max(kernel_tol, sqrt(2 * dim * eps))`` times the spectral radius is

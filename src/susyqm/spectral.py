@@ -2,7 +2,7 @@
 
 Two paths, neither of which calls LAPACK:
 
-* Jacobi now serves only the public :func:`eigh` and :func:`eigvalsh`:
+* Jacobi serves only the public :func:`eigh` and :func:`eigvalsh`:
   cyclic sweeps of 2x2 unitary rotations, run until the off-diagonal
   Frobenius norm drops below
   ``eigensolver_tol * ||A||``.  The matrix is first scaled by a power of
