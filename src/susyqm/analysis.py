@@ -9,6 +9,10 @@ independent formulas and cross-checks them, and :func:`index_range`
 enumerates the indices reachable through the kernel-extension freedom of
 the involution construction.
 
+Both reports and the ``index``, ``pair`` and ``spectrum`` verbs read one
+sector analysis per system and policy, built on first use: the standard
+representation, both sectors in tridiagonal form and the zero cut.
+
 At finite dimension every operator is trivially Fredholm, so the index
 is always well defined here.
 """
@@ -35,7 +39,7 @@ from .spectral import _Tridiagonal, kernel_basis
 # Not called here; ``analysis.eigvalsh`` stays bound because the
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401
-from .susy import GradedSystem, standard_representation
+from .susy import GradedSystem, StandardRepresentation, standard_representation
 
 __all__ = [
     "KernelEqualityReport",
@@ -101,81 +105,77 @@ def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
-def _zero_cut(policy: NumericPolicy, *magnitudes: float) -> float:
-    """The zero-mode cut ``kernel_tol * lambda_max``, where ``lambda_max``
-    is the largest of the sectors' eigenvalue magnitudes; eigenvalues at
-    or below the cut are zero modes in both reports."""
-    return policy.kernel_tol * max(magnitudes)
+@dataclass(frozen=True)
+class _SectorAnalysis:
+    """A graded system's standard representation with ``h_plus`` and
+    ``h_minus`` reduced to tridiagonal form, and the zero cut: sector
+    eigenvalues at or below ``cut = kernel_tol * lambda_max``, with
+    ``lambda_max`` the spectral radius of H, are zero modes."""
+
+    rep: StandardRepresentation
+    h_plus: _Tridiagonal
+    h_minus: _Tridiagonal
+    cut: float
 
 
-def _sector_tridiagonals(rep, policy: NumericPolicy, who: str):
-    """``h_plus`` and ``h_minus`` reduced to tridiagonal form."""
-    return [_Tridiagonal(_require_hermitian(block, policy, who))
-            for block in (rep.h_plus, rep.h_minus)]
-
-
-def _sector_spectra(rep, policy: NumericPolicy, who: str):
-    """Ascending sector eigenvalues, each bisected to adjacent floats by
-    multisection, and the zero-mode cut; the cut equals the one
-    :func:`witten_index_report` takes from the extreme eigenvalues."""
-    ev_b, ev_f = (t.eigenvalues() for t in _sector_tridiagonals(rep, policy, who))
-    return ev_b, ev_f, _zero_cut(policy,
-                                 float(np.abs(ev_b).max(initial=0.0)),
-                                 float(np.abs(ev_f).max(initial=0.0)))
+def _sector_analysis(system: GradedSystem, policy: NumericPolicy,
+                     who: str) -> _SectorAnalysis:
+    """The sector analysis of ``system`` under ``policy``, built on first
+    use and kept on the system.  The policy is frozen and the system's
+    arrays are read-only, so a kept analysis never goes stale; a build
+    that raises keeps nothing."""
+    found = system._sector_analyses.get(policy)
+    if found is None:
+        rep = standard_representation(system, policy)
+        h_plus, h_minus = (_Tridiagonal(_require_hermitian(block, policy, who))
+                           for block in (rep.h_plus, rep.h_minus))
+        cut = policy.kernel_tol * max(h_plus.radius(), h_minus.radius())
+        found = _SectorAnalysis(rep, h_plus, h_minus, cut)
+        system._sector_analyses[policy] = found
+    return found
 
 
 def spectral_pairing_report(system: GradedSystem,
                             policy: NumericPolicy = DEFAULT_POLICY) -> SpectralReport:
     """Compute both sector spectra and match their positive eigenvalues.
 
-    Each sector is reduced to tridiagonal form and all its eigenvalues
-    are bisected together, down to adjacent floats (no Jacobi sweeps and
-    no eigenvectors).  Eigenvalues at or below ``kernel_tol`` times the
-    spectral radius of H count as zero modes and are never paired.
-    Positive eigenvalues are matched ascending with a two-pointer walk,
-    accepting a pair when its relative gap is within ``pairing_tol``;
-    degenerate clusters match by count.  An unmatched positive eigenvalue
-    raises :class:`PairingError` naming the worst orphan and its sector,
-    which signals either a broken system or a too-tight pairing
-    tolerance.
+    Both sectors come from the sector analysis this report shares with
+    :func:`witten_index_report`; all eigenvalues of each are bisected
+    together, down to adjacent floats (no Jacobi sweeps and no
+    eigenvectors).  Eigenvalues at or below ``kernel_tol`` times the
+    spectral radius of H count as zero modes and are never paired.  The
+    k-th positive eigenvalues of the two sectors pair when their
+    relative gap is within ``pairing_tol``; degenerate clusters match by
+    count.  An unmatched positive eigenvalue raises :class:`PairingError`
+    naming the first orphan and its sector, which signals either a
+    broken system or a too-tight pairing tolerance.
     """
-    rep = standard_representation(system, policy)
-    ev_b, ev_f, zero_cut = _sector_spectra(rep, policy, "spectral_pairing_report")
-
-    idx_b = [i for i, v in enumerate(ev_b) if v > zero_cut]
-    idx_f = [j for j, v in enumerate(ev_f) if v > zero_cut]
-    zeros_b = len(ev_b) - len(idx_b)
-    zeros_f = len(ev_f) - len(idx_f)
+    sectors = _sector_analysis(system, policy, "spectral_pairing_report")
+    ev_b, ev_f = sectors.h_plus.eigenvalues(), sectors.h_minus.eigenvalues()
+    pos_b = [(i, float(v)) for i, v in enumerate(ev_b) if v > sectors.cut]
+    pos_f = [(j, float(v)) for j, v in enumerate(ev_f) if v > sectors.cut]
 
     pairs = []
-    i = j = 0
-    while i < len(idx_b) and j < len(idx_f):
-        vb = float(ev_b[idx_b[i]])
-        vf = float(ev_f[idx_f[j]])
+    for (i, vb), (j, vf) in zip(pos_b, pos_f):
         gap = _relative_gap(vb, vf)
-        if gap <= policy.pairing_tol:
-            pairs.append((idx_b[i], idx_f[j], gap))
-            i += 1
-            j += 1
-        elif vb < vf:
+        if gap > policy.pairing_tol:
+            orphan, sector, other = ((vb, "bosonic", "fermionic") if vb < vf
+                                     else (vf, "fermionic", "bosonic"))
             raise PairingError(
-                f"bosonic eigenvalue {vb!r} has no fermionic partner "
-                f"(nearest gap {gap:.3e})", vb, "bosonic")
-        else:
-            raise PairingError(
-                f"fermionic eigenvalue {vf!r} has no bosonic partner "
-                f"(nearest gap {gap:.3e})", vf, "fermionic")
-    if i < len(idx_b):
-        orphan = float(ev_b[idx_b[i]])
+                f"{sector} eigenvalue {orphan!r} has no {other} partner "
+                f"(nearest gap {gap:.3e})", orphan, sector)
+        pairs.append((i, j, gap))
+    if len(pos_b) != len(pos_f):
+        longer, sector, other = ((pos_b, "bosonic", "fermionic")
+                                 if len(pos_b) > len(pos_f)
+                                 else (pos_f, "fermionic", "bosonic"))
+        orphan = longer[len(pairs)][1]
         raise PairingError(
-            f"bosonic eigenvalue {orphan!r} has no fermionic partner "
-            f"(fermionic sector exhausted)", orphan, "bosonic")
-    if j < len(idx_f):
-        orphan = float(ev_f[idx_f[j]])
-        raise PairingError(
-            f"fermionic eigenvalue {orphan!r} has no bosonic partner "
-            f"(bosonic sector exhausted)", orphan, "fermionic")
+            f"{sector} eigenvalue {orphan!r} has no {other} partner "
+            f"({other} sector exhausted)", orphan, sector)
 
+    zeros_b = len(ev_b) - len(pos_b)
+    zeros_f = len(ev_f) - len(pos_f)
     return SpectralReport(
         tuple(float(v) for v in ev_b),
         tuple(float(v) for v in ev_f),
@@ -191,21 +191,19 @@ def witten_index_report(system: GradedSystem,
     """Compute the index by both formulas and insist they agree.
 
     Formula one counts kernel dimensions of the extracted map A and of
-    its adjoint; formula two counts sector eigenvalues at or below
-    ``kernel_tol`` times the spectral radius of H, the same zero-mode
-    rule :func:`spectral_pairing_report` applies.  Neither formula needs
-    a spectrum: each sector is reduced to tridiagonal form, its extreme
-    eigenvalues are bisected and the eigenvalues at or below the cut are
-    counted from the inertia of a shifted factorization.  Disagreement
-    raises :class:`CrossCheckError` (it signals kernel-threshold
-    instability) and is never averaged away.
+    its adjoint, each by its own Gram reduction; formula two counts the
+    sector eigenvalues at or below the zero cut of the sector analysis
+    shared with :func:`spectral_pairing_report`, from the inertia of a
+    shifted factorization, so neither formula needs a spectrum.
+    Disagreement raises :class:`CrossCheckError` (it signals
+    kernel-threshold instability) and is never averaged away.
     """
-    rep = standard_representation(system, policy)
-    dim_ker_a = kernel_basis(rep.a_operator, policy).dim_kernel
-    dim_ker_ad = kernel_basis(adjoint(rep.a_operator), policy).dim_kernel
-    sectors = _sector_tridiagonals(rep, policy, "witten_index_report")
-    zero_cut = _zero_cut(policy, *(t.radius() for t in sectors))
-    zeros_b, zeros_f = (t.count(zero_cut) for t in sectors)
+    sectors = _sector_analysis(system, policy, "witten_index_report")
+    a_op = sectors.rep.a_operator
+    dim_ker_a = kernel_basis(a_op, policy).dim_kernel
+    dim_ker_ad = kernel_basis(adjoint(a_op), policy).dim_kernel
+    zeros_b = sectors.h_plus.count(sectors.cut)
+    zeros_f = sectors.h_minus.count(sectors.cut)
     via_a = dim_ker_a - dim_ker_ad
     via_blocks = zeros_b - zeros_f
     if via_a != via_blocks:

@@ -13,7 +13,7 @@ import sys
 from . import io
 from .analysis import (
     PairingError,
-    _sector_spectra,
+    _sector_analysis,
     spectral_pairing_report,
     witten_index_report,
 )
@@ -62,7 +62,8 @@ def _checks_table(checks) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _graded_single_charge(sf: io.SystemFile, policy: NumericPolicy):
+def _graded_single_charge(path, policy: NumericPolicy):
+    sf = io.load_system(path)
     if sf.involution is None:
         raise io.FormatError("this verb needs a grading operator: the "
                              "system file has \"K\": null")
@@ -119,8 +120,7 @@ def _cmd_involution(args, policy) -> int:
 
 
 def _cmd_index(args, policy) -> int:
-    sf = io.load_system(args.input)
-    system = _graded_single_charge(sf, policy)
+    system = _graded_single_charge(args.input, policy)
     report = witten_index_report(system, policy)
     if args.json:
         _emit(args, io.dump_json({
@@ -141,12 +141,10 @@ def _cmd_index(args, policy) -> int:
 
 
 def _cmd_spectrum(args, policy) -> int:
-    sf = io.load_system(args.input)
-    system = _graded_single_charge(sf, policy)
-    rep = standard_representation(system, policy)
-    ev_b, ev_f, _ = _sector_spectra(rep, policy, "spectrum")
-    ev_b = [float(v) for v in ev_b]
-    ev_f = [float(v) for v in ev_f]
+    system = _graded_single_charge(args.input, policy)
+    sectors = _sector_analysis(system, policy, "spectrum")
+    ev_b = [float(v) for v in sectors.h_plus.eigenvalues()]
+    ev_f = [float(v) for v in sectors.h_minus.eigenvalues()]
     if args.json:
         _emit(args, io.dump_json({"bosonic": ev_b, "fermionic": ev_f}))
     else:
@@ -159,8 +157,7 @@ def _cmd_spectrum(args, policy) -> int:
 
 
 def _cmd_pair(args, policy) -> int:
-    sf = io.load_system(args.input)
-    system = _graded_single_charge(sf, policy)
+    system = _graded_single_charge(args.input, policy)
     report = spectral_pairing_report(system, policy)
     if args.json:
         _emit(args, io.dump_json(io.report_to_obj(report)))
@@ -191,8 +188,7 @@ def _cmd_model(args, policy) -> int:
 
 
 def _cmd_repr(args, policy) -> int:
-    sf = io.load_system(args.input)
-    system = _graded_single_charge(sf, policy)
+    system = _graded_single_charge(args.input, policy)
     rep = standard_representation(system, policy)
     prefix = args.output
     for suffix, block in (("a", rep.a_operator), ("h_plus", rep.h_plus),

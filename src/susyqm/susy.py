@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -106,6 +106,10 @@ class GradedSystem:
     charges: tuple[np.ndarray, ...]
     complex_charges: bool
     checks: tuple[RelationCheck, ...]
+    # The analysis reports' sector analyses, one per NumericPolicy; see
+    # ``analysis._sector_analysis``.
+    _sector_analyses: dict = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     @property
     def dim(self) -> int:

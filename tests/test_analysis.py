@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from susyqm import (
     NumericPolicy,
     PairingError,
     SIGMA1,
+    SIGMA2,
     SIGMA3,
     ValidationError,
     adjoint,
@@ -20,6 +23,7 @@ from susyqm import (
     real_from_complex,
     spectral_pairing_report,
     standard_representation,
+    validate_graded_complex_system,
     validate_graded_real_system,
     witten_index,
     witten_index_report,
@@ -28,6 +32,22 @@ from susyqm import (
 from susyqm import analysis
 
 from conftest import block_system, rank_deficient
+
+# Policies and a singular value that drive the pairing walk into each of
+# its exits on a hand-built system: a 1e-12 bump separates partners by
+# ten times pairing_tol, and with sigma^2 = 8e-4 a bump of 8.5e-4 on a
+# kernel mode stays inside algebra_tol = 1e-3.
+_TIGHT = NumericPolicy(kernel_tol=1e-14, pairing_tol=1e-13)
+_LOOSE = NumericPolicy(algebra_tol=1e-3)
+_SIGMA_EXHAUST = np.sqrt(8e-4)
+
+
+def _bumped_block_system(a, mode, bump, policy):
+    """The graded system of ``H = diag(A^dag A, A A^dag)`` with ``bump``
+    added to the diagonal entry ``mode`` of H."""
+    h, k, q = block_system(a)
+    h[mode, mode] += bump
+    return validate_graded_complex_system(h, k, [q], policy)
 
 
 class TestSpectralPairingReport:
@@ -87,6 +107,30 @@ class TestSpectralPairingReport:
         policy = NumericPolicy(pairing_tol=1e-300)
         with pytest.raises(PairingError):
             spectral_pairing_report(system, policy)
+
+    @pytest.mark.parametrize("a,mode,bump,policy,message,orphan,sector", [
+        (np.diag([1.0, 2.0]), 2, 1e-12, _TIGHT,
+         "bosonic eigenvalue 1.0 has no fermionic partner "
+         "(nearest gap 1.000e-12)", 1.0, "bosonic"),
+        (np.diag([1.0, 2.0]), 2, -1e-12, _TIGHT,
+         "fermionic eigenvalue 0.999999999999 has no bosonic partner "
+         "(nearest gap 1.000e-12)", 0.999999999999, "fermionic"),
+        (np.array([[_SIGMA_EXHAUST, 0.0]]), 1, 8.5e-4, _LOOSE,
+         "bosonic eigenvalue 0.00085 has no fermionic partner "
+         "(fermionic sector exhausted)", 0.00085, "bosonic"),
+        (np.array([[_SIGMA_EXHAUST], [0.0]]), 2, 8.5e-4, _LOOSE,
+         "fermionic eigenvalue 0.00085 has no bosonic partner "
+         "(bosonic sector exhausted)", 0.00085, "fermionic"),
+    ], ids=["gap-bosonic", "gap-fermionic", "exhausted-fermionic",
+            "exhausted-bosonic"])
+    def test_orphan_names_value_and_sector(self, a, mode, bump, policy,
+                                           message, orphan, sector):
+        system = _bumped_block_system(a, mode, bump, policy)
+        with pytest.raises(PairingError) as info:
+            spectral_pairing_report(system, policy)
+        assert str(info.value) == message
+        assert info.value.orphan == orphan
+        assert info.value.sector == sector
 
 
 class TestWittenIndex:
@@ -288,12 +332,52 @@ def test_zero_counts_agree_across_reports(build):
     for seed in (3, 17)
 ])
 def test_zero_cut_is_shared_by_both_reports(build):
-    # The pairing report cuts its bisected spectra at kernel_tol times the
-    # largest magnitude; the index report takes the cut from the extreme
-    # eigenvalues alone.  Both must land on the same float.
+    # Both reports read the cut of one sector analysis, taken from the
+    # extreme eigenvalues alone; it must be the float kernel_tol times the
+    # largest magnitude of the bisected spectra, which the pairing report
+    # cuts.
     policy = NumericPolicy()
-    rep = standard_representation(build(), policy)
-    _, _, pairing_cut = analysis._sector_spectra(rep, policy, "test")
-    sectors = analysis._sector_tridiagonals(rep, policy, "test")
-    index_cut = analysis._zero_cut(policy, *(t.radius() for t in sectors))
-    assert pairing_cut == index_cut
+    sectors = analysis._sector_analysis(build(), policy, "test")
+    largest = max(float(np.abs(t.eigenvalues()).max())
+                  for t in (sectors.h_plus, sectors.h_minus))
+    assert sectors.cut == policy.kernel_tol * largest
+
+
+@pytest.fixture
+def representation_calls(monkeypatch):
+    """Policies passed to ``analysis.standard_representation``, one entry
+    per call."""
+    calls = []
+
+    def counted(system, policy):
+        calls.append(policy)
+        return standard_representation(system, policy)
+
+    monkeypatch.setattr(analysis, "standard_representation", counted)
+    return calls
+
+
+def test_reports_share_one_sector_analysis_per_policy(representation_calls):
+    system = random_graded_system(5, 3, seed=1)
+    spectral_pairing_report(system)
+    witten_index_report(system)
+    witten_index(system)
+    assert len(representation_calls) == 1
+    other = NumericPolicy(kernel_tol=1e-9)
+    spectral_pairing_report(system, other)
+    witten_index_report(system, other)
+    assert len(representation_calls) == 2
+    copy = dataclasses.replace(system)
+    assert copy._sector_analyses == {}
+    witten_index(copy)
+    assert len(representation_calls) == 3
+
+
+def test_failed_sector_analysis_is_not_kept(representation_calls):
+    two_charges = validate_graded_real_system(np.eye(2), SIGMA3,
+                                              [SIGMA1, SIGMA2])
+    for report in (spectral_pairing_report, witten_index_report):
+        with pytest.raises(ValueError, match="exactly one charge"):
+            report(two_charges)
+    assert len(representation_calls) == 2
+    assert two_charges._sector_analyses == {}

@@ -1,4 +1,8 @@
-"""The public name list of the package is pinned, so refactors keep it."""
+"""Package-wide contracts: the pinned public name list, which refactors
+keep, and the rule that the package makes no LAPACK calls."""
+
+import ast
+from pathlib import Path
 
 import susyqm
 
@@ -29,3 +33,27 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(susyqm.__all__) == PUBLIC_NAMES
+
+
+def test_package_makes_no_lapack_calls():
+    # numpy.linalg is a test-only oracle; inside the package only its
+    # norm (no LAPACK) may appear.
+    offending = []
+    for path in sorted(Path(susyqm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        norm_uses = {id(node.value) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "norm"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                if id(node) not in norm_uses:
+                    offending.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = {alias.name for alias in node.names}
+                if ((node.module.startswith("numpy.linalg") and names != {"norm"})
+                        or (node.module == "numpy" and "linalg" in names)):
+                    offending.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import):
+                if any(alias.name.startswith("numpy.linalg")
+                       for alias in node.names):
+                    offending.append(f"{path.name}:{node.lineno}")
+    assert offending == []

@@ -13,7 +13,12 @@ from susyqm import (
 )
 from susyqm.cli import main
 
-from conftest import random_complex, rank_deficient, real_pair_from_block
+from conftest import (
+    block_system,
+    random_complex,
+    rank_deficient,
+    real_pair_from_block,
+)
 
 
 @pytest.fixture
@@ -321,6 +326,19 @@ class TestCliSpectrumPairRepr:
         assert payload["witten_index"] == 1
         assert payload["unpaired_bosonic_zero_modes"] == 1
         assert len(payload["pairs"]) == 5
+
+    def test_pair_orphan_exits_three(self, tmp_path, capsys):
+        # A bump of 1e-12 on one fermionic mode leaves its bosonic partner
+        # ten times pairing_tol away.
+        h, k, q = block_system(np.diag([1.0, 2.0]))
+        h[2, 2] += 1e-12
+        path = tmp_path / "orphan.json"
+        io.save_system(path, io.SystemFile(h, k, (q,), True))
+        assert main(["pair", str(path), "--tol-kernel", "1e-14",
+                     "--tol-pairing", "1e-13"]) == 3
+        assert capsys.readouterr().err == (
+            "internal cross-check failure: bosonic eigenvalue 1.0 has no "
+            "fermionic partner (nearest gap 1.000e-12)\n")
 
     def test_pair_needs_grading(self, tmp_path):
         path = tmp_path / "plain.json"
