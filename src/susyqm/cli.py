@@ -8,6 +8,7 @@ API; ``susyqm <verb> --help`` lists the verb-specific flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io
@@ -199,7 +200,11 @@ def _cmd_repr(args, policy) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    fills a fresh namespace on every call, so one parser serves every
+    :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="susyqm",
         description="Validate and analyze finite-dimensional supersymmetric "
@@ -244,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         policy = _policy_from_args(args)
     except ValueError as exc:

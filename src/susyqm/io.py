@@ -3,16 +3,27 @@
 Matrix files are ``{"dim": n, "entries": [[re, im], ...]}`` with exactly
 ``n**2`` row-major entries; system files are ``{"H": <matrix>, "K":
 <matrix or null>, "charges": [<matrix>, ...], "complex": <bool>}``.
-Sizes must be JSON integers, entries JSON numbers and ``complex`` a JSON
-boolean; anything else raises :class:`FormatError`.  Serialization is
-deterministic (sorted keys, plain decimal doubles), so identical inputs
-produce byte-identical files.
+Sizes must be JSON integers, entries finite JSON numbers that fit in a
+double and ``complex`` a JSON boolean; anything else raises
+:class:`FormatError`.  Serialization is deterministic (sorted keys, plain
+decimal doubles), so identical inputs produce byte-identical files.
+
+Matrices move between JSON and numpy as whole arrays.  A load whose
+entries are all ``[re, im]`` lists or tuples of plain ints and floats is
+one ``np.array`` call on the flattened numbers, viewed as complex; any
+other input (booleans, short pairs, strings, float subclasses, integers
+too large for a double, non-finite values) goes through a per-entry
+loop, which accepts the odd but valid cases and names the first bad
+entry in its :class:`FormatError`.  A save flattens the array to
+``[re, im]`` float pairs in one ``tolist`` call, and :func:`dump_json`
+formats all the pairs of a matrix with one ``%`` operation.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -57,7 +68,8 @@ def matrix_to_obj(a) -> dict:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise FormatError(f"only matrices are serializable, got shape {arr.shape}")
-    entries = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
+    entries = (np.ascontiguousarray(arr).reshape(-1).view(np.float64)
+               .reshape(-1, 2).tolist())
     if arr.shape[0] == arr.shape[1]:
         return {"dim": int(arr.shape[0]), "entries": entries}
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
@@ -91,13 +103,35 @@ def matrix_from_obj(obj) -> np.ndarray:
             f"matrix of shape {rows}x{cols} needs exactly {rows * cols} "
             f"entries, got "
             f"{len(entries) if isinstance(entries, list) else type(entries).__name__}")
+    # Pairs of plain ints and floats load as one array; type() rather
+    # than isinstance() keeps bools and float subclasses out.
+    if set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) == {2}:
+        flat = list(chain.from_iterable(entries))
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                values = np.array(flat, dtype=np.float64)
+            except OverflowError:
+                values = None
+            if values is not None and np.isfinite(values).all():
+                return values.view(np.complex128).reshape(rows, cols)
+    return _matrix_by_entry(entries, rows, cols)
+
+
+def _matrix_by_entry(entries: list, rows: int, cols: int) -> np.ndarray:
+    """The entries checked and converted one at a time: the path for any
+    input the whole-array load in :func:`matrix_from_obj` does not take.
+    It raises a :class:`FormatError` naming the first bad entry."""
     out = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(entries):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(_is_number(x, (int, float)) for x in pair)):
             raise FormatError(f"entry {i} must be a [re, im] number pair, "
                               f"got {pair!r}")
-        out[i] = complex(pair[0], pair[1])
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise FormatError(f"entry {i} has a number too large for a "
+                              f"double") from None
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise FormatError("matrix contains non-finite entries")
     return out.reshape(rows, cols)
@@ -156,10 +190,10 @@ def dump_json(obj) -> str:
     """Deterministic JSON text (sorted keys, trailing newline): the bytes
     of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.  With an
     indent, ``json`` takes its pure-Python encoder, so the layout is
-    rendered here instead, with every ``[re, im]`` entry pair formatted
-    in one step; anything this renderer does not cover (non-finite
-    floats, which ``json`` writes as ``NaN``/``Infinity``, non-string
-    keys, other types) goes to ``json.dumps`` itself."""
+    rendered here instead, with all the ``[re, im]`` entry pairs of a
+    matrix formatted in one step; anything this renderer does not cover
+    (non-finite floats, which ``json`` writes as ``NaN``/``Infinity``,
+    non-string keys, other types) goes to ``json.dumps`` itself."""
     try:
         return _render(obj, "\n") + "\n"
     except _Unrendered:
@@ -168,11 +202,6 @@ def dump_json(obj) -> str:
 
 class _Unrendered(Exception):
     """A value :func:`_render` leaves to ``json.dumps``."""
-
-
-def _is_float_pair(value) -> bool:
-    return (type(value) is list and len(value) == 2
-            and type(value[0]) is float and type(value[1]) is float)
 
 
 def _render(obj, newline: str) -> str:
@@ -198,14 +227,18 @@ def _render(obj, newline: str) -> str:
         items = [json.dumps(key) + ": " + _render(value, inner)
                  for key, value in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if all(_is_float_pair(value) for value in obj):
-        pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
-        text = ("," + inner).join([pair % (re, im) for re, im in obj])
-        # A finite float's repr has no letter n; inf and nan do.
-        if "n" in text:
-            raise _Unrendered
-    else:
-        text = ("," + inner).join([_render(value, inner) for value in obj])
+    if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
+        flat = tuple(chain.from_iterable(obj))
+        if set(map(type, flat)) == {float}:
+            # A list of [re, im] float pairs, as matrix_to_obj writes
+            # them: one template with a slot per number, filled at once.
+            pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+            text = ("," + inner).join([pair] * len(obj)) % flat
+            # A finite float's repr has no letter n; inf and nan do.
+            if "n" in text:
+                raise _Unrendered
+            return "[" + inner + text + newline + "]"
+    text = ("," + inner).join([_render(value, inner) for value in obj])
     return "[" + inner + text + newline + "]"
 
 

@@ -338,11 +338,16 @@ def _spec_int(value, name: str) -> int:
 
 def _spec_reals(value, name: str):
     """A model-spec number or array of samples: every entry a real number
-    (numpy ones too), never a boolean or string."""
+    (numpy ones too) that fits in a double, never a boolean or string."""
     entries = np.asarray(value, dtype=object).reshape(-1)
     for x in entries:
         if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
             raise TypeError(f"{name} must be real, got {x!r}")
+        try:
+            float(x)
+        except OverflowError:
+            raise TypeError(f"{name} has a number too large for a "
+                            f"double") from None
     return value
 
 
@@ -363,8 +368,9 @@ def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> Graded
     ``witten``, ``pauli`` or ``random``); each builder reads only the
     fields it needs (``sites``, ``dx``, ``W``, ``A_field``, ``dims``,
     ``seed``) and ignores the rest.  Sizes and the seed must be integers;
-    ``dx`` and the ``W`` and ``A_field`` samples must be real numbers.
-    Booleans and strings are rejected with :class:`TypeError`.
+    ``dx`` and the ``W`` and ``A_field`` samples must be real numbers
+    that fit in a double.  Booleans, strings and integers too large for a
+    double are rejected with :class:`TypeError`.
     """
     kind = spec.get("model")
     if kind == "random":

@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyqm import (
     SIGMA1,
@@ -9,9 +12,10 @@ from susyqm import (
     SIGMA3,
     io,
     random_graded_system,
+    real_from_complex,
     spectral_pairing_report,
 )
-from susyqm.cli import main
+from susyqm.cli import build_parser, main
 
 from conftest import (
     block_system,
@@ -69,6 +73,167 @@ class TestMatrixFormat:
     def test_rejects_off_schema_values(self, obj, match):
         with pytest.raises(io.FormatError, match=match):
             io.matrix_from_obj(obj)
+
+
+def _entry_loop(entries, rows, cols):
+    """A load that checks and converts one entry at a time: the reference
+    that ``matrix_from_obj``'s arrays and messages must match."""
+    out = np.empty(rows * cols, dtype=np.complex128)
+    for i, pair in enumerate(entries):
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or not all(isinstance(x, (int, float))
+                           and not isinstance(x, bool) for x in pair)):
+            raise io.FormatError(f"entry {i} must be a [re, im] number "
+                                 f"pair, got {pair!r}")
+        out[i] = complex(pair[0], pair[1])
+    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+        raise io.FormatError("matrix contains non-finite entries")
+    return out.reshape(rows, cols)
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+# Integers that a double cannot hold exactly, beyond the int64 range too.
+_EDGE_INTS = [2**53 + 1, -(2**53 + 1), 2**63 + 5, 2**70, -2**64 - 3]
+_PLAIN_NUMBERS = st.one_of(
+    st.integers(-2**80, 2**80),
+    st.sampled_from(_EDGE_INTS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormal
+)
+# Float subclasses load through the per-entry loop.
+_NUMPY_FLOATS = st.builds(np.float64, st.floats(allow_nan=False,
+                                                allow_infinity=False))
+# Each of these entries fails the per-entry check or the finiteness check.
+_BAD_ENTRIES = [[True, 0.0], [1.0, False], [1.0], [], [1.0, 2.0, 3.0],
+                ["1", 0.0], [[1.0], 0.0], [1.0, None], 1.0, {"re": 1.0},
+                [float("inf"), 0.0], (0.0, -float("inf")),
+                [float("nan"), 0.0]]
+
+
+@st.composite
+def _entry_lists(draw, numbers):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pair = st.builds(lambda kind, re, im: kind((re, im)),
+                     st.sampled_from([list, tuple]), numbers, numbers)
+    entries = draw(st.lists(pair, min_size=rows * cols,
+                            max_size=rows * cols))
+    return rows, cols, entries
+
+
+class TestMatrixLoad:
+    """The whole-array load gives the per-entry loop's arrays bit for
+    bit, and every malformed input the loop's message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_entry_lists(_PLAIN_NUMBERS))
+    def test_whole_array_load_matches_loop(self, case):
+        rows, cols, entries = case
+        expected = _entry_loop(entries, rows, cols)
+        # Plain ints and floats never reach the per-entry loop.
+        with mock.patch.object(io, "_matrix_by_entry",
+                               side_effect=AssertionError("loop taken")):
+            got = io.matrix_from_obj(
+                {"rows": rows, "cols": cols, "entries": entries})
+        _assert_same_bits(got, expected)
+        assert np.array_equal(np.signbit(got.real), np.signbit(expected.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(expected.imag))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_entry_lists(st.one_of(_PLAIN_NUMBERS, _NUMPY_FLOATS)))
+    def test_numpy_floats_match_loop(self, case):
+        rows, cols, entries = case
+        got = io.matrix_from_obj({"rows": rows, "cols": cols,
+                                  "entries": entries})
+        _assert_same_bits(got, _entry_loop(entries, rows, cols))
+
+    def test_signed_zero_and_subnormals(self):
+        got = io.matrix_from_obj({"dim": 2, "entries": [
+            [-0.0, 0.0], [5e-324, -5e-324], [0, -0.0], [-2.5e-310, 1]]})
+        assert list(np.signbit(got.reshape(-1).view(np.float64))) == [
+            True, False, False, True, False, True, True, False]
+        assert got[0, 1] == complex(5e-324, -5e-324)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_entry_lists(_PLAIN_NUMBERS), st.data())
+    def test_malformed_entries_raise_the_loop_message(self, case, data):
+        rows, cols, entries = case
+        for _ in range(data.draw(st.integers(1, 2))):
+            entries[data.draw(st.integers(0, len(entries) - 1))] = (
+                data.draw(st.sampled_from(_BAD_ENTRIES)))
+        with pytest.raises(io.FormatError) as expected:
+            _entry_loop(entries, rows, cols)
+        with pytest.raises(io.FormatError) as got:
+            io.matrix_from_obj({"rows": rows, "cols": cols,
+                                "entries": entries})
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bad", _BAD_ENTRIES)
+    def test_each_malformed_entry(self, bad):
+        entries = [[1.0, 0.0], (2, 3), bad, [np.float64(4.0), 5.0]]
+        with pytest.raises(io.FormatError) as expected:
+            _entry_loop(entries, 2, 2)
+        with pytest.raises(io.FormatError) as got:
+            io.matrix_from_obj({"dim": 2, "entries": entries})
+        assert str(got.value) == str(expected.value)
+
+    def test_wrong_entry_count(self):
+        with pytest.raises(io.FormatError) as got:
+            io.matrix_from_obj({"dim": 2, "entries": [[1.0, 0.0]] * 3})
+        assert str(got.value) == ("matrix of shape 2x2 needs exactly 4 "
+                                  "entries, got 3")
+
+    @pytest.mark.parametrize("entries", [
+        [[10**400, 0.0]],
+        [[0, -10**400]],
+        [(1.0, 2.0), (3, 10**400)],
+        [[np.float64(1.0), 2.0], [3.0, 10**400]],
+    ])
+    def test_integer_too_large_for_a_double(self, entries):
+        with pytest.raises(io.FormatError,
+                           match=f"entry {len(entries) - 1} has a number "
+                                 f"too large for a double"):
+            io.matrix_from_obj({"rows": 1, "cols": len(entries),
+                                "entries": entries})
+
+
+def _entry_pairs(a):
+    """``[re, im]`` pairs built one element at a time: the reference for
+    ``matrix_to_obj``'s ``entries``."""
+    return [[float(z.real), float(z.imag)]
+            for z in np.asarray(a, dtype=np.complex128).reshape(-1)]
+
+
+class TestMatrixSave:
+    @pytest.mark.parametrize("view", [
+        lambda m: m.T,
+        np.asfortranarray,
+        lambda m: m[::2, 1::3],
+        lambda m: m[:, 2:3],
+        lambda m: m.real,
+        lambda m: m.real.T[1:, ::-2],
+        lambda m: m[1:2],
+        lambda m: m[:, :1],
+        lambda m: m[:1, ::-1],
+    ])
+    def test_views_give_the_per_element_entries(self, rng, view):
+        m = random_complex(rng, 5, 6)
+        m[0, 0] = complex(-0.0, 0.0)
+        m[1, 2] = complex(0.0, -0.0)
+        m[2, 1] = complex(5e-324, -1e300)
+        a = view(m)
+        obj = io.matrix_to_obj(a)
+        # repr tells -0.0 from 0.0 and a numpy float from a Python one.
+        assert repr(obj["entries"]) == repr(_entry_pairs(a))
+        shape = ({"dim": a.shape[0]} if a.shape[0] == a.shape[1]
+                 else {"rows": a.shape[0], "cols": a.shape[1]})
+        assert {k: obj[k] for k in shape} == shape
+        _assert_same_bits(io.matrix_from_obj(obj),
+                          np.asarray(a, dtype=np.complex128))
 
 
 class TestSystemFormat:
@@ -157,6 +322,19 @@ class TestDumpJson:
         obj = {2: [1.0], 1: {"x": None}}
         assert io.dump_json(obj) == _json_reference(obj)
 
+    def test_dim64_system_with_four_matrices(self):
+        system = random_graded_system(32, 32, seed=3)
+        q1, q2 = real_from_complex(system.charges[0])
+        obj = io.system_to_obj(io.SystemFile(
+            system.hamiltonian, system.involution.matrix, (q1, q2), False))
+        text = io.dump_json(obj)
+        assert text == _json_reference(obj)
+        loaded = json.loads(text)
+        for key, a in (("H", system.hamiltonian),
+                       ("K", system.involution.matrix)):
+            _assert_same_bits(io.matrix_from_obj(loaded[key]), a)
+            _assert_same_bits(_entry_loop(loaded[key]["entries"], 64, 64), a)
+
     def test_reports(self):
         system = random_graded_system(5, 3, seed=11)
         obj = io.report_to_obj(spectral_pairing_report(system))
@@ -211,6 +389,16 @@ class TestCliValidate:
         minimal_system_file.write_text(json.dumps(obj))
         assert main(["validate", str(minimal_system_file)]) == 2
 
+    @pytest.mark.parametrize("field", ["H", "K"])
+    def test_integer_too_large_for_a_double_exits_two(
+            self, minimal_system_file, capsys, field):
+        obj = json.loads(minimal_system_file.read_text())
+        obj[field]["entries"][3][1] = -int("9" * 400)
+        minimal_system_file.write_text(json.dumps(obj))
+        assert main(["validate", str(minimal_system_file)]) == 2
+        assert capsys.readouterr().err == (
+            "error: entry 3 has a number too large for a double\n")
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
@@ -257,6 +445,28 @@ class TestCliPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["witten_index"] == -3
 
+    def test_one_parser_serves_every_call(self, rng, tmp_path, capsys):
+        # Flags given to one call must not leak into the next.
+        assert build_parser() is build_parser()
+        h, _, q1, q2 = real_pair_from_block(rank_deficient(rng, 3, 4, rank=2))
+        plain, graded = tmp_path / "plain.json", tmp_path / "graded.json"
+        io.save_system(plain, io.SystemFile(h, None, (q1, q2), False))
+        assert main(["involution", "--d-plus", "0", str(plain),
+                     "--output", str(graded)]) == 0
+        written = graded.read_bytes()
+        assert main(["validate", str(graded)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("VALID\n") and "{K,Q1} = 0" in out
+        assert graded.read_bytes() == written
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--d-plus", "0", str(graded)])
+        assert exc.value.code == 2
+        args = build_parser().parse_args(["validate", str(graded)])
+        assert (args.output, args.json, args.tol_algebra) == (None, False, None)
+        assert not hasattr(args, "d_plus")
+        assert main(["index", "--json", str(graded)]) == 0
+        assert json.loads(capsys.readouterr().out)["witten_index"] == -3
+
     def test_involution_rejects_graded_input(self, minimal_system_file):
         assert main(["involution", str(minimal_system_file)]) == 2
 
@@ -301,6 +511,9 @@ class TestCliPipeline:
         {"model": "free_particle", "sites": True, "dx": 1.0},
         {"model": "free_particle", "sites": 5, "dx": "0.5"},
         {"model": "witten", "sites": 3, "dx": 0.5, "W": ["1", True, -1]},
+        {"model": "free_particle", "sites": 5, "dx": int("9" * 400)},
+        {"model": "witten", "sites": 3, "dx": 0.5,
+         "W": [1, -int("9" * 400), -1]},
     ])
     def test_model_mistyped_field_exits_two(self, tmp_path, spec):
         spec_path = tmp_path / "model.json"

@@ -292,6 +292,13 @@ class TestBuildModel:
          "W must be real"),
         ({"model": "pauli", "sites": 3, "dx": 1.0,
           "A_field": [[0.0] * 9, [False] * 9]}, "A_field must be real"),
+        ({"model": "free_particle", "sites": 5, "dx": 10**400},
+         "dx has a number too large for a double"),
+        ({"model": "witten", "sites": 3, "dx": 0.5, "W": [1, -10**400, -1]},
+         "W has a number too large for a double"),
+        ({"model": "pauli", "sites": 3, "dx": 1.0,
+          "A_field": [[0] * 9, [0] * 8 + [10**400]]},
+         "A_field has a number too large for a double"),
     ])
     def test_rejects_mistyped_fields(self, spec, match):
         with pytest.raises(TypeError, match=match):
