@@ -19,6 +19,7 @@ is always well defined here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,8 +196,9 @@ def witten_index_report(system: GradedSystem,
     sector eigenvalues at or below the zero cut of the sector analysis
     shared with :func:`spectral_pairing_report`, from the inertia of a
     shifted factorization, so neither formula needs a spectrum.
-    Disagreement raises :class:`CrossCheckError` (it signals
-    kernel-threshold instability) and is never averaged away.
+    Disagreement raises :class:`CrossCheckError`, never averaged away;
+    its message gives how far each sector block of H is from ``A^dag A``
+    or ``A A^dag`` and the sector eigenvalue nearest the zero cut.
     """
     sectors = _sector_analysis(system, policy, "witten_index_report")
     a_op = sectors.rep.a_operator
@@ -210,10 +212,31 @@ def witten_index_report(system: GradedSystem,
         raise CrossCheckError(
             f"index formulas disagree: dim ker A - dim ker A^dag = "
             f"{dim_ker_a} - {dim_ker_ad} = {via_a}, but sector zero-mode "
-            f"counts give {zeros_b} - {zeros_f} = {via_blocks}; the kernel "
-            f"threshold {policy.kernel_tol:.1e} sits inside an eigenvalue "
-            f"cluster")
+            f"counts give {zeros_b} - {zeros_f} = {via_blocks}; "
+            f"{_disagreement_facts(system, sectors)}")
     return WittenIndexReport(dim_ker_a, dim_ker_ad, zeros_b, zeros_f, via_a)
+
+
+def _disagreement_facts(system: GradedSystem, sectors: _SectorAnalysis) -> str:
+    """What the two index formulas rest on, measured: how far each sector
+    block of H is from ``A^dag A`` or ``A A^dag`` relative to ``||H||``
+    (formula one reads A, formula two the blocks), and the sector
+    eigenvalue nearest the zero cut as a multiple of the cut."""
+    rep = sectors.rep
+    a_op = rep.a_operator
+    scale = residual_norm(system.hamiltonian) or 1.0
+    off_plus = residual_norm(rep.h_plus - adjoint(a_op) @ a_op) / scale
+    off_minus = residual_norm(rep.h_minus - a_op @ adjoint(a_op)) / scale
+    nearest = min(((float(v), sector)
+                   for sector, tri in (("bosonic", sectors.h_plus),
+                                       ("fermionic", sectors.h_minus))
+                   for v in tri.eigenvalues()),
+                  key=lambda item: abs(item[0] - sectors.cut))
+    ratio = nearest[0] / sectors.cut if sectors.cut > 0.0 else math.inf
+    return (f"||h_plus - A^dag A|| = {off_plus:.1e} ||H||, "
+            f"||h_minus - A A^dag|| = {off_minus:.1e} ||H||; the sector "
+            f"eigenvalue nearest the zero cut {sectors.cut:.3e} is "
+            f"{nearest[1]} {nearest[0]:.3e}, {ratio:.3g} times the cut")
 
 
 def witten_index(system: GradedSystem,

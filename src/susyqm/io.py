@@ -246,7 +246,9 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's digit limit for
+        # int-string conversion
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -17,14 +17,18 @@ Two paths, neither of which calls LAPACK:
   below ``x`` are counted from the inertia of ``T - x = L D L^T`` (Sturm
   count, with LAPACK ``dstebz``'s guard against zero pivots).  Each
   eigenvalue is bisected on that count until its bracket closes on
-  adjacent floats; a whole spectrum bisects all brackets together, one
-  count of every midpoint per round (multisection; Demmel, Marques,
-  Parlett & Voemel, SIAM J. Sci. Comput. 30 (2008) 1508).  Kernel
-  vectors come from a few steps of inverse iteration on the tridiagonal
-  from a fixed-seed start block, so the output is byte-deterministic;
-  each step solves with the unpivoted ``T = L D L^T`` factorization,
-  which needs positive semidefinite input (a Gram matrix).  No
-  eigenvector matrix is formed, and no tolerance is involved.
+  adjacent floats; a whole spectrum cuts all brackets together, each
+  into ``K`` parts per round with one count of every inner point
+  (multisection; Demmel, Marques, Parlett & Voemel, SIAM J. Sci.
+  Comput. 30 (2008) 1508), ``K`` the power of two nearest ``1024 /
+  dim`` within ``[2, 64]``, so at most ``ceil(64 / log2 K)`` rounds
+  run.  The count is monotone in the shift in floating point, so both
+  return the same floats bit for bit.  Kernel vectors come from a few
+  steps of inverse iteration on the tridiagonal from a fixed-seed start
+  block, so the output is byte-deterministic; each step solves with
+  the unpivoted ``T = L D L^T`` factorization, which needs positive
+  semidefinite input (a Gram matrix).  No eigenvector matrix is formed,
+  and no tolerance is involved.
 
 The pseudo-inverse (:func:`inverse_on_complement`) takes its kernel
 columns ``N`` and the spectral radius ``r`` from :func:`kernel_basis`'s
@@ -186,9 +190,8 @@ def _key_float(key: int) -> float:
 
 
 # Float keys span about 2**64, more than int64 holds, so vectorised
-# bisection offsets them by 2**63 into uint64, where the midpoint
-# ``lo + (hi - lo) // 2`` cannot overflow and equals the signed one
-# shifted by the (even) offset.
+# multisection offsets them by 2**63 into uint64, where a point
+# ``lo + step`` with ``step <= hi - lo`` cannot overflow.
 _KEY_OFFSET = 1 << 63
 _SIGN_BIT = np.uint64(_KEY_OFFSET)
 
@@ -277,9 +280,27 @@ class _Tridiagonal:
         return below
 
     def _counts(self, xs: np.ndarray) -> np.ndarray:
-        """:meth:`_below` at every shift in ``xs`` at once: the same
-        recurrence and guard, one row of ``T`` at a time across all
-        shifts, so each count is the one :meth:`_below` gives."""
+        """:meth:`_below` at every shift in ``xs`` at once.
+
+        The rows run without the pivot guard, then one check over all
+        pivots finds the shifts where it would have fired (a pivot below
+        ``pivmin`` in magnitude, or NaN after one); only those are
+        recounted with the guard.  Up to the first guarded row the two
+        recurrences are the same arithmetic, so each count is the one
+        :meth:`_below` gives."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pivots = self._pivots(xs, guard=False)
+        counts = np.count_nonzero(pivots <= 0.0, axis=0)
+        guarded = ~(np.abs(pivots, out=pivots) >= self._pivmin).all(axis=0)
+        if guarded.any():
+            counts[guarded] = np.count_nonzero(
+                self._pivots(xs[guarded], guard=True) <= 0.0, axis=0)
+        return counts
+
+    def _pivots(self, xs: np.ndarray, guard: bool) -> np.ndarray:
+        """The pivots of ``T - x = L D L^T`` for every shift in ``xs``,
+        one row of ``T`` at a time across all shifts (a column per
+        shift); with ``guard``, :meth:`_below`'s guard in every row."""
         pivmin = self._pivmin
         pivots = np.empty((self.n, len(xs)))
         q = np.ones_like(xs)
@@ -287,9 +308,10 @@ class _Tridiagonal:
             np.divide(e2, q, out=row)
             np.subtract(dj, row, out=row)
             np.subtract(row, xs, out=row)
-            row[np.abs(row) < pivmin] = -pivmin
+            if guard:
+                row[np.abs(row) < pivmin] = -pivmin
             q = row
-        return np.count_nonzero(pivots <= 0.0, axis=0)
+        return pivots
 
     def _unscale(self, x):
         """A bisected eigenvalue of ``T`` in the units of ``a``.  An exactly
@@ -314,21 +336,48 @@ class _Tridiagonal:
 
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending: :meth:`eigenvalue` for every ``k``,
-        bit for bit.  The ``n`` brackets are bisected together
-        (multisection): each round makes one Sturm count at all ``n``
-        midpoints, and a bracket stops once it holds two adjacent floats,
-        so at most 64 rounds run."""
-        lo, hi = (np.full(self.n, _float_key(b) + _KEY_OFFSET, dtype=np.uint64)
+        bit for bit.
+
+        The ``n`` brackets are cut together (multisection): each round
+        splits every open bracket into ``K`` near-equal parts over the
+        float ordering, makes one Sturm count at all ``K - 1`` inner
+        points of all open brackets, and keeps the part where the count
+        passes ``k``.  A bracket stops once it holds two adjacent floats,
+        so at most ``ceil(64 / log2 K)`` rounds run.  ``K`` is the power
+        of two nearest ``1024 / n``, within ``[2, 64]``, which keeps the
+        ``n * (K - 1)`` pivots of a round about constant.  The Sturm
+        count is monotone in the shift in floating point (Demmel,
+        Dhillon & Ren, ETNA 3 (1995) 116), so every bracketing that
+        closes on adjacent floats closes on the same pair."""
+        n = self.n
+        k_ary = 2 ** min(max(round(math.log2(1024 / max(n, 1))), 1), 6)
+        lo, hi = (np.full(n, _float_key(b) + _KEY_OFFSET, dtype=np.uint64)
                   for b in self._bracket)
-        ks = np.arange(self.n)
+        ks = np.arange(n)
+        steps = np.arange(1, k_ary, dtype=np.uint64)
+        parts = np.uint64(k_ary)
         while True:
-            open_ = hi - lo > 1
-            if not open_.any():
+            open_ = np.flatnonzero(hi - lo > 1)
+            if not open_.size:
                 return self._unscale(_offset_key_floats(hi))
-            mid = lo + (hi - lo) // 2
-            above = self._counts(_offset_key_floats(mid)) > ks
-            hi = np.where(open_ & above, mid, hi)
-            lo = np.where(open_ & ~above, mid, lo)
+            m = len(open_)
+            lo_o, hi_o = lo[open_], hi[open_]
+            # lo + q j + floor(r j / K) for hi - lo = q K + r: within the
+            # bracket, so no step can overflow.
+            q, r = np.divmod(hi_o - lo_o, parts)
+            points = np.empty((m, k_ary + 1), dtype=np.uint64)
+            points[:, 0] = lo_o
+            points[:, -1] = hi_o
+            points[:, 1:-1] = (lo_o[:, None] + q[:, None] * steps
+                               + r[:, None] * steps // parts)
+            counts = self._counts(_offset_key_floats(points[:, 1:-1].ravel()))
+            # Counts rise along each row, so the points at or below k
+            # come first and the bracket keeps the pair that straddles k.
+            cut = np.count_nonzero(
+                counts.reshape(m, k_ary - 1) <= ks[open_, None], axis=1)
+            rows = np.arange(m)
+            lo[open_] = points[rows, cut]
+            hi[open_] = points[rows, cut + 1]
 
     def radius(self) -> float:
         """Largest eigenvalue magnitude."""

@@ -214,6 +214,23 @@ class TestWittenIndex:
         with pytest.raises(CrossCheckError, match="disagree"):
             witten_index_report(system)
 
+    def test_disagreement_message_gives_block_residuals_and_cut_margin(self):
+        # The bump keeps the kernel mode of A out of h_plus, far from any
+        # cut: the blocks, not the threshold, make the formulas differ.
+        system = _bumped_block_system(np.array([[_SIGMA_EXHAUST, 0.0]]), 1,
+                                      8.5e-4, _LOOSE)
+        with pytest.raises(CrossCheckError) as info:
+            witten_index_report(system, _LOOSE)
+        message = str(info.value)
+        assert message.startswith(
+            "index formulas disagree: dim ker A - dim ker A^dag = 1 - 0 = 1, "
+            "but sector zero-mode counts give 0 - 0 = 0; "
+            "||h_plus - A^dag A|| = 6.0e-01 ||H||, ||h_minus - A A^dag|| = ")
+        assert message.endswith(
+            " ||H||; the sector eigenvalue nearest the zero cut 8.500e-12 is "
+            "bosonic 8.000e-04, 9.41e+07 times the cut")
+        assert "cluster" not in message
+
 
 class TestIndexRange:
     def test_trivial_kernel(self):

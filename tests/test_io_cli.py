@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -23,6 +25,17 @@ from conftest import (
     rank_deficient,
     real_pair_from_block,
 )
+
+
+def _put_oversized_integer(path):
+    """Replace the first entry's real part in a saved matrix or system
+    file by an integer with more digits than Python converts from a
+    string, so ``json.load`` raises a plain ``ValueError``."""
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    text = path.read_text()
+    first = text.index("[", text.index('"entries"') + len('"entries"') + 1) + 1
+    end = text.index(",", first)
+    path.write_text(text[:first] + digits + text[end:])
 
 
 @pytest.fixture
@@ -269,6 +282,17 @@ class TestSystemFormat:
         with pytest.raises(io.FormatError, match="complex"):
             io.system_from_obj(obj)
 
+    def test_integer_past_the_digit_limit_names_the_file(
+            self, tmp_path, minimal_system_file):
+        matrix_file = tmp_path / "matrix.json"
+        io.save_matrix(matrix_file, np.eye(1))
+        for path, load in ((matrix_file, io.load_matrix),
+                           (minimal_system_file, io.load_system)):
+            _put_oversized_integer(path)
+            with pytest.raises(io.FormatError,
+                               match=f"^{re.escape(str(path))}: not valid JSON"):
+                load(path)
+
     def test_serializes_validated_system(self):
         from susyqm import validate_graded_real_system
 
@@ -398,6 +422,13 @@ class TestCliValidate:
         assert main(["validate", str(minimal_system_file)]) == 2
         assert capsys.readouterr().err == (
             "error: entry 3 has a number too large for a double\n")
+
+    def test_integer_past_the_digit_limit_exits_two(
+            self, minimal_system_file, capsys):
+        _put_oversized_integer(minimal_system_file)
+        assert main(["validate", str(minimal_system_file)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {minimal_system_file}: not valid JSON (")
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2

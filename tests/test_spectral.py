@@ -352,6 +352,15 @@ def _witten_101_hamiltonian():
     return witten_model_lattice(spec, spec.coordinates()).hamiltonian
 
 
+def _split_tridiagonal(rng, n):
+    """Random real tridiagonal with a zero coupling mid-matrix, so ``T``
+    is the direct sum of two blocks."""
+    d = rng.normal(size=n)
+    e = rng.uniform(0.5, 1.5, size=n - 1)
+    e[n // 2 - 1] = 0.0
+    return (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).astype(complex)
+
+
 SPECTRUM_CASES = {
     "c07-h_plus": lambda rng: _c07_sector("h_plus"),
     "c07-h_minus": lambda rng: _c07_sector("h_minus"),
@@ -365,6 +374,13 @@ SPECTRUM_CASES.update({
     f"random-{n}": (lambda rng, n=n: random_hermitian(rng, n))
     for n in (2, 3, 8, 17, 33, 64)
 })
+# Dims on each side of the multisection width rule, K = 16, 8, 8 and 4,
+# and a split tridiagonal at K = 2.
+SPECTRUM_CASES.update({
+    f"random-{n}": (lambda rng, n=n: random_hermitian(rng, n))
+    for n in (48, 101, 122, 202)
+})
+SPECTRUM_CASES["split-tridiagonal-400"] = lambda rng: _split_tridiagonal(rng, 400)
 
 
 class TestTridiagonalPath:
@@ -444,6 +460,36 @@ class TestTridiagonalPath:
         for e in (-500, 500):
             scaled = np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
             assert np.array_equal(_Tridiagonal(scaled).eigenvalues(), np.ldexp(w, e))
+
+    @pytest.mark.parametrize("a", [np.zeros((4, 4)), np.ones((2, 2))],
+                             ids=["zeros-4", "ones-2"])
+    def test_counts_recount_guarded_shifts(self, monkeypatch, a):
+        # Shifts within pivmin of an exact eigenvalue make the pivot guard
+        # fire; -1 and 3 clear every eigenvalue and need no guard.
+        tri = _Tridiagonal(a.astype(complex))
+        pivmin = tri._pivmin
+        xs = np.array([-1.0, -pivmin / 2, 0.0, pivmin / 2, 3.0])
+        passes = []
+        pivots = tri._pivots
+        monkeypatch.setattr(tri, "_pivots", lambda x, guard: (
+            passes.append((guard, x.tolist())) or pivots(x, guard)))
+        assert tri._counts(xs).tolist() == [tri._below(x) for x in xs]
+        assert passes == [(False, xs.tolist()),
+                          (True, [-pivmin / 2, 0.0, pivmin / 2])]
+
+    @pytest.mark.parametrize("case,rounds", [
+        ("c07-h_plus", 22), ("c07-h_minus", 22), ("random-2", 11)])
+    def test_multisection_round_count(self, monkeypatch, rng, case, rounds):
+        # ceil(64 / log2 K) with K = 8 at dim 101 and K = 64 at dim 2;
+        # bisection takes up to 64 rounds.
+        tri = _Tridiagonal(np.asarray(SPECTRUM_CASES[case](rng), dtype=complex))
+        calls = []
+        counts = _Tridiagonal._counts
+        monkeypatch.setattr(_Tridiagonal, "_counts",
+                            lambda self, xs: calls.append(len(xs))
+                            or counts(self, xs))
+        tri.eigenvalues()
+        assert 0 < len(calls) <= rounds
 
     def test_exact_zero_eigenvalues_are_zero(self):
         for a in (np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0, 0.0])):
