@@ -14,8 +14,11 @@ the spectra carry discretization error:
   would add a second, parity-even alternating zero mode).
 
 The random generator draws from an explicit 64-bit linear congruential
-stream (Knuth's MMIX multiplier), so property tests reproduce across
-platforms and numpy versions.
+stream (Knuth's MMIX multiplier), so its draws are bit for bit the same
+across platforms and numpy versions.  The operators built from them are
+products summed through BLAS, and a conjugated system's unitary is
+orthonormalized through BLAS too, so those reproduce bit for bit on one
+machine and to rounding across platforms.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .susy import (
     validate_graded_complex_system,
     validate_graded_real_system,
 )
+from .spectral import _orthonormal_columns
 
 __all__ = [
     "Boundary",
@@ -236,7 +240,11 @@ class Lcg:
 
     ``state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64``
     (Knuth's MMIX constants); doubles take the top 53 bits.  Identical
-    seeds give identical matrices on every platform.
+    seeds give identical draws, so identical matrices from
+    :meth:`complex_matrix`, on every platform.  Anything computed from
+    them through BLAS (the unitary of a conjugated
+    :func:`random_graded_system` among it) agrees across platforms only
+    to rounding.
     """
 
     MULTIPLIER = 6364136223846793005
@@ -284,18 +292,10 @@ class Lcg:
 
 
 def _lcg_unitary(stream: Lcg, n: int) -> np.ndarray:
-    """Unitary from modified Gram-Schmidt on a random complex matrix."""
-    m = stream.complex_matrix(n, n)
-    u = np.zeros_like(m)
-    for j in range(n):
-        v = m[:, j].copy()
-        for i in range(j):
-            v -= (u[:, i].conj() @ v) * u[:, i]
-        # second orthogonalization pass for numerical safety
-        for i in range(j):
-            v -= (u[:, i].conj() @ v) * u[:, i]
-        u[:, j] = v / np.linalg.norm(v)
-    return u
+    """Unitary from the next ``n x n`` complex draws of ``stream``,
+    orthonormalized column by column with two-pass classical Gram-Schmidt
+    (:func:`susyqm.spectral._orthonormal_columns`)."""
+    return _orthonormal_columns(stream.complex_matrix(n, n))
 
 
 def random_graded_system(dim_b: int, dim_f: int, seed: int,
@@ -306,7 +306,14 @@ def random_graded_system(dim_b: int, dim_f: int, seed: int,
     Draws ``A`` of shape ``(dim_f, dim_b)`` from the seeded stream and
     assembles ``K = diag(1_b, -1_f)``, ``q = sqrt(2) [[0, A^dag], [0, 0]]``
     and ``H = diag(A^dag A, A A^dag)``.  With ``conjugate=True`` the whole
-    triple is rotated by a random unitary to exercise non-standard bases.
+    triple is rotated by a random unitary to exercise non-standard bases;
+    the unitary orthonormalizes the next ``n x n`` complex draws of the
+    same stream, ``n = dim_b + dim_f``, after those of ``A``.
+
+    The draws are bit for bit the same on every platform.  ``H`` and,
+    with ``conjugate=True``, the unitary and the rotated triple are
+    summed through BLAS, so they reproduce bit for bit on one machine
+    and to rounding across platforms; counts and the index do not move.
     """
     if dim_b < 1 or dim_f < 1:
         raise ValueError("sector dimensions must be positive")

@@ -433,13 +433,21 @@ def _ldl_solve(q: list, ell: list, b: np.ndarray) -> np.ndarray:
 
 
 def _orthonormal_columns(z: np.ndarray) -> np.ndarray:
-    """Two-pass classical Gram-Schmidt on the columns of ``z``."""
+    """Two-pass classical Gram-Schmidt on the real or complex columns of
+    ``z``: each column is scaled by its largest magnitude, then loses its
+    projection ``Q Q^dag col`` on the columns already done twice ("twice
+    is enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 50 (2005)
+    1069), then is divided by ``sqrt(Re col^dag col)``.
+
+    ``Q^dag col`` is formed as ``(col^dag Q)^dag``, which copies no block
+    of ``Q``; on real input ``conj()`` returns the array itself, so real
+    columns make no copy and stay real."""
     q = np.empty_like(z)
     for j in range(z.shape[1]):
         col = z[:, j] / np.abs(z[:, j]).max()
         for _ in range(2):
-            col = col - q[:, :j] @ (q[:, :j].T @ col)
-        q[:, j] = col / math.sqrt(float(col @ col))
+            col = col - q[:, :j] @ (col.conj() @ q[:, :j]).conj()
+        q[:, j] = col / math.sqrt(float((col.conj() @ col).real))
     return q
 
 

@@ -340,6 +340,39 @@ def test_zero_counts_agree_across_reports(build):
     assert index_report.dim_kernel_a_dagger == _svd_kernel_dim(adjoint(a))
 
 
+def _counts(pair, index):
+    """Every integer of both reports: zero modes, pairs, both index
+    formulas and the index."""
+    return (pair.unpaired_bosonic_zero_modes, pair.unpaired_fermionic_zero_modes,
+            len(pair.pairs), pair.witten_index,
+            index.dim_kernel_a, index.dim_kernel_a_dagger,
+            index.bosonic_zero_modes, index.fermionic_zero_modes, index.index)
+
+
+@pytest.mark.parametrize("db,df,seed", [
+    (db, df, seed)
+    for db, df in ((1, 4), (5, 3), (10, 10), (20, 31), (64, 48))
+    for seed in (1, 29)
+])
+def test_reports_do_not_depend_on_the_basis(db, df, seed):
+    # Witten's triple and its index are statements about operators, so
+    # they hold in any basis.  A is drawn before the unitary, so the
+    # conjugated system is the plain one in a hidden basis: every count
+    # must be equal and the sector spectra must agree to rounding.
+    plain, rotated = (random_graded_system(db, df, seed, conjugate=c)
+                      for c in (False, True))
+    reports = [(spectral_pairing_report(s), witten_index_report(s))
+               for s in (plain, rotated)]
+    assert _counts(*reports[0]) == _counts(*reports[1])
+    (pair, _), (pair_rotated, _) = reports
+    lam_max = max(np.abs(pair.bosonic_eigenvalues).max(),
+                  np.abs(pair.fermionic_eigenvalues).max())
+    tol = 2 * (db + df) * np.finfo(np.float64).eps * lam_max
+    for got, want in ((pair_rotated.bosonic_eigenvalues, pair.bosonic_eigenvalues),
+                      (pair_rotated.fermionic_eigenvalues, pair.fermionic_eigenvalues)):
+        assert np.abs(np.subtract(got, want)).max() <= tol
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: _c07_system(1.0), id="c07-W=x"),
     pytest.param(lambda: _c07_system(-1.0), id="c07-W=-x"),

@@ -26,6 +26,7 @@ from susyqm import (
     witten_index_report,
     witten_model_lattice,
 )
+from susyqm import models
 
 from conftest import random_complex
 
@@ -215,10 +216,45 @@ class TestRandomGradedSystem:
         assert report.index in index_range(d)
 
     def test_deterministic_across_calls(self):
-        first = random_graded_system(3, 2, seed=123)
-        second = random_graded_system(3, 2, seed=123)
-        assert np.array_equal(first.hamiltonian, second.hamiltonian)
-        assert np.array_equal(first.charges[0], second.charges[0])
+        for conjugate in (False, True):
+            first = random_graded_system(3, 2, seed=123, conjugate=conjugate)
+            second = random_graded_system(3, 2, seed=123, conjugate=conjugate)
+            for a, b in ((first.hamiltonian, second.hamiltonian),
+                         (first.involution.matrix, second.involution.matrix),
+                         (first.charges[0], second.charges[0])):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("dim_b,dim_f", [(5, 3), (1, 4)])
+    def test_conjugated_draw_order(self, monkeypatch, dim_b, dim_f):
+        # A takes the first 2 dim_b dim_f draws and the unitary the next
+        # 2 n^2; nothing else is drawn.
+        streams = []
+
+        class Recorded(Lcg):
+            def __init__(self, seed):
+                super().__init__(seed)
+                streams.append(self)
+
+        monkeypatch.setattr(models, "Lcg", Recorded)
+        n, seed = dim_b + dim_f, 2024
+        system = random_graded_system(dim_b, dim_f, seed, conjugate=True)
+        reference = Lcg(seed)
+        reference.complex_matrix(dim_f, dim_b)
+        u = models._lcg_unitary(reference, n)
+        expected = Lcg(seed)
+        for _ in range(2 * (dim_b * dim_f + n * n)):
+            expected.next_u64()
+        assert len(streams) == 1
+        assert streams[0].next_u64() == expected.next_u64()
+        k = np.diag(np.r_[np.ones(dim_b), -np.ones(dim_f)]).astype(complex)
+        assert np.asarray(system.involution.matrix).tobytes() == (
+            u @ k @ adjoint(u)).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 112, 200])
+    def test_lcg_unitary_is_unitary(self, n):
+        u = models._lcg_unitary(Lcg(n), n)
+        error = np.abs(adjoint(u) @ u - np.eye(n)).max()
+        assert error <= n * np.finfo(np.float64).eps
 
     def test_conjugated_basis_validates(self):
         system = random_graded_system(3, 3, seed=6, conjugate=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -567,3 +569,57 @@ class TestKernelBasisTridiagonal:
         scaled = kernel_basis(np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e))
         assert scaled.dim_kernel == kb.dim_kernel == 5
         assert scaled.basis.tobytes() == kb.basis.tobytes()
+
+
+def _real_orthonormal_columns(z):
+    """Two-pass classical Gram-Schmidt written for real columns only: the
+    reference that :func:`spectral._orthonormal_columns` must match bit
+    for bit on real input."""
+    q = np.empty_like(z)
+    for j in range(z.shape[1]):
+        col = z[:, j] / np.abs(z[:, j]).max()
+        for _ in range(2):
+            col = col - q[:, :j] @ (q[:, :j].T @ col)
+        q[:, j] = col / math.sqrt(float(col @ col))
+    return q
+
+
+def _c07_gram(sign):
+    a = _c07_map(sign)
+    return (adjoint(a) @ a).real
+
+
+ORTHONORMAL_CASES = {
+    "random-tall": lambda rng: rng.standard_normal((40, 6)),
+    "random-square": lambda rng: rng.standard_normal((30, 30)),
+    "one-column": lambda rng: rng.standard_normal((9, 1)),
+    "no-columns": lambda rng: np.zeros((5, 0)),
+    "rank-deficient": lambda rng: (rng.standard_normal((40, 4))
+                                   @ rng.standard_normal((4, 12))),
+    "scaled-up": lambda rng: np.ldexp(rng.standard_normal((20, 5)), 600),
+    "c07-gram-w-plus": lambda rng: _c07_gram(1),
+    "c07-gram-w-minus": lambda rng: _c07_gram(-1),
+}
+
+
+class TestOrthonormalColumns:
+    @pytest.mark.parametrize("case", sorted(ORTHONORMAL_CASES))
+    def test_real_input_matches_real_only_reference(self, rng, case):
+        z = ORTHONORMAL_CASES[case](rng)
+        q = spectral._orthonormal_columns(z)
+        assert q.dtype == np.float64
+        assert q.tobytes() == _real_orthonormal_columns(z).tobytes()
+
+    @pytest.mark.parametrize("case", ["tall-rank-deficient", "square-corank-one",
+                                      "block-zero-middle", "ones-row"])
+    def test_inverse_iteration_inputs_match_real_only_reference(
+            self, monkeypatch, rng, case):
+        # The real blocks kernel_basis's inverse iteration passes.
+        seen = []
+        helper = spectral._orthonormal_columns
+        monkeypatch.setattr(spectral, "_orthonormal_columns",
+                            lambda z: seen.append(z) or helper(z))
+        kernel_basis(np.asarray(KERNEL_CASES[case](rng), dtype=complex))
+        assert seen
+        for z in seen:
+            assert helper(z).tobytes() == _real_orthonormal_columns(z).tobytes()
