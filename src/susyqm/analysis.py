@@ -11,7 +11,8 @@ the involution construction.
 
 Both reports and the ``index``, ``pair`` and ``spectrum`` verbs read one
 sector analysis per system and policy, built on first use: the standard
-representation, both sectors in tridiagonal form and the zero cut.
+representation, the two sector spectra, the zero cut and the zero-mode
+count of each sector.
 
 At finite dimension every operator is trivially Fredholm, so the index
 is always well defined here.
@@ -31,6 +32,7 @@ from .core import (
     ShapeError,
     ValidationError,
     _operator_scale,
+    _readonly,
     _require_hermitian,
     adjoint,
     as_operator,
@@ -108,15 +110,18 @@ def _relative_gap(x: float, y: float) -> float:
 
 @dataclass(frozen=True)
 class _SectorAnalysis:
-    """A graded system's standard representation with ``h_plus`` and
-    ``h_minus`` reduced to tridiagonal form, and the zero cut: sector
-    eigenvalues at or below ``cut = kernel_tol * lambda_max``, with
-    ``lambda_max`` the spectral radius of H, are zero modes."""
+    """A graded system's standard representation, the ascending spectra
+    of ``h_plus`` and ``h_minus`` and the zero cut: sector eigenvalues at
+    or below ``cut = kernel_tol * lambda_max``, with ``lambda_max`` the
+    spectral radius of H, are zero modes, ``zeros_b`` and ``zeros_f`` of
+    them."""
 
     rep: StandardRepresentation
-    h_plus: _Tridiagonal
-    h_minus: _Tridiagonal
+    ev_b: np.ndarray
+    ev_f: np.ndarray
     cut: float
+    zeros_b: int
+    zeros_f: int
 
 
 def _sector_analysis(system: GradedSystem, policy: NumericPolicy,
@@ -124,14 +129,18 @@ def _sector_analysis(system: GradedSystem, policy: NumericPolicy,
     """The sector analysis of ``system`` under ``policy``, built on first
     use and kept on the system.  The policy is frozen and the system's
     arrays are read-only, so a kept analysis never goes stale; a build
-    that raises keeps nothing."""
+    that raises keeps nothing.  Each sector is bisected once, and a valid
+    system has no empty sector."""
     found = system._sector_analyses.get(policy)
     if found is None:
         rep = standard_representation(system, policy)
-        h_plus, h_minus = (_Tridiagonal(_require_hermitian(block, policy, who))
-                           for block in (rep.h_plus, rep.h_minus))
-        cut = policy.kernel_tol * max(h_plus.radius(), h_minus.radius())
-        found = _SectorAnalysis(rep, h_plus, h_minus, cut)
+        spectra = [_readonly(_Tridiagonal(
+            _require_hermitian(block, policy, who)).eigenvalues())
+            for block in (rep.h_plus, rep.h_minus)]
+        cut = policy.kernel_tol * max(abs(float(ev[k]))
+                                      for ev in spectra for k in (0, -1))
+        found = _SectorAnalysis(rep, *spectra, cut, *(
+            int(np.count_nonzero(ev <= cut)) for ev in spectra))
         system._sector_analyses[policy] = found
     return found
 
@@ -152,9 +161,10 @@ def spectral_pairing_report(system: GradedSystem,
     broken system or a too-tight pairing tolerance.
     """
     sectors = _sector_analysis(system, policy, "spectral_pairing_report")
-    ev_b, ev_f = sectors.h_plus.eigenvalues(), sectors.h_minus.eigenvalues()
-    pos_b = [(i, float(v)) for i, v in enumerate(ev_b) if v > sectors.cut]
-    pos_f = [(j, float(v)) for j, v in enumerate(ev_f) if v > sectors.cut]
+    ev_b, ev_f = sectors.ev_b.tolist(), sectors.ev_f.tolist()
+    zeros_b, zeros_f = sectors.zeros_b, sectors.zeros_f
+    pos_b = list(enumerate(ev_b))[zeros_b:]
+    pos_f = list(enumerate(ev_f))[zeros_f:]
 
     pairs = []
     for (i, vb), (j, vf) in zip(pos_b, pos_f):
@@ -175,16 +185,8 @@ def spectral_pairing_report(system: GradedSystem,
             f"{sector} eigenvalue {orphan!r} has no {other} partner "
             f"({other} sector exhausted)", orphan, sector)
 
-    zeros_b = len(ev_b) - len(pos_b)
-    zeros_f = len(ev_f) - len(pos_f)
-    return SpectralReport(
-        tuple(float(v) for v in ev_b),
-        tuple(float(v) for v in ev_f),
-        tuple(pairs),
-        zeros_b,
-        zeros_f,
-        zeros_b - zeros_f,
-    )
+    return SpectralReport(tuple(ev_b), tuple(ev_f), tuple(pairs),
+                          zeros_b, zeros_f, zeros_b - zeros_f)
 
 
 def witten_index_report(system: GradedSystem,
@@ -192,10 +194,10 @@ def witten_index_report(system: GradedSystem,
     """Compute the index by both formulas and insist they agree.
 
     Formula one counts kernel dimensions of the extracted map A and of
-    its adjoint, each by its own Gram reduction; formula two counts the
-    sector eigenvalues at or below the zero cut of the sector analysis
-    shared with :func:`spectral_pairing_report`, from the inertia of a
-    shifted factorization, so neither formula needs a spectrum.
+    its adjoint, each by its own Gram reduction, so it stays independent
+    of the sector spectra; formula two reads the zero-mode counts of the
+    sector analysis shared with :func:`spectral_pairing_report`, the
+    sector eigenvalues at or below its zero cut.
     Disagreement raises :class:`CrossCheckError`, never averaged away;
     its message gives how far each sector block of H is from ``A^dag A``
     or ``A A^dag`` and the sector eigenvalue nearest the zero cut.
@@ -204,8 +206,7 @@ def witten_index_report(system: GradedSystem,
     a_op = sectors.rep.a_operator
     dim_ker_a = kernel_basis(a_op, policy).dim_kernel
     dim_ker_ad = kernel_basis(adjoint(a_op), policy).dim_kernel
-    zeros_b = sectors.h_plus.count(sectors.cut)
-    zeros_f = sectors.h_minus.count(sectors.cut)
+    zeros_b, zeros_f = sectors.zeros_b, sectors.zeros_f
     via_a = dim_ker_a - dim_ker_ad
     via_blocks = zeros_b - zeros_f
     if via_a != via_blocks:
@@ -228,9 +229,9 @@ def _disagreement_facts(system: GradedSystem, sectors: _SectorAnalysis) -> str:
     off_plus = residual_norm(rep.h_plus - adjoint(a_op) @ a_op) / scale
     off_minus = residual_norm(rep.h_minus - a_op @ adjoint(a_op)) / scale
     nearest = min(((float(v), sector)
-                   for sector, tri in (("bosonic", sectors.h_plus),
-                                       ("fermionic", sectors.h_minus))
-                   for v in tri.eigenvalues()),
+                   for sector, ev in (("bosonic", sectors.ev_b),
+                                      ("fermionic", sectors.ev_f))
+                   for v in ev),
                   key=lambda item: abs(item[0] - sectors.cut))
     ratio = nearest[0] / sectors.cut if sectors.cut > 0.0 else math.inf
     return (f"||h_plus - A^dag A|| = {off_plus:.1e} ||H||, "

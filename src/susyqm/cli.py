@@ -144,8 +144,7 @@ def _cmd_index(args, policy) -> int:
 def _cmd_spectrum(args, policy) -> int:
     system = _graded_single_charge(args.input, policy)
     sectors = _sector_analysis(system, policy, "spectrum")
-    ev_b = [float(v) for v in sectors.h_plus.eigenvalues()]
-    ev_f = [float(v) for v in sectors.h_minus.eigenvalues()]
+    ev_b, ev_f = sectors.ev_b.tolist(), sectors.ev_f.tolist()
     if args.json:
         _emit(args, io.dump_json({"bosonic": ev_b, "fermionic": ev_f}))
     else:

@@ -10,9 +10,9 @@ Two paths, neither of which calls LAPACK:
   was chosen over QR iteration because it is simple to verify,
   unconditionally convergent on Hermitian input and accurate enough at
   the desk-scale dimensions this package targets.
-* Sector spectra (the pairing report and the ``spectrum`` verb), counts
-  below a cutoff and kernel vectors (:func:`kernel_basis` and the
-  Witten index's sector zero-mode counts) come from a Householder
+* Sector spectra (each sector of an analysis in :mod:`susyqm.analysis`,
+  read by both reports and the ``spectrum`` verb), counts below a cutoff
+  and kernel vectors (:func:`kernel_basis`) come from a Householder
   reduction to a real symmetric tridiagonal matrix.  Eigenvalues at or
   below ``x`` are counted from the inertia of ``T - x = L D L^T`` (Sturm
   count, with LAPACK ``dstebz``'s guard against zero pivots).  Each
@@ -378,10 +378,6 @@ class _Tridiagonal:
             rows = np.arange(m)
             lo[open_] = points[rows, cut]
             hi[open_] = points[rows, cut + 1]
-
-    def radius(self) -> float:
-        """Largest eigenvalue magnitude."""
-        return max(abs(self.eigenvalue(0)), abs(self.eigenvalue(self.n - 1)))
 
     def lowest_vectors(self, m: int, lam_max: float) -> np.ndarray:
         """Orthonormal columns spanning the eigenvectors of ``a`` for its

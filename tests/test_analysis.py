@@ -30,6 +30,7 @@ from susyqm import (
     witten_model_lattice,
 )
 from susyqm import analysis
+from susyqm.spectral import _Tridiagonal
 
 from conftest import block_system, rank_deficient
 
@@ -382,15 +383,19 @@ def test_reports_do_not_depend_on_the_basis(db, df, seed):
     for seed in (3, 17)
 ])
 def test_zero_cut_is_shared_by_both_reports(build):
-    # Both reports read the cut of one sector analysis, taken from the
-    # extreme eigenvalues alone; it must be the float kernel_tol times the
-    # largest magnitude of the bisected spectra, which the pairing report
-    # cuts.
+    # Both reports read the cut and the zero-mode counts of one sector
+    # analysis; the cut must be the float kernel_tol times the largest
+    # magnitude of its stored spectra, and each count the number of
+    # stored eigenvalues at or below the cut, as a Python int.
     policy = NumericPolicy()
     sectors = analysis._sector_analysis(build(), policy, "test")
-    largest = max(float(np.abs(t.eigenvalues()).max())
-                  for t in (sectors.h_plus, sectors.h_minus))
+    largest = max(float(np.abs(ev).max()) for ev in (sectors.ev_b, sectors.ev_f))
     assert sectors.cut == policy.kernel_tol * largest
+    for ev, zeros in ((sectors.ev_b, sectors.zeros_b),
+                      (sectors.ev_f, sectors.zeros_f)):
+        assert not ev.flags.writeable
+        assert type(zeros) is int
+        assert zeros == np.count_nonzero(ev <= sectors.cut)
 
 
 @pytest.fixture
@@ -421,6 +426,19 @@ def test_reports_share_one_sector_analysis_per_policy(representation_calls):
     assert copy._sector_analyses == {}
     witten_index(copy)
     assert len(representation_calls) == 3
+
+
+def test_each_sector_is_bisected_once_per_analysis(monkeypatch):
+    calls = []
+    eigenvalues = _Tridiagonal.eigenvalues
+    monkeypatch.setattr(_Tridiagonal, "eigenvalues",
+                        lambda self: calls.append(self.n) or eigenvalues(self))
+    system = random_graded_system(5, 3, seed=1)
+    spectral_pairing_report(system)
+    spectral_pairing_report(system)
+    witten_index_report(system)
+    witten_index(system)
+    assert calls == [5, 3]
 
 
 def test_failed_sector_analysis_is_not_kept(representation_calls):

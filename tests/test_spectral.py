@@ -435,7 +435,6 @@ class TestTridiagonalPath:
         tol = 4 * n * np.spacing(np.abs(w).max())
         assert abs(tri.eigenvalue(0) - w[0]) <= tol
         assert abs(tri.eigenvalue(n - 1) - w[-1]) <= tol
-        assert tri.radius() == max(abs(tri.eigenvalue(0)), abs(tri.eigenvalue(n - 1)))
 
     @pytest.mark.parametrize("case", sorted(SPECTRUM_CASES))
     def test_multisection_matches_scalar_bisection(self, rng, case):
@@ -462,6 +461,26 @@ class TestTridiagonalPath:
         for e in (-500, 500):
             scaled = np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
             assert np.array_equal(_Tridiagonal(scaled).eigenvalues(), np.ldexp(w, e))
+
+    @pytest.mark.parametrize("case", sorted(SPECTRUM_CASES) + ["diag-1-2-0"])
+    def test_count_is_the_number_of_eigenvalues_at_or_below(self, rng, case):
+        # The sector analysis counts zero modes from the stored spectrum,
+        # count_nonzero(eigenvalues() <= cut), in place of count(cut).
+        a = (np.diag([1.0, 2.0, 0.0]) if case == "diag-1-2-0"
+             else SPECTRUM_CASES[case](rng))
+        tri = _Tridiagonal(np.asarray(a, dtype=complex))
+        w = tri.eigenvalues()
+        cut = NumericPolicy().kernel_tol * float(np.abs(w).max())
+        shifts = [0.0, cut] + [x for v in w.tolist() for x in (
+            v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf))]
+        # An exact zero eigenvalue is returned as 0.0, but count() includes
+        # it from just above -pivmin on (the pivot guard), so negative
+        # shifts within pivmin of zero count it and are left out.
+        pivmin = math.ldexp(tri._pivmin, tri._exp)
+        for x in shifts:
+            if -pivmin <= x < 0.0:
+                continue
+            assert tri.count(x) == np.count_nonzero(w <= x), x
 
     @pytest.mark.parametrize("a", [np.zeros((4, 4)), np.ones((2, 2))],
                              ids=["zeros-4", "ones-2"])
@@ -501,7 +520,6 @@ class TestTridiagonalPath:
             assert zeros.tobytes() == np.zeros(len(zeros)).tobytes()
             scalar = np.array([tri.eigenvalue(k) for k in range(len(zeros))])
             assert scalar.tobytes() == zeros.tobytes()
-        assert _Tridiagonal(np.zeros((4, 4))).radius() == 0.0
 
     def test_pairing_report_lists_exact_zero_modes_as_zero(self):
         report = spectral_pairing_report(tensor_supercharge(np.diag([1.0, 2.0, 0.0])))
