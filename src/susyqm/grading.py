@@ -5,6 +5,12 @@ A valid involution is Hermitian, squares to the identity and is not
 are non-trivial.  Everything else here follows from K alone: projectors,
 even/odd splitting of vectors and operators, and the change of basis to
 the standard block form ``diag(1, -1)``.
+
+Every lattice model grades by a signed permutation, one nonzero of
+modulus one per row.  The relations of K and the blocks in a diagonal
+K's basis are then formed by gathers and slices instead of dense matrix
+products, with the dense products' residuals and blocks bit for bit;
+the structure is read from the matrices on every call.
 """
 
 from __future__ import annotations
@@ -76,17 +82,22 @@ class Parity(enum.Enum):
 
 
 def involution_checks(k, policy: NumericPolicy = DEFAULT_POLICY) -> list[RelationCheck]:
-    """Residuals of the involution relations; shared with system validators."""
+    """Residuals of the involution relations; shared with system validators.
+
+    ``K^2`` is formed by :func:`_grading_products`, so a signed-permutation
+    K squares by a gather, with the dense product's residual bit for bit.
+    """
     arr = as_operator(k, "K")
     n = arr.shape[0]
     eye = np.eye(n)
     tol_a = policy.algebra_tol
+    k_times, _ = _grading_products(arr)
     # K = +1 or K = -1 would make the grading trivial, so those residuals
     # must be LARGE for a valid involution.
     return [
         RelationCheck.judge("K self-adjoint", _hermiticity_residual(arr),
                             policy.hermiticity_tol),
-        RelationCheck.judge("K^2 = 1", residual_norm(arr @ arr - eye) / n, tol_a),
+        RelationCheck.judge("K^2 = 1", residual_norm(k_times(arr) - eye) / n, tol_a),
         RelationCheck.judge("K != +1", residual_norm(arr - eye) / n, tol_a,
                             must_exceed=True),
         RelationCheck.judge("K != -1", residual_norm(arr + eye) / n, tol_a,
@@ -184,9 +195,11 @@ def grading_basis(k: Involution, policy: NumericPolicy = DEFAULT_POLICY) -> Grad
     return GradingBasis(frozen_copy(u), dim_b, n - dim_b)
 
 
-def _signed_permutation_basis(k: np.ndarray):
-    """Closed-form eigenbasis of a signed-permutation K, or None for any
-    other K (see :func:`grading_basis`)."""
+def _signed_permutation(k: np.ndarray):
+    """``(cols, z)`` with ``K[i, cols[i]] = z[i]`` the one nonzero of row
+    ``i``, when K is a signed permutation: every ``|z[i]|`` exactly one,
+    ``cols`` an involution and ``K_ji = conj(K_ij)`` exactly.  None for
+    any other K.  A negative zero counts as zero."""
     n = k.shape[0]
     nonzero = k != 0
     if not (np.count_nonzero(nonzero, axis=1) == 1).all():
@@ -199,6 +212,40 @@ def _signed_permutation_basis(k: np.ndarray):
     if not ((np.abs(z) == 1.0).all() and (cols[cols] == rows).all()
             and (z[cols] == z.conj()).all()):
         return None
+    return cols, z
+
+
+def _grading_products(k: np.ndarray):
+    """The maps ``X -> K X`` and ``X -> X K``.
+
+    When K is a signed permutation (:func:`_signed_permutation`) whose
+    phases are all ``+-1`` or ``+-i`` they are the gathers
+    ``z[:, None] * X[cols]`` and ``X[:, cols] * z[cols]``: each entry of
+    the product has one nonzero term, and multiplying by such a phase is
+    exact, so the values are those of the dense product bit for bit (a
+    zero may change sign, which no residual norm sees).  Any other K,
+    general phases included, keeps the dense matrix products.  The
+    structure is read from ``k`` on every call, so a matrix changed in
+    place is never applied from a stale reading.
+    """
+    perm = _signed_permutation(k)
+    if perm is not None:
+        cols, z = perm
+        if ((z.real == 0) | (z.imag == 0)).all():
+            left, right = z[:, None], z[cols]
+            return (lambda x: left * x[cols]), (lambda x: x[:, cols] * right)
+    return (lambda x: k @ x), (lambda x: x @ k)
+
+
+def _signed_permutation_basis(k: np.ndarray):
+    """Closed-form eigenbasis of a signed-permutation K, or None for any
+    other K (see :func:`grading_basis`)."""
+    perm = _signed_permutation(k)
+    if perm is None:
+        return None
+    cols, z = perm
+    n = k.shape[0]
+    rows = np.arange(n)
     lead = rows[rows <= cols]
     mate = cols[lead]
     cycle = lead != mate
@@ -255,6 +302,14 @@ def block_extract(basis: GradingBasis, m):
 
     Returns ``(A, B, C, D)`` reading the block matrix row-wise; odd
     operators have vanishing A and D, even ones vanishing B and C.
+
+    When ``U`` is a permutation with unit entries, the basis of every
+    diagonal K, ``U^dag M U`` is the slice ``M[p][:, p]``, ``p`` the row
+    of each column's one.  Its values are those of the dense product
+    exactly; adding ``0.0`` makes its zeros positive, the sign the
+    product's sums give them.  Any other ``U``, the ``sqrt(1/2)`` columns
+    of a K with 2-cycles included, keeps the dense product, whose
+    rounding a gather would not reproduce.
     """
     arr = as_operator(m, "M")
     if arr.shape[0] != basis.dim:
@@ -262,6 +317,20 @@ def block_extract(basis: GradingBasis, m):
             f"operator dim {arr.shape[0]} does not match basis dim {basis.dim}"
         )
     u = basis.unitary
-    conj = adjoint(u) @ arr @ u
+    p = _permutation_rows(u)
+    conj = adjoint(u) @ arr @ u if p is None else arr[p][:, p] + 0.0
     nb = basis.dim_bosonic
     return conj[:nb, :nb], conj[:nb, nb:], conj[nb:, :nb], conj[nb:, nb:]
+
+
+def _permutation_rows(u: np.ndarray):
+    """Row index of the one nonzero of each column when ``u`` is a
+    permutation matrix with entries exactly one; None otherwise."""
+    nonzero = u != 0
+    if not ((np.count_nonzero(nonzero, axis=0) == 1).all()
+            and (np.count_nonzero(nonzero, axis=1) == 1).all()):
+        return None
+    rows = np.argmax(nonzero, axis=0)
+    if not (u[rows, np.arange(u.shape[1])] == 1.0).all():
+        return None
+    return rows

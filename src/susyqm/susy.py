@@ -52,6 +52,7 @@ from .core import (
 from .grading import (
     GradingBasis,
     Involution,
+    _grading_products,
     block_extract,
     grading_basis,
     involution_checks,
@@ -214,9 +215,12 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
         return SuperchargeSystem(frozen_copy(h_arr), charges_out,
                                  complex_charges, tuple(checks))
     checks += involution_checks(k_arr, policy)
+    # Gathers for a signed-permutation K, dense products otherwise; the
+    # residuals are the same bit for bit.
+    k_times, times_k = _grading_products(k_arr)
     for name, q in zip(names, qs):
-        relation(f"{{K,{name}}} = 0", anti(k_arr, q))
-    relation("[H,K] = 0", h_arr @ k_arr - k_arr @ h_arr)
+        relation(f"{{K,{name}}} = 0", k_times(q) + times_k(q))
+    relation("[H,K] = 0", times_k(h_arr) - k_times(h_arr))
     _raise_failures(checks, f"not a valid graded {flavour}-supercharge system")
     return GradedSystem(frozen_copy(h_arr), Involution(frozen_copy(k_arr)),
                         charges_out, complex_charges, tuple(checks))

@@ -7,24 +7,32 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from susyqm import (
+    Boundary,
+    GradingBasis,
     Involution,
     Parity,
     SIGMA1,
     SIGMA3,
     ValidationError,
+    LatticeSpec,
     adjoint,
     block_extract,
     classify_operator,
     decompose_vector,
+    free_particle_lattice,
+    grading,
     grading_basis,
     io,
+    pauli_lattice,
     projectors,
     random_graded_system,
     residual_norm,
     spectral,
     spectral_pairing_report,
+    susy,
     validate_involution,
     witten_index_report,
+    witten_model_lattice,
 )
 from susyqm.cli import main
 
@@ -353,3 +361,239 @@ def test_grading_path_runs_no_jacobi(monkeypatch, tmp_path, capsys):
     assert main(["pair", "--json", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["witten_index"] == 3
     assert main(["repr", str(path), "--output", str(tmp_path / "blocks")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Signed-permutation gradings applied by gathers: every check and block must
+# be those of the dense products.
+
+
+def _dense_products(k):
+    return (lambda x: k @ x), (lambda x: x @ k)
+
+
+def _bits(checks):
+    return [(c.name, c.residual.hex(), c.tolerance.hex(), c.passed) for c in checks]
+
+
+def _validation_bits(h, k, charges, complex_charges=False):
+    """Check names, residual and tolerance bits and verdicts of a graded
+    validation, failed or not."""
+    try:
+        system = susy._validate(h, charges, k, complex_charges)
+    except ValidationError as exc:
+        return "invalid", _bits(exc.failures)
+    return "valid", _bits(system.checks)
+
+
+def _dense(monkeypatch, func, *args):
+    """``func(*args)`` with every product by K and by the grading basis
+    taken as a dense matrix product."""
+    with monkeypatch.context() as m:
+        m.setattr(grading, "_grading_products", _dense_products)
+        m.setattr(susy, "_grading_products", _dense_products)
+        m.setattr(grading, "_permutation_rows", lambda u: None)
+        return func(*args)
+
+
+def _assert_dense_identity(monkeypatch, h, k, charges, complex_charges=False):
+    got = _validation_bits(h, k, charges, complex_charges)
+    want = _dense(monkeypatch, _validation_bits, h, k, charges, complex_charges)
+    assert got == want
+    assert _bits(grading.involution_checks(k)) == _bits(
+        _dense(monkeypatch, grading.involution_checks, k))
+    return got
+
+
+def _assert_blocks_identity(basis, *operators):
+    u = basis.unitary
+    nb = basis.dim_bosonic
+    for x in operators:
+        dense = adjoint(u) @ x @ u
+        want = (dense[:nb, :nb], dense[:nb, nb:], dense[nb:, :nb], dense[nb:, nb:])
+        for got_block, want_block in zip(block_extract(basis, x), want):
+            # Equal values; only the sign of a zero could differ.
+            assert np.array_equal(got_block, want_block)
+
+
+def _is_gathered(k):
+    perm = grading._signed_permutation(np.asarray(k))
+    return perm is not None and ((perm[1].real == 0) | (perm[1].imag == 0)).all()
+
+
+def _graded_by(rng, k):
+    """A random single-complex-charge system graded by K: the block
+    system rotated by K's grading basis."""
+    gb = grading_basis(Involution(k))
+    db, df = gb.dim_bosonic, gb.dim_fermionic
+    a = random_complex(rng, df, db)
+    n = db + df
+    q = np.zeros((n, n), dtype=complex)
+    q[:db, db:] = np.sqrt(2.0) * adjoint(a)
+    h = np.zeros((n, n), dtype=complex)
+    h[:db, :db] = adjoint(a) @ a
+    h[db:, db:] = a @ adjoint(a)
+    u = gb.unitary
+    return u @ h @ adjoint(u), u @ q @ adjoint(u)
+
+
+class TestStructuredGradingIdentity:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_superpotential_lattice(self, monkeypatch, sign):
+        spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
+        system = witten_model_lattice(spec, sign * spec.coordinates())
+        h, k, q = system.hamiltonian, system.involution.matrix, system.charges[0]
+        assert _is_gathered(k)
+        verdict, _ = _assert_dense_identity(monkeypatch, h, k, [q])
+        assert verdict == "valid"
+        basis = grading_basis(system.involution)
+        assert grading._permutation_rows(basis.unitary) is not None
+        _assert_blocks_identity(basis, h, q)
+
+    def test_free_particle_parity(self, monkeypatch):
+        system = free_particle_lattice(LatticeSpec(31, 0.3))
+        h, k, q = system.hamiltonian, system.involution.matrix, system.charges[0]
+        assert _is_gathered(k)
+        _assert_dense_identity(monkeypatch, h, k, [q])
+        # 2-cycle bases keep the dense product.
+        basis = grading_basis(system.involution)
+        assert grading._permutation_rows(basis.unitary) is None
+        _assert_blocks_identity(basis, h, q)
+
+    def test_small_pauli_lattice(self, monkeypatch):
+        spec = LatticeSpec(5, 0.5)
+        x = spec.coordinates()
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        system = pauli_lattice(spec, -0.35 * yy, 0.35 * xx)
+        h, k, q = system.hamiltonian, system.involution.matrix, system.charges[0]
+        assert _is_gathered(k)
+        _assert_dense_identity(monkeypatch, h, k, [q])
+        _assert_blocks_identity(grading_basis(system.involution), h, q)
+
+    def test_signed_permutations_with_imaginary_phases(self, monkeypatch, rng):
+        for n in range(2, 102):
+            k = signed_permutation(rng, n, [1.0, -1.0, 1j, -1j])
+            if abs(np.trace(k).real) == n:
+                # K = +-1 grades nothing; flip one sign so it is valid.
+                k[0, 0] = -k[0, 0]
+            assert _is_gathered(k)
+            h, q = _graded_by(rng, k)
+            verdict, _ = _assert_dense_identity(monkeypatch, h, k, [q], True)
+            assert verdict == "valid"
+            _assert_blocks_identity(grading_basis(Involution(k)), h, q)
+
+    def test_diagonal_with_interleaved_signs(self, monkeypatch, rng):
+        # The basis is then a permutation other than the identity.
+        for n in (2, 3, 8, 31, 101):
+            signs = rng.choice([1.0, -1.0], size=n)
+            signs[-2:] = (-1.0, 1.0)
+            k = np.diag(signs).astype(complex)
+            h, q = _graded_by(rng, k)
+            _assert_dense_identity(monkeypatch, h, k, [q], True)
+            basis = grading_basis(Involution(k))
+            assert grading._permutation_rows(basis.unitary) is not None
+            _assert_blocks_identity(basis, h, q)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 5), (12, 7), (32, 32)])
+    def test_plain_random_system(self, monkeypatch, dims):
+        system = random_graded_system(*dims, seed=11)
+        h, k, q = system.hamiltonian, system.involution.matrix, system.charges[0]
+        assert _is_gathered(k)
+        _assert_dense_identity(monkeypatch, h, k, [q], True)
+        basis = grading_basis(system.involution)
+        assert grading._permutation_rows(basis.unitary) is not None
+        _assert_blocks_identity(basis, h, q)
+
+
+class TestStructuredGradingFallback:
+    """K that are not signed permutations with exact unit phases take the
+    dense products, and the checks stay those of the dense products."""
+
+    def _block_system(self, rng, n=6):
+        return _graded_by(rng, np.diag([1.0, -1.0] * (n // 2)).astype(complex))
+
+    def test_three_cycle(self, monkeypatch, rng):
+        h, q = self._block_system(rng)
+        k = np.zeros((6, 6), dtype=complex)
+        k[[0, 1, 2], [1, 2, 0]] = 1.0
+        k[[3, 4, 5], [3, 4, 5]] = (1.0, -1.0, -1.0)
+        assert grading._signed_permutation(k) is None
+        verdict, failures = _assert_dense_identity(monkeypatch, h, k, [q], True)
+        assert verdict == "invalid"
+        assert "K^2 = 1" in [name for name, *_ in failures]
+
+    def test_phase_modulus_one_ulp_above_one(self, monkeypatch, rng):
+        h, q = self._block_system(rng)
+        k = np.diag([1.0, -1.0] * 3).astype(complex)
+        k[2, 2] = 1.0 + 2.0**-52
+        assert grading._signed_permutation(k) is None
+        verdict, _ = _assert_dense_identity(monkeypatch, h, k, [q], True)
+        assert verdict == "valid"
+
+    def test_not_conjugate_symmetric(self, monkeypatch, rng):
+        h, q = self._block_system(rng)
+        k = np.diag([1.0, -1.0] * 3).astype(complex)
+        k[0, 0] = k[1, 1] = 0.0
+        k[0, 1] = k[1, 0] = 1j
+        assert grading._signed_permutation(k) is None
+        verdict, failures = _assert_dense_identity(monkeypatch, h, k, [q], True)
+        assert verdict == "invalid"
+        assert "K self-adjoint" in [name for name, *_ in failures]
+
+    def test_general_phases_take_dense_products(self, monkeypatch, rng):
+        z = complex(0.6, 0.8)
+        assert abs(z) == 1.0
+        k = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+        k[0, 0] = k[1, 1] = 0.0
+        k[0, 1], k[1, 0] = z, z.conjugate()
+        assert grading._signed_permutation(k) is not None
+        assert not _is_gathered(k)
+        h, q = _graded_by(rng, k)
+        verdict, _ = _assert_dense_identity(monkeypatch, h, k, [q], True)
+        assert verdict == "valid"
+
+    def test_negative_zeros_count_as_zeros(self, monkeypatch, rng):
+        # -1 (x) 1 and the sigma_3 (x) 1 of every superpotential lattice
+        # hold -0.0 off the diagonal: still a signed permutation, and the
+        # gathers still give the dense products' checks.
+        k = np.kron(np.diag([-1.0, 1.0]).astype(complex), np.eye(3))
+        assert np.signbit(k.real).sum() > 3
+        assert _is_gathered(k)
+        h, q = _graded_by(rng, k)
+        verdict, _ = _assert_dense_identity(monkeypatch, h, k, [q], True)
+        assert verdict == "valid"
+        _assert_blocks_identity(grading_basis(Involution(k)), h, q)
+
+    def test_two_nonzeros_in_a_row(self, monkeypatch, rng):
+        # A reflection: a valid involution, not a signed permutation.
+        k = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+        k[:2, :2] = [[0.6, 0.8], [0.8, -0.6]]
+        assert grading._signed_permutation(k) is None
+        h, q = _graded_by(rng, k)
+        verdict, _ = _assert_dense_identity(monkeypatch, h, k, [q], True)
+        assert verdict == "valid"
+
+    def test_conjugated_random_system(self, monkeypatch):
+        system = random_graded_system(9, 6, seed=3, conjugate=True)
+        h, k, q = system.hamiltonian, system.involution.matrix, system.charges[0]
+        assert grading._signed_permutation(k) is None
+        _assert_dense_identity(monkeypatch, h, k, [q], True)
+        basis = grading_basis(system.involution)
+        assert grading._permutation_rows(basis.unitary) is None
+        _assert_blocks_identity(basis, h, q)
+
+    def test_writable_matrices_changed_in_place(self, monkeypatch, rng):
+        h, q = self._block_system(rng)
+        k = np.diag([1.0, -1.0] * 3).astype(complex)
+        inv = Involution(k)
+        basis = GradingBasis(np.eye(6, dtype=complex), 3, 3)
+        assert _validation_bits(h, inv, [q], True)[0] == "valid"
+        block_extract(basis, h)
+        # Now a reflection, and a dense unitary: the next calls must read
+        # the new contents, never the structure found before.
+        k[:2, :2] = [[0.6, 0.8], [0.8, -0.6]]
+        basis.unitary[:] = np.linalg.qr(random_complex(rng, 6, 6))[0]
+        got = _validation_bits(h, inv, [q], True)
+        assert got == _dense(monkeypatch, _validation_bits, h, k, [q], True)
+        assert got[0] == "invalid"
+        _assert_blocks_identity(basis, h, q)
