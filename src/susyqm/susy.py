@@ -149,6 +149,10 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     with H.  Given an involution ``k``, the system is graded: K must also
     pass :func:`involution_checks`, anticommute with every charge and
     commute with H.  ``k`` may be a matrix or an :class:`Involution`.
+    Each algebra residual is divided by ``max(1, ||op||_F)`` over the
+    operators of its own relation: the two charges, H too when the
+    right-hand side is ``2H``, H or K with the charge they are checked
+    against, and H and K for ``[H,K] = 0``.
     Returns a :class:`GradedSystem` when ``k`` is given, a
     :class:`SuperchargeSystem` otherwise.
     """
@@ -169,7 +173,11 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     if isinstance(k, Involution):
         k = k.matrix
     k_arr = coerce(k, "K") if graded else None
-    scale = _operator_scale(h_arr, *qs, *([k_arr] if graded else []))
+    # Each relation is scaled by max(1, ||op||_F) over its own operands,
+    # so adding K leaves the residuals of the relations without it as
+    # they are.
+    norm_h = residual_norm(h_arr)
+    norms = [residual_norm(q) for q in qs]
     tol = policy.algebra_tol
     h_tol = policy.hermiticity_tol
     # A self-adjoint complex charge would force H = 0, so for complex
@@ -178,13 +186,14 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
                  "H = 0)" if complex_charges else "{} self-adjoint")
     checks = [
         RelationCheck.judge("H self-adjoint", _hermiticity_residual(h_arr), h_tol),
-        RelationCheck.judge("H != 0", residual_norm(h_arr), tol, must_exceed=True),
+        RelationCheck.judge("H != 0", norm_h, tol, must_exceed=True),
     ]
     checks += [RelationCheck.judge(herm_rule.format(name), _hermiticity_residual(q),
                                    h_tol, must_exceed=complex_charges)
                for name, q in zip(names, qs)]
 
-    def relation(name, x):
+    def relation(name, x, *operand_norms):
+        scale = max(1.0, *operand_norms)
         checks.append(RelationCheck.judge(name, residual_norm(x) / scale, tol))
 
     # Bare products: the operands are already checked, so the algebra
@@ -192,21 +201,24 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     def anti(x, y):
         return x @ y + y @ x
 
-    for i, (qi, a) in enumerate(zip(names, qs)):
-        for qj, b in zip(names[i:], qs[i:]):
-            target, rhs = (2.0 * h_arr, "2H") if qi == qj else (0.0, "0")
+    for i, (qi, a, na) in enumerate(zip(names, qs, norms)):
+        for qj, b, nb in zip(names[i:], qs[i:], norms[i:]):
+            if qi == qj:
+                target, rhs, pair = 2.0 * h_arr, "2H", (na, norm_h)
+            else:
+                target, rhs, pair = 0.0, "0", (na, nb)
             if complex_charges:
                 relation(f"{{{qi},{qj}^dag}} = {rhs}",
-                         anti(a, adjoint(b)) - target)
-                relation(f"{{{qi},{qj}}} = 0", anti(a, b))
+                         anti(a, adjoint(b)) - target, *pair)
+                relation(f"{{{qi},{qj}}} = 0", anti(a, b), na, nb)
                 relation(f"{{{qi}^dag,{qj}^dag}} = 0",
-                         anti(adjoint(a), adjoint(b)))
+                         anti(adjoint(a), adjoint(b)), na, nb)
             else:
-                relation(f"{{{qi},{qj}}} = {rhs}", anti(a, b) - target)
-    for name, q in zip(names, qs):
+                relation(f"{{{qi},{qj}}} = {rhs}", anti(a, b) - target, *pair)
+    for name, q, nq in zip(names, qs, norms):
         # Conservation of the charges follows from the algebra; verified
         # anyway so a failure report points at the right operator.
-        relation(f"[H,{name}] = 0", h_arr @ q - q @ h_arr)
+        relation(f"[H,{name}] = 0", h_arr @ q - q @ h_arr, norm_h, nq)
 
     flavour = "complex" if complex_charges else "real"
     charges_out = tuple(frozen_copy(q) for q in qs)
@@ -218,9 +230,10 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     # Gathers for a signed-permutation K, dense products otherwise; the
     # residuals are the same bit for bit.
     k_times, times_k = _grading_products(k_arr)
-    for name, q in zip(names, qs):
-        relation(f"{{K,{name}}} = 0", k_times(q) + times_k(q))
-    relation("[H,K] = 0", times_k(h_arr) - k_times(h_arr))
+    norm_k = residual_norm(k_arr)
+    for name, q, nq in zip(names, qs, norms):
+        relation(f"{{K,{name}}} = 0", k_times(q) + times_k(q), norm_k, nq)
+    relation("[H,K] = 0", times_k(h_arr) - k_times(h_arr), norm_h, norm_k)
     _raise_failures(checks, f"not a valid graded {flavour}-supercharge system")
     return GradedSystem(frozen_copy(h_arr), Involution(frozen_copy(k_arr)),
                         charges_out, complex_charges, tuple(checks))

@@ -36,11 +36,12 @@ from conftest import block_system, rank_deficient
 
 # Policies and a singular value that drive the pairing walk into each of
 # its exits on a hand-built system: a 1e-12 bump separates partners by
-# ten times pairing_tol, and with sigma^2 = 8e-4 a bump of 8.5e-4 on a
-# kernel mode stays inside algebra_tol = 1e-3.
+# ten times pairing_tol.  Two singular values with sigma^2 = 4.9e-4 and a
+# bump of 4.95e-4 on a kernel mode leave {q,q^dag} = 2H off by 9.9e-4,
+# inside algebra_tol = 1e-3, and keep ||H|| = 1.1e-3 above it (H != 0).
 _TIGHT = NumericPolicy(kernel_tol=1e-14, pairing_tol=1e-13)
 _LOOSE = NumericPolicy(algebra_tol=1e-3)
-_SIGMA_EXHAUST = np.sqrt(8e-4)
+_SIGMA_EXHAUST = np.sqrt(4.9e-4)
 
 
 def _bumped_block_system(a, mode, bump, policy):
@@ -116,12 +117,12 @@ class TestSpectralPairingReport:
         (np.diag([1.0, 2.0]), 2, -1e-12, _TIGHT,
          "fermionic eigenvalue 0.999999999999 has no bosonic partner "
          "(nearest gap 1.000e-12)", 0.999999999999, "fermionic"),
-        (np.array([[_SIGMA_EXHAUST, 0.0]]), 1, 8.5e-4, _LOOSE,
-         "bosonic eigenvalue 0.00085 has no fermionic partner "
-         "(fermionic sector exhausted)", 0.00085, "bosonic"),
-        (np.array([[_SIGMA_EXHAUST], [0.0]]), 2, 8.5e-4, _LOOSE,
-         "fermionic eigenvalue 0.00085 has no bosonic partner "
-         "(bosonic sector exhausted)", 0.00085, "fermionic"),
+        (_SIGMA_EXHAUST * np.eye(2, 3), 2, 4.95e-4, _LOOSE,
+         "bosonic eigenvalue 0.000495 has no fermionic partner "
+         "(fermionic sector exhausted)", 0.000495, "bosonic"),
+        (_SIGMA_EXHAUST * np.eye(3, 2), 4, 4.95e-4, _LOOSE,
+         "fermionic eigenvalue 0.000495 has no bosonic partner "
+         "(bosonic sector exhausted)", 0.000495, "fermionic"),
     ], ids=["gap-bosonic", "gap-fermionic", "exhausted-fermionic",
             "exhausted-bosonic"])
     def test_orphan_names_value_and_sector(self, a, mode, bump, policy,
@@ -218,18 +219,18 @@ class TestWittenIndex:
     def test_disagreement_message_gives_block_residuals_and_cut_margin(self):
         # The bump keeps the kernel mode of A out of h_plus, far from any
         # cut: the blocks, not the threshold, make the formulas differ.
-        system = _bumped_block_system(np.array([[_SIGMA_EXHAUST, 0.0]]), 1,
-                                      8.5e-4, _LOOSE)
+        system = _bumped_block_system(_SIGMA_EXHAUST * np.eye(2, 3), 2,
+                                      4.95e-4, _LOOSE)
         with pytest.raises(CrossCheckError) as info:
             witten_index_report(system, _LOOSE)
         message = str(info.value)
         assert message.startswith(
             "index formulas disagree: dim ker A - dim ker A^dag = 1 - 0 = 1, "
             "but sector zero-mode counts give 0 - 0 = 0; "
-            "||h_plus - A^dag A|| = 6.0e-01 ||H||, ||h_minus - A A^dag|| = ")
+            "||h_plus - A^dag A|| = 4.5e-01 ||H||, ||h_minus - A A^dag|| = ")
         assert message.endswith(
-            " ||H||; the sector eigenvalue nearest the zero cut 8.500e-12 is "
-            "bosonic 8.000e-04, 9.41e+07 times the cut")
+            " ||H||; the sector eigenvalue nearest the zero cut 4.950e-12 is "
+            "bosonic 4.900e-04, 9.9e+07 times the cut")
         assert "cluster" not in message
 
 

@@ -106,6 +106,23 @@ class TestValidateGradedSystems:
         with pytest.raises(ValidationError, match=r"\{K,q1\}"):
             validate_graded_complex_system(np.eye(2), SIGMA1, [SQRT2 * F])
 
+    def test_grading_leaves_shared_residuals_alone(self):
+        # Each relation is scaled by its own operands, so adding K, whose
+        # norm sqrt(8) here exceeds those of H and both charges, must not
+        # move a bit of the relations that do not involve K.
+        system = random_graded_system(4, 4, seed=5, conjugate=True)
+        q1, q2 = (0.05 * q for q in real_from_complex(system.charges[0]))
+        h = 0.0025 * system.hamiltonian
+        k = system.involution.matrix
+        assert residual_norm(k) > max(residual_norm(h), residual_norm(q1),
+                                      residual_norm(q2))
+        plain = validate_real_system(h, [q1, q2]).checks
+        graded = validate_graded_real_system(h, k, [q1, q2]).checks
+        assert [c.name for c in graded[:len(plain)]] == [c.name for c in plain]
+        assert ([c.residual.hex() for c in graded[:len(plain)]]
+                == [c.residual.hex() for c in plain])
+        assert any(c.residual > 0.0 for c in plain if c.name.startswith("{"))
+
 
 # Two independent fermion modes (Jordan-Wigner) on C^2 (x) C^2 with H = 1:
 # q_i = sqrt(2) c_i are nilpotent complex charges, odd under the parity
