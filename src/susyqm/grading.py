@@ -306,8 +306,8 @@ def block_extract(basis: GradingBasis, m):
     When ``U`` is a permutation with unit entries, the basis of every
     diagonal K, ``U^dag M U`` is the slice ``M[p][:, p]``, ``p`` the row
     of each column's one.  Its values are those of the dense product
-    exactly; adding ``0.0`` makes its zeros positive, the sign the
-    product's sums give them.  Any other ``U``, the ``sqrt(1/2)`` columns
+    exactly; adding ``0.0`` turns negative zeros positive, as the
+    product's sums mostly do.  Any other ``U``, the ``sqrt(1/2)`` columns
     of a K with 2-cycles included, keeps the dense product, whose
     rounding a gather would not reproduce.
     """

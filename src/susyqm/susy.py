@@ -173,9 +173,6 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     if isinstance(k, Involution):
         k = k.matrix
     k_arr = coerce(k, "K") if graded else None
-    # Each relation is scaled by max(1, ||op||_F) over its own operands,
-    # so adding K leaves the residuals of the relations without it as
-    # they are.
     norm_h = residual_norm(h_arr)
     norms = [residual_norm(q) for q in qs]
     tol = policy.algebra_tol
@@ -227,8 +224,6 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
         return SuperchargeSystem(frozen_copy(h_arr), charges_out,
                                  complex_charges, tuple(checks))
     checks += involution_checks(k_arr, policy)
-    # Gathers for a signed-permutation K, dense products otherwise; the
-    # residuals are the same bit for bit.
     k_times, times_k = _grading_products(k_arr)
     norm_k = residual_norm(k_arr)
     for name, q, nq in zip(names, qs, norms):
