@@ -10,11 +10,11 @@ from susyqm import (
     Boundary,
     GradingBasis,
     Involution,
+    LatticeSpec,
     Parity,
     SIGMA1,
     SIGMA3,
     ValidationError,
-    LatticeSpec,
     adjoint,
     block_extract,
     classify_operator,
@@ -36,7 +36,7 @@ from susyqm import (
 )
 from susyqm.cli import main
 
-from conftest import random_complex, random_hermitian
+from conftest import block_system, random_complex, random_hermitian
 
 
 def parity_matrix(n):
@@ -425,14 +425,7 @@ def _graded_by(rng, k):
     """A random single-complex-charge system graded by K: the block
     system rotated by K's grading basis."""
     gb = grading_basis(Involution(k))
-    db, df = gb.dim_bosonic, gb.dim_fermionic
-    a = random_complex(rng, df, db)
-    n = db + df
-    q = np.zeros((n, n), dtype=complex)
-    q[:db, db:] = np.sqrt(2.0) * adjoint(a)
-    h = np.zeros((n, n), dtype=complex)
-    h[:db, :db] = adjoint(a) @ a
-    h[db:, db:] = a @ adjoint(a)
+    h, _, q = block_system(random_complex(rng, gb.dim_fermionic, gb.dim_bosonic))
     u = gb.unitary
     return u @ h @ adjoint(u), u @ q @ adjoint(u)
 
