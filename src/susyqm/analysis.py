@@ -38,7 +38,7 @@ from .core import (
     as_operator,
     residual_norm,
 )
-from .spectral import _Tridiagonal, kernel_basis
+from .spectral import _kernel_dim, _Tridiagonal, kernel_basis
 # Not called here; ``analysis.eigvalsh`` stays bound because the
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401
@@ -195,17 +195,18 @@ def witten_index_report(system: GradedSystem,
 
     Formula one counts kernel dimensions of the extracted map A and of
     its adjoint, each by its own Gram reduction, so it stays independent
-    of the sector spectra; formula two reads the zero-mode counts of the
-    sector analysis shared with :func:`spectral_pairing_report`, the
-    sector eigenvalues at or below its zero cut.
+    of the sector spectra; it counts, and builds no kernel vectors.
+    Formula two reads the zero-mode counts of the sector analysis shared
+    with :func:`spectral_pairing_report`, the sector eigenvalues at or
+    below its zero cut.
     Disagreement raises :class:`CrossCheckError`, never averaged away;
     its message gives how far each sector block of H is from ``A^dag A``
     or ``A A^dag`` and the sector eigenvalue nearest the zero cut.
     """
     sectors = _sector_analysis(system, policy, "witten_index_report")
     a_op = sectors.rep.a_operator
-    dim_ker_a = kernel_basis(a_op, policy).dim_kernel
-    dim_ker_ad = kernel_basis(adjoint(a_op), policy).dim_kernel
+    dim_ker_a = _kernel_dim(a_op, policy)
+    dim_ker_ad = _kernel_dim(adjoint(a_op), policy)
     zeros_b, zeros_f = sectors.zeros_b, sectors.zeros_f
     via_a = dim_ker_a - dim_ker_ad
     via_blocks = zeros_b - zeros_f

@@ -35,6 +35,7 @@ from .core import (
     frozen_copy,
     residual_norm,
 )
+from .spectral import _orthonormalized
 
 __all__ = [
     "GradingBasis",
@@ -168,8 +169,11 @@ def grading_basis(k: Involution, policy: NumericPolicy = DEFAULT_POLICY) -> Grad
       columns, +1 indices ascending, then -1 indices ascending.
     * anything else: column-pivoted two-pass Gram-Schmidt on the columns
       of ``P+``, stopped after ``dim_b`` columns, then on those of ``P-``
-      against the +1 columns too, stopped after ``dim_f``.  The result is
-      unitary to rounding and deterministic.  One matrix product then
+      against the +1 columns too, stopped after ``dim_f``.  It runs
+      left-looking: the pivot is the column of largest downdated norm,
+      and each step costs one matrix-vector product besides the two
+      orthogonalization passes, with no full-matrix update.  The result
+      is unitary to rounding and deterministic.  One matrix product then
       checks that every column norm of ``K U - U diag(+-1)`` is at most
       ``n * algebra_tol``, which every K that passes
       :func:`validate_involution` meets; a larger one raises
@@ -269,30 +273,39 @@ def _projector_basis(k: np.ndarray, dim_b: int) -> np.ndarray:
     """Orthonormal columns spanning the ranges of ``(1 + K)/2`` (the first
     ``dim_b``) and ``(1 - K)/2`` (the rest), by column-pivoted two-pass
     Gram-Schmidt (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50
-    (2005) 1069)."""
+    (2005) 1069), left-looking.
+
+    Each sector's projector loses its part in the columns of the earlier
+    sector by one matrix product and is not updated after that.  The
+    column with the largest downdated squared norm is orthogonalized
+    twice against every column done so far (the step of
+    :func:`spectral._orthonormal_columns`), and its squared projections
+    ``|col^dag w|^2`` are subtracted from all norms, as xGEQP3 downdates
+    its column norms (Drmac & Bujanovic, ACM TOMS 35 (2008) 12).  No
+    norm is recomputed: the columns of a projector of rank ``r`` with
+    ``j`` columns found have remaining squared norms summing to
+    ``r - j``, so while a column is still to be found the largest is at
+    least ``1/n``, far above the rounding of about ``n * eps`` that the
+    downdates can accumulate in norms that start at most one."""
     n = k.shape[0]
     herm = 0.5 * (k + adjoint(k))
     eye = np.eye(n)
     u = np.empty((n, n), dtype=np.complex128)
     done = 0
     for sign, count in ((1.0, dim_b), (-1.0, n - dim_b)):
-        # Residual columns of the projector: each new column is removed
-        # from all of them (the first pass) and orthogonalized once more
-        # against every earlier column when it is picked (the second).
         w = 0.5 * (eye + sign * herm)
         w -= u[:, :done] @ (adjoint(u[:, :done]) @ w)
+        norms = (w.real * w.real + w.imag * w.imag).sum(axis=0)
         for _ in range(count):
-            norms = (w.real * w.real + w.imag * w.imag).sum(axis=0)
-            pick = int(np.argmax(norms))
+            pick = norms.argmax()
             if not norms[pick] > 0.0:
                 which = "1 + K" if sign > 0 else "1 - K"
                 raise ValidationError(
                     f"grading_basis: ({which})/2 has rank below {count}, "
                     f"the count that Tr K gives")
-            col = w[:, pick] - u[:, :done] @ (adjoint(u[:, :done]) @ w[:, pick])
-            col /= np.linalg.norm(col)
-            u[:, done] = col
-            w -= np.outer(col, col.conj() @ w)
+            u[:, done] = col = _orthonormalized(w[:, pick], u[:, :done])
+            proj = col.conj() @ w
+            norms -= (proj * proj.conj()).real
             done += 1
     return u
 

@@ -440,11 +440,18 @@ def _orthonormal_columns(z: np.ndarray) -> np.ndarray:
     columns make no copy and stay real."""
     q = np.empty_like(z)
     for j in range(z.shape[1]):
-        col = z[:, j] / np.abs(z[:, j]).max()
-        for _ in range(2):
-            col = col - q[:, :j] @ (col.conj() @ q[:, :j]).conj()
-        q[:, j] = col / math.sqrt(float((col.conj() @ col).real))
+        q[:, j] = _orthonormalized(z[:, j], q[:, :j])
     return q
+
+
+def _orthonormalized(col: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One step of :func:`_orthonormal_columns`: ``col`` scaled by its
+    largest magnitude, orthogonalized twice against the orthonormal
+    columns of ``q`` and divided by ``sqrt(Re col^dag col)``."""
+    col = col / np.abs(col).max()
+    for _ in range(2):
+        col = col - q @ (col.conj() @ q).conj()
+    return col / math.sqrt(float((col.conj() @ col).real))
 
 
 def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
@@ -469,27 +476,39 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     is one orthonormal basis of the kernel among many; compare kernels
     by their projectors.
     """
+    gram, lam_max, dim = _gram_split(_kernel_input(a), policy)
+    return KernelBasis(dim, frozen_copy(gram.lowest_vectors(dim, lam_max)))
+
+
+def _kernel_dim(a, policy: NumericPolicy) -> int:
+    """``kernel_basis(a, policy).dim_kernel``, with the same input checks
+    and the same count, but no kernel vectors."""
+    return _gram_split(_kernel_input(a), policy)[2]
+
+
+def _kernel_input(a) -> np.ndarray:
+    """``a`` as a complex matrix, checked finite and scaled by a power of
+    two so that its Gram matrix cannot overflow; the cutoff is relative,
+    so the kernel does not depend on the scale."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValidationError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("kernel_basis input contains non-finite entries")
-    # Scaled by a power of two so the Gram matrix cannot overflow; the
-    # cutoff is relative, so the kernel does not depend on the scale.
-    basis, _ = _gram_kernel(_ldexp(arr, -_binary_exponent(arr)), policy)
-    return KernelBasis(basis.shape[1], frozen_copy(basis))
+    return _ldexp(arr, -_binary_exponent(arr))
 
 
-def _gram_kernel(arr: np.ndarray, policy: NumericPolicy):
+def _gram_split(arr: np.ndarray, policy: NumericPolicy):
     """:func:`kernel_basis`'s split of ``arr``, which must already be
-    scaled so that its Gram matrix cannot overflow: the kernel columns and
-    ``lam_max``, the largest eigenvalue of the Gram matrix ``arr^dag arr``
-    (the square of the largest singular value)."""
+    scaled so that its Gram matrix cannot overflow: the tridiagonal of
+    the Gram matrix ``arr^dag arr``, its largest eigenvalue ``lam_max``
+    (the square of the largest singular value) and the number of its
+    eigenvalues at or below the cut, the kernel dimension."""
     gram = _Tridiagonal(adjoint(arr) @ arr)
     lam_max = max(gram.eigenvalue(gram.n - 1), 0.0)
     gram_floor = 2.0 * max(arr.shape) * _EPS
     cutoff = max(policy.kernel_tol**2, gram_floor) * lam_max
-    return gram.lowest_vectors(gram.count(cutoff), lam_max), lam_max
+    return gram, lam_max, gram.count(cutoff)
 
 
 def _pivoted_inverse(a: np.ndarray) -> np.ndarray:
@@ -530,7 +549,8 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
     e = _binary_exponent(a)
     work = _ldexp(a, -e)
     work = 0.5 * (work + adjoint(work))
-    kernel, lam_max = _gram_kernel(work, policy)
+    gram, lam_max, dim = _gram_split(work, policy)
+    kernel = gram.lowest_vectors(dim, lam_max)
     n = work.shape[0]
     if kernel.shape[1] == n:
         return np.zeros((n, n), dtype=np.complex128), kernel

@@ -194,22 +194,30 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
         checks.append(RelationCheck.judge(name, residual_norm(x) / scale, tol))
 
     # Bare products: the operands are already checked, so the algebra
-    # helpers' own input checks would only repeat that work.
+    # helpers' own input checks would only repeat that work.  With one
+    # operand twice, the two products are the same array, so one is made
+    # and added to itself: the same bits, with half the multiplications.
+    # (2.0 * p would multiply as complex numbers, and turn an overflowed
+    # inf part into NaN.)
     def anti(x, y):
+        if x is y:
+            p = x @ x
+            return p + p
         return x @ y + y @ x
 
-    for i, (qi, a, na) in enumerate(zip(names, qs, norms)):
-        for qj, b, nb in zip(names[i:], qs[i:], norms[i:]):
+    qs_dag = [adjoint(q) for q in qs] if complex_charges else qs
+    for i, (qi, a, a_dag, na) in enumerate(zip(names, qs, qs_dag, norms)):
+        for qj, b, b_dag, nb in zip(names[i:], qs[i:], qs_dag[i:], norms[i:]):
             if qi == qj:
                 target, rhs, pair = 2.0 * h_arr, "2H", (na, norm_h)
             else:
                 target, rhs, pair = 0.0, "0", (na, nb)
             if complex_charges:
                 relation(f"{{{qi},{qj}^dag}} = {rhs}",
-                         anti(a, adjoint(b)) - target, *pair)
+                         anti(a, b_dag) - target, *pair)
                 relation(f"{{{qi},{qj}}} = 0", anti(a, b), na, nb)
                 relation(f"{{{qi}^dag,{qj}^dag}} = 0",
-                         anti(adjoint(a), adjoint(b)), na, nb)
+                         anti(a_dag, b_dag), na, nb)
             else:
                 relation(f"{{{qi},{qj}}} = {rhs}", anti(a, b) - target, *pair)
     for name, q, nq in zip(names, qs, norms):

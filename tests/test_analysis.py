@@ -206,13 +206,8 @@ class TestWittenIndex:
     def test_formula_disagreement_raises(self, monkeypatch):
         system = random_graded_system(3, 3, seed=2)
         dims = iter([7, 0])
-
-        class FakeKernel:
-            def __init__(self):
-                self.dim_kernel = next(dims)
-
-        monkeypatch.setattr(analysis, "kernel_basis",
-                            lambda a, policy: FakeKernel())
+        monkeypatch.setattr(analysis, "_kernel_dim",
+                            lambda a, policy: next(dims))
         with pytest.raises(CrossCheckError, match="disagree"):
             witten_index_report(system)
 
@@ -440,6 +435,17 @@ def test_each_sector_is_bisected_once_per_analysis(monkeypatch):
     witten_index_report(system)
     witten_index(system)
     assert calls == [5, 3]
+
+
+def test_index_report_builds_no_kernel_vectors(monkeypatch):
+    calls = []
+    lowest_vectors = _Tridiagonal.lowest_vectors
+    monkeypatch.setattr(
+        _Tridiagonal, "lowest_vectors",
+        lambda self, *args: calls.append(self.n) or lowest_vectors(self, *args))
+    report = witten_index_report(random_graded_system(9, 6, seed=3))
+    assert (report.dim_kernel_a, report.dim_kernel_a_dagger) == (3, 0)
+    assert calls == []
 
 
 def test_failed_sector_analysis_is_not_kept(representation_calls):

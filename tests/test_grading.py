@@ -11,6 +11,7 @@ from susyqm import (
     GradingBasis,
     Involution,
     LatticeSpec,
+    NumericPolicy,
     Parity,
     SIGMA1,
     SIGMA3,
@@ -341,6 +342,48 @@ class TestGradingBasisDense:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError, match="grading_basis requires a Hermitian"):
             grading_basis(Involution(np.array([[0, 1], [0, 0]], dtype=complex)))
+
+
+def _rotated_involution(rng, n, dim_b, kind):
+    """K = V diag(+-1) V^dag for a complex unitary or real orthogonal V,
+    or a sparse K whose 2-cycles carry general phases of modulus
+    ``1 + 2^-50``, a few ulps off one, so no K is a signed permutation."""
+    signs = np.concatenate([np.ones(dim_b), -np.ones(n - dim_b)])
+    if kind == "sparse":
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=20)
+        phases = list(np.exp(1j * angles) * (1.0 + 2.0**-50))
+        k = signed_permutation(rng, n, phases)
+        if grading._signed_permutation(k) is not None:
+            # Every index a fixed point: make 0 and 1 a 2-cycle.
+            k[0, 0] = k[1, 1] = 0.0
+            k[0, 1], k[1, 0] = phases[0], np.conj(phases[0])
+        return k
+    if kind == "complex":
+        v = np.linalg.qr(random_complex(rng, n, n))[0]
+    else:
+        v = np.linalg.qr(rng.normal(size=(n, n)))[0].astype(complex)
+    return (v * signs) @ adjoint(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 48), data=st.data(),
+       kind=st.sampled_from(["complex", "real", "sparse"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_grading_basis_property(n, data, kind, seed):
+    if kind == "sparse":
+        n = max(n, 2)
+    dim_b = data.draw(st.integers(0, n), label="dim_b")
+    k = _rotated_involution(np.random.default_rng(seed), n, dim_b, kind)
+    # At n = 1, V diag(+-1) V^dag may come out exactly +-1.
+    assert n == 1 or grading._signed_permutation(k) is None
+    gb = grading_basis(Involution(k))
+    u = gb.unitary
+    assert gb.dim_bosonic == round((n + np.trace(k).real) / 2)
+    if kind != "sparse":
+        assert gb.dim_bosonic == dim_b
+    assert unitarity(u) <= 10 * n * np.finfo(float).eps
+    worst = np.linalg.norm(k @ u - u * eigenvalue_signs(gb), axis=0).max()
+    assert worst <= n * NumericPolicy().algebra_tol
 
 
 def test_grading_path_runs_no_jacobi(monkeypatch, tmp_path, capsys):
