@@ -12,7 +12,15 @@ the involution construction.
 Both reports and the ``index``, ``pair`` and ``spectrum`` verbs read one
 sector analysis per system and policy, built on first use: the standard
 representation, the two sector spectra, the zero cut and the zero-mode
-count of each sector.
+count of each sector.  The larger sector (bosonic on ties) is bisected
+from scratch, and its spectrum, widened by the Gram floor
+``2 dim eps lambda_max``, seeds the bisection of the other: the partner
+eigenvalues sit within a few ulps of the seeds, so their brackets start
+narrow.  It is the larger sector that goes first because it holds at
+least ``|dim_b - dim_f|`` zero modes with no partner, which need
+full-width brackets either way.  Seeds decide only where the brackets
+start, never the floats they close on, so the pairing check stays
+independent: on a broken system wrong seeds only cost rounds.
 
 At finite dimension every operator is trivially Fredholm, so the index
 is always well defined here.
@@ -38,7 +46,7 @@ from .core import (
     as_operator,
     residual_norm,
 )
-from .spectral import _kernel_dim, _Tridiagonal, kernel_basis
+from .spectral import _EPS, _kernel_dim, _Tridiagonal, kernel_basis
 # Not called here; ``analysis.eigvalsh`` stays bound because the
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401
@@ -129,14 +137,23 @@ def _sector_analysis(system: GradedSystem, policy: NumericPolicy,
     """The sector analysis of ``system`` under ``policy``, built on first
     use and kept on the system.  The policy is frozen and the system's
     arrays are read-only, so a kept analysis never goes stale; a build
-    that raises keeps nothing.  Each sector is bisected once, and a valid
-    system has no empty sector."""
+    that raises keeps nothing.  Each sector is bisected once, the
+    smaller one from seeds, and a valid system has no empty sector."""
     found = system._sector_analyses.get(policy)
     if found is None:
         rep = standard_representation(system, policy)
-        spectra = [_readonly(_Tridiagonal(
-            _require_hermitian(block, policy, who)).eigenvalues())
-            for block in (rep.h_plus, rep.h_minus)]
+        tris = [_Tridiagonal(_require_hermitian(block, policy, who))
+                for block in (rep.h_plus, rep.h_minus)]
+        # The larger sector, bosonic on ties, seeds the other (see the
+        # module docstring); dim is that sector's, max(A.shape).
+        first = 0 if tris[0].n >= tris[1].n else 1
+        lead = tris[first].eigenvalues()
+        pad = 2.0 * tris[first].n * _EPS * max(abs(float(lead[0])),
+                                               abs(float(lead[-1])))
+        seeded = tris[1 - first].eigenvalues(
+            np.concatenate([lead - pad, lead + pad]))
+        spectra = [_readonly(ev) for ev in ((lead, seeded) if first == 0
+                                            else (seeded, lead))]
         cut = policy.kernel_tol * max(abs(float(ev[k]))
                                       for ev in spectra for k in (0, -1))
         found = _SectorAnalysis(rep, *spectra, cut, *(

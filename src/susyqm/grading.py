@@ -89,10 +89,17 @@ def involution_checks(k, policy: NumericPolicy = DEFAULT_POLICY) -> list[Relatio
     K squares by a gather, with the dense product's residual bit for bit.
     """
     arr = as_operator(k, "K")
+    return _involution_checks(arr, _grading_products(arr)[0], policy)
+
+
+def _involution_checks(arr: np.ndarray, k_times,
+                       policy: NumericPolicy) -> list[RelationCheck]:
+    """:func:`involution_checks` of the checked matrix ``arr``, given its
+    map ``X -> K X`` from :func:`_grading_products`, so a caller that
+    already holds the products reads K's structure once."""
     n = arr.shape[0]
     eye = np.eye(n)
     tol_a = policy.algebra_tol
-    k_times, _ = _grading_products(arr)
     # K = +1 or K = -1 would make the grading trivial, so those residuals
     # must be LARGE for a valid involution.
     return [

@@ -17,14 +17,19 @@ Two paths, neither of which calls LAPACK:
   below ``x`` are counted from the inertia of ``T - x = L D L^T`` (Sturm
   count, with LAPACK ``dstebz``'s guard against zero pivots).  Each
   eigenvalue is bisected on that count until its bracket closes on
-  adjacent floats; a whole spectrum cuts all brackets together, each
-  into ``K`` parts per round with one count of every inner point
-  (multisection; Demmel, Marques, Parlett & Voemel, SIAM J. Sci.
-  Comput. 30 (2008) 1508), ``K`` the power of two nearest ``1024 /
-  dim`` within ``[2, 64]``, so at most ``ceil(64 / log2 K)`` rounds
-  run.  The count is monotone in the shift in floating point, so both
-  return the same floats bit for bit.  Kernel vectors come from a few
-  steps of inverse iteration on the tridiagonal from a fixed-seed start
+  adjacent floats; a whole spectrum cuts all brackets together with one
+  count of every inner point per round (multisection; Demmel, Marques,
+  Parlett & Voemel, SIAM J. Sci. Comput. 30 (2008) 1508).  The
+  eigenvalues that share a bracket share its cut, and the distinct open
+  brackets of a round split ``dim * (K - 1)`` inner points evenly,
+  ``K`` the power of two nearest ``1024 / dim`` within ``[2, 64]``, so
+  no bracket gets fewer than ``K`` parts and at most ``ceil(64 / log2
+  K)`` rounds run.  Brackets start from the Gershgorin bracket,
+  narrowed by one count at any seed floats given (the sector analysis
+  seeds one sector with the other's spectrum).  The count is monotone
+  in the shift in floating point, so both return the same floats bit
+  for bit, seeded or not.  Kernel vectors come from a few steps of
+  inverse iteration on the tridiagonal from a fixed-seed start
   block, so the output is byte-deterministic; each step solves with
   the unpivoted ``T = L D L^T`` factorization, which needs positive
   semidefinite input (a Gram matrix).  No eigenvector matrix is formed,
@@ -245,6 +250,10 @@ class _Tridiagonal:
         self._e = np.abs(sub)
         phases = np.ones(n, dtype=np.complex128)
         for k, c in enumerate(sub):
+            if abs(c) < _SAFMIN:
+                # numpy divides by multiplying with the reciprocal, which
+                # overflows for a subnormal |c|; scaling by 2**54 is exact.
+                c = c * 2.0**54
             phases[k + 1] = phases[k] * (c / abs(c) if c != 0 else 1.0)
         self._phases = phases
         e2 = (self._e * self._e).tolist()
@@ -334,50 +343,96 @@ class _Tridiagonal:
                 lo = mid
         return float(self._unscale(_key_float(hi)))
 
-    def eigenvalues(self) -> np.ndarray:
+    def eigenvalues(self, seeds=()) -> np.ndarray:
         """All eigenvalues, ascending: :meth:`eigenvalue` for every ``k``,
-        bit for bit.
+        bit for bit, whatever the ``seeds``.
 
-        The ``n`` brackets are cut together (multisection): each round
-        splits every open bracket into ``K`` near-equal parts over the
-        float ordering, makes one Sturm count at all ``K - 1`` inner
-        points of all open brackets, and keeps the part where the count
-        passes ``k``.  A bracket stops once it holds two adjacent floats,
-        so at most ``ceil(64 / log2 K)`` rounds run.  ``K`` is the power
-        of two nearest ``1024 / n``, within ``[2, 64]``, which keeps the
-        ``n * (K - 1)`` pivots of a round about constant.  The Sturm
-        count is monotone in the shift in floating point (Demmel,
-        Dhillon & Ren, ETNA 3 (1995) 116), so every bracketing that
-        closes on adjacent floats closes on the same pair."""
+        The unit of work is a bracket: two float keys with their Sturm
+        counts, holding the ``k`` from the low count up to below the high
+        one.  It starts as the Gershgorin bracket, with counts ``0`` and
+        ``n``.  ``seeds`` (floats in the units of ``a``, any number, in
+        any order; the non-finite ones are dropped) only narrow that
+        start: one count at the seeds strictly inside it splits it at
+        every seed.  Seeds near the eigenvalues (the partner sector's
+        spectrum, in :mod:`susyqm.analysis`) save rounds; any others
+        cost one pass.
+
+        Then every round cuts each open bracket into ``budget // u + 1``
+        near-equal parts over the float ordering, ``u`` the number of
+        open brackets and ``budget = n * (K - 1)``, makes one Sturm count
+        at all inner points of all of them, and keeps the parts whose
+        count rises, each holding the ``k`` it passes.  ``K`` is the
+        power of two nearest ``1024 / n``, within ``[2, 64]``, so no
+        bracket is cut into fewer than ``K`` parts, at most ``ceil(64 /
+        log2 K)`` rounds run, and a round counts at most ``n * (K - 1)``
+        shifts; a lone straggler gets them all.  A bracket closes once
+        it holds two adjacent floats, and its high end is the eigenvalue
+        of each of its ``k``.  The Sturm count is monotone in the shift
+        in floating point (Demmel, Dhillon & Ren, ETNA 3 (1995) 116), so
+        every bracketing that closes on adjacent floats closes on the
+        same pair: the start and the cuts change only the number of
+        rounds."""
         n = self.n
         k_ary = 2 ** min(max(round(math.log2(1024 / max(n, 1))), 1), 6)
-        lo, hi = (np.full(n, _float_key(b) + _KEY_OFFSET, dtype=np.uint64)
-                  for b in self._bracket)
-        ks = np.arange(n)
-        steps = np.arange(1, k_ary, dtype=np.uint64)
-        parts = np.uint64(k_ary)
+        budget = n * (k_ary - 1)
+        bottom, top = (_float_key(b) + _KEY_OFFSET for b in self._bracket)
+        keys = np.array([[bottom], [top]], dtype=np.uint64)
+        counts = np.array([[0], [n]])
+        inside = self._seed_keys(seeds, keys[0], keys[1])
+        if inside.size:
+            keys, counts = self._split(
+                np.concatenate([keys[:1], inside[:, None], keys[1:]]), counts)
+        high_end = np.empty(n, dtype=np.uint64)
+        starts = np.zeros(n, dtype=np.intp)
         while True:
-            open_ = np.flatnonzero(hi - lo > 1)
-            if not open_.size:
-                return self._unscale(_offset_key_floats(hi))
-            m = len(open_)
-            lo_o, hi_o = lo[open_], hi[open_]
-            # lo + q j + floor(r j / K) for hi - lo = q K + r: within the
-            # bracket, so no step can overflow.
-            q, r = np.divmod(hi_o - lo_o, parts)
-            points = np.empty((m, k_ary + 1), dtype=np.uint64)
-            points[:, 0] = lo_o
-            points[:, -1] = hi_o
-            points[:, 1:-1] = (lo_o[:, None] + q[:, None] * steps
-                               + r[:, None] * steps // parts)
-            counts = self._counts(_offset_key_floats(points[:, 1:-1].ravel()))
-            # Counts rise along each row, so the points at or below k
-            # come first and the bracket keeps the pair that straddles k.
-            cut = np.count_nonzero(
-                counts.reshape(m, k_ary - 1) <= ks[open_, None], axis=1)
-            rows = np.arange(m)
-            lo[open_] = points[rows, cut]
-            hi[open_] = points[rows, cut + 1]
+            shut = keys[1] - keys[0] <= 1
+            if shut.any():
+                lows = counts[0, shut]
+                high_end[lows] = keys[1, shut]
+                starts[lows] = lows
+                keys, counts = keys[:, ~shut], counts[:, ~shut]
+            if not keys.size:
+                break
+            parts = budget // keys.shape[1] + 1
+            lo, width = keys[0], keys[1] - keys[0]
+            # lo + q j + floor(r j / parts) for width = q parts + r:
+            # within the bracket, so no step can overflow.
+            q, r = np.divmod(width, np.uint64(parts))
+            steps = np.arange(parts + 1, dtype=np.uint64)[:, None]
+            keys, counts = self._split(
+                lo + q * steps + r * steps // np.uint64(parts), counts)
+        # Closed brackets tile 0..n-1 by their counts: each k takes the
+        # high end of the one with the largest low count at or below k.
+        return self._unscale(_offset_key_floats(
+            high_end[np.maximum.accumulate(starts)]))
+
+    def _seed_keys(self, seeds, bottom, top) -> np.ndarray:
+        """The offset float keys of the finite ``seeds``, scaled to the
+        units of ``T``, that lie strictly between the keys ``bottom`` and
+        ``top``, ascending.  Duplicates stay: the part between two equal
+        keys holds no eigenvalue, so :meth:`_split` drops it."""
+        with np.errstate(over="ignore"):
+            x = np.ldexp(np.asarray(seeds, dtype=np.float64).ravel(), -self._exp)
+        bits = np.ascontiguousarray(x[np.isfinite(x)]).view(np.uint64)
+        # The inverse of _offset_key_floats; both zeros give 2**63.
+        keys = np.sort(np.where(bits < _SIGN_BIT, bits | _SIGN_BIT,
+                                np.uint64(0) - bits))
+        return keys[(keys > bottom) & (keys < top)]
+
+    def _split(self, keys: np.ndarray, ends: np.ndarray):
+        """Brackets split at inner points: column ``i`` of ``keys`` is
+        bracket ``i``'s low end, its ascending inner points and its high
+        end, and ``ends[:, i]`` the counts at both ends.  One Sturm count
+        at every inner point; the parts whose count rises are the new
+        brackets, ``(keys, counts)`` with both ends in rows 0 and 1, in
+        no particular order."""
+        counts = np.empty(keys.shape, dtype=np.intp)
+        counts[0], counts[-1] = ends
+        counts[1:-1] = self._counts(
+            _offset_key_floats(keys[1:-1].ravel())).reshape(counts[1:-1].shape)
+        rises = counts[1:] > counts[:-1]
+        return (np.array([keys[:-1][rises], keys[1:][rises]]),
+                np.array([counts[:-1][rises], counts[1:][rises]]))
 
     def lowest_vectors(self, m: int, lam_max: float) -> np.ndarray:
         """Orthonormal columns spanning the eigenvectors of ``a`` for its

@@ -53,9 +53,9 @@ from .grading import (
     GradingBasis,
     Involution,
     _grading_products,
+    _involution_checks,
     block_extract,
     grading_basis,
-    involution_checks,
 )
 from .spectral import _pinv_and_kernel
 
@@ -231,8 +231,8 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
         _raise_failures(checks, f"not a valid {flavour}-supercharge system")
         return SuperchargeSystem(frozen_copy(h_arr), charges_out,
                                  complex_charges, tuple(checks))
-    checks += involution_checks(k_arr, policy)
     k_times, times_k = _grading_products(k_arr)
+    checks += _involution_checks(k_arr, k_times, policy)
     norm_k = residual_norm(k_arr)
     for name, q, nq in zip(names, qs, norms):
         relation(f"{{K,{name}}} = 0", k_times(q) + times_k(q), norm_k, nq)

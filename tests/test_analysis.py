@@ -42,6 +42,7 @@ from conftest import block_system, rank_deficient
 _TIGHT = NumericPolicy(kernel_tol=1e-14, pairing_tol=1e-13)
 _LOOSE = NumericPolicy(algebra_tol=1e-3)
 _SIGMA_EXHAUST = np.sqrt(4.9e-4)
+_C07 = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
 
 
 def _bumped_block_system(a, mode, bump, policy):
@@ -428,13 +429,48 @@ def test_each_sector_is_bisected_once_per_analysis(monkeypatch):
     calls = []
     eigenvalues = _Tridiagonal.eigenvalues
     monkeypatch.setattr(_Tridiagonal, "eigenvalues",
-                        lambda self: calls.append(self.n) or eigenvalues(self))
+                        lambda self, *seeds: calls.append(self.n)
+                        or eigenvalues(self, *seeds))
     system = random_graded_system(5, 3, seed=1)
     spectral_pairing_report(system)
     spectral_pairing_report(system)
     witten_index_report(system)
     witten_index(system)
     assert calls == [5, 3]
+
+
+@pytest.mark.parametrize("system,sectors,passes", [
+    (lambda: witten_model_lattice(_C07, _C07.coordinates()),
+     [(101, 0), (101, 202)], 12),
+    (lambda: witten_model_lattice(_C07, -_C07.coordinates()),
+     [(101, 0), (101, 202)], 12),
+    (lambda: random_graded_system(64, 48, seed=1, conjugate=True),
+     [(64, 0), (48, 128)], 5),
+    (lambda: random_graded_system(20, 31, seed=1, conjugate=True),
+     [(31, 0), (20, 62)], 4),
+], ids=["c07-up", "c07-down", "scrambled-64-48", "scrambled-20-31"])
+def test_larger_sector_seeds_the_other(monkeypatch, system, sectors, passes):
+    # The larger sector (bosonic on ties) is bisected from the Gershgorin
+    # bracket; its spectrum, widened on both sides, seeds the other, whose
+    # Sturm passes are pinned: one over the seeds, then the rounds.  C07's
+    # seeded sector spends most of its rounds on its one near-zero mode.
+    calls = []
+    counts = _Tridiagonal._counts
+    eigenvalues = _Tridiagonal.eigenvalues
+
+    def spy_eigenvalues(self, seeds=()):
+        calls.append([self.n, len(seeds), 0])
+        return eigenvalues(self, seeds)
+
+    def spy_counts(self, xs):
+        calls[-1][2] += 1
+        return counts(self, xs)
+
+    monkeypatch.setattr(_Tridiagonal, "eigenvalues", spy_eigenvalues)
+    monkeypatch.setattr(_Tridiagonal, "_counts", spy_counts)
+    spectral_pairing_report(system())
+    assert [(n, seeds) for n, seeds, _ in calls] == sectors
+    assert calls[1][2] == passes
 
 
 def test_index_report_builds_no_kernel_vectors(monkeypatch):

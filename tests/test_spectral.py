@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyqm import (
     Boundary,
@@ -28,7 +31,7 @@ from susyqm import (
 from susyqm import _jacobi_py, spectral
 from susyqm.cli import main
 from susyqm.core import RelationCheck, residual_norm
-from susyqm.spectral import _pinv_and_kernel, _Tridiagonal
+from susyqm.spectral import _float_key, _key_float, _pinv_and_kernel, _Tridiagonal
 
 from conftest import (
     haar_unitary,
@@ -512,6 +515,20 @@ class TestTridiagonalPath:
         tri.eigenvalues()
         assert 0 < len(calls) <= rounds
 
+    @pytest.mark.parametrize("c,phase", [
+        (math.ldexp(1.0, -1050), 1.0), (math.ldexp(-1.0, -1050) * 1j, -1j),
+        (complex(math.ldexp(3.0, -1040), math.ldexp(4.0, -1040)), 0.6 + 0.8j)])
+    def test_subnormal_coupling_gets_a_unit_phase(self, c, phase):
+        # numpy's complex division takes the reciprocal of the divisor,
+        # which overflows for a subnormal |c|.
+        tri = _Tridiagonal(np.array([[1.0, np.conj(c)], [c, 0.0]]))
+        assert abs(tri._phases[1] - phase) <= 1e-15
+
+    @pytest.mark.parametrize("seeds", [(), (0.0, 1.0)])
+    def test_empty_matrix_has_no_eigenvalues(self, seeds):
+        tri = _Tridiagonal(np.zeros((0, 0), dtype=complex))
+        assert tri.eigenvalues(seeds).shape == (0,)
+
     def test_exact_zero_eigenvalues_are_zero(self):
         for a in (np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0, 0.0])):
             tri = _Tridiagonal(a.astype(complex))
@@ -527,6 +544,70 @@ class TestTridiagonalPath:
             assert np.array(sector[:1]).tobytes() == np.zeros(1).tobytes()
         assert (report.unpaired_bosonic_zero_modes,
                 report.unpaired_fermionic_zero_modes) == (1, 1)
+
+
+@st.composite
+def _random_tridiagonals(draw):
+    n = draw(st.integers(1, 12))
+    entries = st.floats(-4.0, 4.0) | st.just(0.0)
+    d = draw(st.lists(entries, min_size=n, max_size=n))
+    e = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@st.composite
+def _grams_with_zero_modes(draw):
+    """``B^T B`` for an integer ``B`` with at least one zero column, so
+    the Gram matrix has exact zero eigenvalues."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    b = np.array(draw(st.lists(st.integers(-3, 3), min_size=rows * cols,
+                               max_size=rows * cols)), dtype=float)
+    b = b.reshape(rows, cols)
+    b[:, draw(st.integers(0, cols - 1))] = 0.0
+    return b.T @ b
+
+
+def _with_scalar_spectrum(a):
+    tri = _Tridiagonal(np.asarray(a, dtype=complex))
+    return tri, np.array([tri.eigenvalue(k) for k in range(tri.n)])
+
+
+@functools.cache
+def _c07_case(name):
+    return _with_scalar_spectrum(_c07_sector(name))
+
+
+@st.composite
+def _tridiagonals(draw):
+    """A tridiagonal with its scalar-bisected spectrum."""
+    case = draw(st.sampled_from(["random", "gram", "h_plus", "h_minus"]))
+    if case in ("h_plus", "h_minus"):
+        return _c07_case(case)
+    return _with_scalar_spectrum(draw(
+        _random_tridiagonals() if case == "random" else _grams_with_zero_modes()))
+
+
+_SPECIAL_SEEDS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  math.inf, -math.inf, math.nan, 1e300, -1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tridiagonals(), data=st.data())
+def test_seeded_multisection_matches_scalar_bisection(case, data):
+    # Seeds decide only where the brackets start: any mix of the true
+    # spectrum, the spectrum a few ulps off, duplicates, signed zeros,
+    # subnormals, values outside the bracket and non-finite values (which
+    # are dropped) gives the scalar bisection's floats.
+    tri, scalar = case
+    values = scalar.tolist()
+    exact = data.draw(st.lists(st.sampled_from(values), max_size=2 * len(values)))
+    near = [_key_float(_float_key(v) + data.draw(st.integers(-4, 4)))
+            for v in data.draw(st.lists(st.sampled_from(values), max_size=8))]
+    other = data.draw(st.lists(st.floats() | st.sampled_from(_SPECIAL_SEEDS),
+                               max_size=12))
+    seeds = data.draw(st.permutations(exact + near + other))
+    seeds += seeds[:data.draw(st.integers(0, len(seeds)))]
+    assert tri.eigenvalues(seeds).tobytes() == scalar.tobytes()
 
 
 def _block_with_zero_middle(rng):
