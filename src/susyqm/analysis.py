@@ -37,13 +37,11 @@ from .core import (
     DEFAULT_POLICY,
     CrossCheckError,
     NumericPolicy,
-    ShapeError,
     ValidationError,
     _operator_scale,
     _readonly,
     _require_hermitian,
     adjoint,
-    as_operator,
     residual_norm,
 )
 from .spectral import _EPS, _kernel_dim, _Tridiagonal, kernel_basis
@@ -51,6 +49,7 @@ from .spectral import _EPS, _kernel_dim, _Tridiagonal, kernel_basis
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401
 from .susy import GradedSystem, StandardRepresentation, standard_representation
+from .susy import _charge_pair, _require_self_adjoint
 
 __all__ = [
     "KernelEqualityReport",
@@ -278,16 +277,16 @@ def kernel_equality_check(q1, q2,
 
     For self-adjoint charges ``||Q1 phi||^2 = ||Q2 phi||^2`` whenever
     ``Q1^2 = Q2^2``, so each numerical kernel vector of one charge must
-    be annihilated by the other.  The annihilation threshold carries a
-    slack term ``sqrt(||Q1^2 - Q2^2||)`` accounting for the precondition
-    residual, exactly as the norm identity dictates.
+    be annihilated by the other; charges that are not self-adjoint
+    within ``hermiticity_tol`` raise :class:`ValidationError`.  The
+    annihilation threshold carries a slack term ``sqrt(||Q1^2 - Q2^2||)``
+    accounting for the precondition residual, exactly as the norm
+    identity dictates.
     """
-    a = as_operator(q1, "Q1")
-    b = as_operator(q2, "Q2")
-    if a.shape != b.shape:
-        raise ShapeError(f"charge shapes differ: {a.shape} vs {b.shape}")
-    h1 = a @ a
-    h2 = b @ b
+    a, b = _charge_pair(q1, q2)
+    _require_self_adjoint((("Q1", a), ("Q2", b)), policy,
+                          "kernel equality needs self-adjoint charges")
+    h1, h2 = a @ a, b @ b
     pre_abs = residual_norm(h1 - h2)
     pre_rel = pre_abs / _operator_scale(h1, h2)
     if pre_rel > policy.algebra_tol:
@@ -303,20 +302,15 @@ def kernel_equality_check(q1, q2,
             f"dim ker Q2 = {kb2.dim_kernel}")
 
     slack = float(np.sqrt(pre_abs))
-    threshold_b = policy.kernel_tol * _operator_scale(b) + slack
-    threshold_a = policy.kernel_tol * _operator_scale(a) + slack
-    res_b = 0.0
-    if kb1.dim_kernel:
-        res_b = float(np.linalg.norm(b @ kb1.basis, axis=0).max())
-        if res_b > threshold_b:
-            raise CrossCheckError(
-                f"a kernel vector of Q1 is not annihilated by Q2 "
-                f"(residual {res_b:.3e} above {threshold_b:.3e})")
-    res_a = 0.0
-    if kb2.dim_kernel:
-        res_a = float(np.linalg.norm(a @ kb2.basis, axis=0).max())
-        if res_a > threshold_a:
-            raise CrossCheckError(
-                f"a kernel vector of Q2 is not annihilated by Q1 "
-                f"(residual {res_a:.3e} above {threshold_a:.3e})")
-    return KernelEqualityReport(kb1.dim_kernel, kb2.dim_kernel, res_b, res_a)
+    residuals = []
+    for name, kb, other, op in (("Q1", kb1, "Q2", b), ("Q2", kb2, "Q1", a)):
+        threshold = policy.kernel_tol * _operator_scale(op) + slack
+        res = 0.0
+        if kb.dim_kernel:
+            res = float(np.linalg.norm(op @ kb.basis, axis=0).max())
+            if res > threshold:
+                raise CrossCheckError(
+                    f"a kernel vector of {name} is not annihilated by {other} "
+                    f"(residual {res:.3e} above {threshold:.3e})")
+        residuals.append(res)
+    return KernelEqualityReport(kb1.dim_kernel, kb2.dim_kernel, *residuals)

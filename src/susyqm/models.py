@@ -73,8 +73,8 @@ class Boundary(str, enum.Enum):
 class LatticeSpec:
     """Symmetric one-dimensional lattice ``x_j = j * spacing``, ``j = -m..m``.
 
-    ``sites`` must be odd so the site-reversal parity has well-defined
-    sector dimensions ``(m + 1, m)``.
+    ``sites`` must be an odd integer so the site-reversal parity has
+    well-defined sector dimensions ``(m + 1, m)``; ``spacing`` a positive finite real.
     """
 
     sites: int
@@ -82,11 +82,12 @@ class LatticeSpec:
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
+        object.__setattr__(self, "sites", _spec_int(self.sites, "sites"))
         if self.sites < 1 or self.sites % 2 == 0:
             raise ValueError(f"sites must be an odd positive integer, "
                              f"got {self.sites}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not 0 < _spec_reals(self.spacing, "spacing") < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         object.__setattr__(self, "boundary", Boundary(self.boundary))
 
     def coordinates(self) -> np.ndarray:
@@ -389,8 +390,8 @@ def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> Graded
     if kind not in ("free_particle", "witten", "pauli"):
         raise ValueError(f"unknown model kind: {kind!r}")
     boundary = Boundary.DIRICHLET if kind == "witten" else Boundary.PERIODIC
-    lattice = LatticeSpec(_spec_int(spec["sites"], "sites"),
-                          float(_spec_reals(spec["dx"], "dx")), boundary)
+    lattice = LatticeSpec(spec["sites"], float(_spec_reals(spec["dx"], "dx")),
+                          boundary)
     if kind == "free_particle":
         return free_particle_lattice(lattice, policy)
     if kind == "witten":

@@ -15,11 +15,13 @@ Two paths, neither of which calls LAPACK:
   and kernel vectors (:func:`kernel_basis`) come from a Householder
   reduction to a real symmetric tridiagonal matrix.  Eigenvalues at or
   below ``x`` are counted from the inertia of ``T - x = L D L^T`` (Sturm
-  count, with LAPACK ``dstebz``'s guard against zero pivots).  Each
-  eigenvalue is bisected on that count until its bracket closes on
-  adjacent floats; a whole spectrum cuts all brackets together with one
-  count of every inner point per round (multisection; Demmel, Marques,
-  Parlett & Voemel, SIAM J. Sci. Comput. 30 (2008) 1508).  The
+  count, with LAPACK ``dstebz``'s guard against zero pivots, written
+  once: a count at many shifts runs unguarded and recounts the shifts
+  where the guard would fire).  Each eigenvalue is bisected on that
+  count over float keys until its bracket closes on adjacent floats; a
+  whole spectrum cuts all brackets together with one count of every
+  inner point per round (multisection; Demmel, Marques, Parlett &
+  Voemel, SIAM J. Sci. Comput. 30 (2008) 1508).  The
   eigenvalues that share a bracket share its cut, and the distinct open
   brackets of a round split ``dim * (K - 1)`` inner points evenly,
   ``K`` the power of two nearest ``1024 / dim`` within ``[2, 64]``, so
@@ -118,16 +120,21 @@ class KernelBasis:
     basis: np.ndarray
 
 
-def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
-                 track_vectors: bool):
-    # Work on the exactly Hermitian part so the kernels can mirror rows
-    # into columns and the diagonal stays real, scaled by a power of two
-    # so the sums of squared entries neither overflow nor underflow.
-    # Every rotation is invariant under that scaling, so it changes no
-    # bit of the result for entries within about 1e+-154.
+def _scaled_hermitian_part(a) -> tuple[np.ndarray, int]:
+    """``(work, e)``: the exactly Hermitian part of ``a * 2**-e`` (a new
+    contiguous complex matrix with a real diagonal), ``e`` the
+    :func:`_binary_exponent` of ``a``, so squared entries neither
+    overflow nor underflow."""
     e = _binary_exponent(a)
     work = _ldexp(a, -e)
-    work = np.ascontiguousarray(0.5 * (work + adjoint(work)), dtype=np.complex128)
+    return np.ascontiguousarray(0.5 * (work + adjoint(work)),
+                                dtype=np.complex128), e
+
+
+def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
+                 track_vectors: bool):
+    # Rotations are invariant under the scaling: no bit changes within 1e+-154.
+    work, e = _scaled_hermitian_part(a)
     n = work.shape[0]
     tol_off = policy.eigensolver_tol * residual_norm(work)
     if track_vectors:
@@ -183,26 +190,26 @@ _INVERSE_ITERATIONS = 3
 _START_SEED = 20240117
 
 
+_SIGN_BIT = 1 << 63
+
+
 def _float_key(x: float) -> int:
-    """Integer that orders like ``x`` and steps by one between adjacent floats."""
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+    """The float key of ``x``: an integer in ``[0, 2**64)`` that orders
+    like ``x`` and steps by one between adjacent floats, ``2**63`` for
+    both zeros.  Multisection cuts brackets of keys in uint64, where
+    ``lo + step`` with ``step <= hi - lo`` cannot overflow."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return bits | _SIGN_BIT if bits < _SIGN_BIT else (1 << 64) - bits
 
 
 def _key_float(key: int) -> float:
-    bits = key if key >= 0 else -key | -0x8000_0000_0000_0000
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+    """The float of a float key, the inverse of :func:`_float_key`."""
+    bits = key - _SIGN_BIT if key >= _SIGN_BIT else (_SIGN_BIT - key) | _SIGN_BIT
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-# Float keys span about 2**64, more than int64 holds, so vectorised
-# multisection offsets them by 2**63 into uint64, where a point
-# ``lo + step`` with ``step <= hi - lo`` cannot overflow.
-_KEY_OFFSET = 1 << 63
-_SIGN_BIT = np.uint64(_KEY_OFFSET)
-
-
-def _offset_key_floats(keys: np.ndarray) -> np.ndarray:
-    """Floats of the offset keys ``_float_key(x) + 2**63`` (uint64)."""
+def _key_floats(keys: np.ndarray) -> np.ndarray:
+    """The vector form of :func:`_key_float`, for uint64 keys."""
     bits = np.where(keys >= _SIGN_BIT, keys - _SIGN_BIT,
                     (_SIGN_BIT - keys) | _SIGN_BIT)
     return bits.view(np.float64)
@@ -219,9 +226,7 @@ class _Tridiagonal:
     """
 
     def __init__(self, a: np.ndarray):
-        self._exp = _binary_exponent(a)
-        work = _ldexp(a, -self._exp)
-        work = np.array(0.5 * (work + adjoint(work)), dtype=np.complex128)
+        work, self._exp = _scaled_hermitian_part(a)
         n = work.shape[0]
         sub = np.zeros(max(n - 1, 0), dtype=np.complex128)
         self._reflectors = []
@@ -291,34 +296,30 @@ class _Tridiagonal:
     def _counts(self, xs: np.ndarray) -> np.ndarray:
         """:meth:`_below` at every shift in ``xs`` at once.
 
-        The rows run without the pivot guard, then one check over all
-        pivots finds the shifts where it would have fired (a pivot below
-        ``pivmin`` in magnitude, or NaN after one); only those are
-        recounted with the guard.  Up to the first guarded row the two
-        recurrences are the same arithmetic, so each count is the one
-        :meth:`_below` gives."""
+        One unguarded :meth:`_pivots` pass counts every shift, then one
+        check over all pivots finds the shifts where the guard would
+        have fired (a pivot below ``pivmin`` in magnitude, or NaN after
+        one); only those are recounted, by :meth:`_below`.  Up to the
+        first guarded row the two recurrences are the same arithmetic,
+        so each count is the one :meth:`_below` gives."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            pivots = self._pivots(xs, guard=False)
+            pivots = self._pivots(xs)
         counts = np.count_nonzero(pivots <= 0.0, axis=0)
         guarded = ~(np.abs(pivots, out=pivots) >= self._pivmin).all(axis=0)
         if guarded.any():
-            counts[guarded] = np.count_nonzero(
-                self._pivots(xs[guarded], guard=True) <= 0.0, axis=0)
+            counts[guarded] = [self._below(x) for x in xs[guarded].tolist()]
         return counts
 
-    def _pivots(self, xs: np.ndarray, guard: bool) -> np.ndarray:
+    def _pivots(self, xs: np.ndarray) -> np.ndarray:
         """The pivots of ``T - x = L D L^T`` for every shift in ``xs``,
         one row of ``T`` at a time across all shifts (a column per
-        shift); with ``guard``, :meth:`_below`'s guard in every row."""
-        pivmin = self._pivmin
+        shift), unguarded: a zero pivot makes the next one inf or NaN."""
         pivots = np.empty((self.n, len(xs)))
         q = np.ones_like(xs)
         for row, (dj, e2) in zip(pivots, self._rows):
             np.divide(e2, q, out=row)
             np.subtract(dj, row, out=row)
             np.subtract(row, xs, out=row)
-            if guard:
-                row[np.abs(row) < pivmin] = -pivmin
             q = row
         return pivots
 
@@ -375,8 +376,7 @@ class _Tridiagonal:
         n = self.n
         k_ary = 2 ** min(max(round(math.log2(1024 / max(n, 1))), 1), 6)
         budget = n * (k_ary - 1)
-        bottom, top = (_float_key(b) + _KEY_OFFSET for b in self._bracket)
-        keys = np.array([[bottom], [top]], dtype=np.uint64)
+        keys = np.array([[_float_key(b)] for b in self._bracket], dtype=np.uint64)
         counts = np.array([[0], [n]])
         inside = self._seed_keys(seeds, keys[0], keys[1])
         if inside.size:
@@ -403,18 +403,17 @@ class _Tridiagonal:
                 lo + q * steps + r * steps // np.uint64(parts), counts)
         # Closed brackets tile 0..n-1 by their counts: each k takes the
         # high end of the one with the largest low count at or below k.
-        return self._unscale(_offset_key_floats(
-            high_end[np.maximum.accumulate(starts)]))
+        return self._unscale(_key_floats(high_end[np.maximum.accumulate(starts)]))
 
     def _seed_keys(self, seeds, bottom, top) -> np.ndarray:
-        """The offset float keys of the finite ``seeds``, scaled to the
-        units of ``T``, that lie strictly between the keys ``bottom`` and
-        ``top``, ascending.  Duplicates stay: the part between two equal
-        keys holds no eigenvalue, so :meth:`_split` drops it."""
+        """The float keys of the finite ``seeds``, scaled to the units of
+        ``T``, that lie strictly between the keys ``bottom`` and ``top``,
+        ascending.  Duplicates stay: the part between two equal keys
+        holds no eigenvalue, so :meth:`_split` drops it."""
         with np.errstate(over="ignore"):
             x = np.ldexp(np.asarray(seeds, dtype=np.float64).ravel(), -self._exp)
         bits = np.ascontiguousarray(x[np.isfinite(x)]).view(np.uint64)
-        # The inverse of _offset_key_floats; both zeros give 2**63.
+        # The vector form of _float_key.
         keys = np.sort(np.where(bits < _SIGN_BIT, bits | _SIGN_BIT,
                                 np.uint64(0) - bits))
         return keys[(keys > bottom) & (keys < top)]
@@ -429,7 +428,7 @@ class _Tridiagonal:
         counts = np.empty(keys.shape, dtype=np.intp)
         counts[0], counts[-1] = ends
         counts[1:-1] = self._counts(
-            _offset_key_floats(keys[1:-1].ravel())).reshape(counts[1:-1].shape)
+            _key_floats(keys[1:-1].ravel())).reshape(counts[1:-1].shape)
         rises = counts[1:] > counts[:-1]
         return (np.array([keys[:-1][rises], keys[1:][rises]]),
                 np.array([counts[:-1][rises], counts[1:][rises]]))
@@ -601,9 +600,7 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
     the reciprocal of the cut.  The zero matrix gives zeros and an
     identity kernel.
     """
-    e = _binary_exponent(a)
-    work = _ldexp(a, -e)
-    work = 0.5 * (work + adjoint(work))
+    work, e = _scaled_hermitian_part(a)
     gram, lam_max, dim = _gram_split(work, policy)
     kernel = gram.lowest_vectors(dim, lam_max)
     n = work.shape[0]

@@ -270,12 +270,18 @@ def validate_graded_complex_system(h, k, charges: Sequence,
 # charge-pair conversions
 
 
-def complex_from_real(q1, q2) -> np.ndarray:
-    """Combine two real charges into ``q = (Q1 + i Q2) / sqrt(2)``."""
+def _charge_pair(q1, q2) -> tuple[np.ndarray, np.ndarray]:
+    """``Q1`` and ``Q2`` as operators of one shape."""
     a = as_operator(q1, "Q1")
     b = as_operator(q2, "Q2")
     if a.shape != b.shape:
         raise ShapeError(f"charge shapes differ: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def complex_from_real(q1, q2) -> np.ndarray:
+    """Combine two real charges into ``q = (Q1 + i Q2) / sqrt(2)``."""
+    a, b = _charge_pair(q1, q2)
     return (a + 1j * b) / _SQRT2
 
 
@@ -352,10 +358,7 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     which with the default policy is always the ``sqrt(2 * dim * eps)``
     floor.  No eigendecomposition is formed.
     """
-    a = as_operator(q1, "Q1")
-    b = as_operator(q2, "Q2")
-    if a.shape != b.shape:
-        raise ShapeError(f"charge shapes differ: {a.shape} vs {b.shape}")
+    a, b = _charge_pair(q1, q2)
     h = a @ a
     validate_real_system(h, [a, b], policy)
 
@@ -452,15 +455,19 @@ def hermitian_parts(a1) -> tuple[np.ndarray, np.ndarray]:
     return part1, part2
 
 
+def _require_self_adjoint(named, policy: NumericPolicy, what: str) -> None:
+    """Raise ``what`` naming each ``(name, x)`` of ``named`` not Hermitian."""
+    _raise_failures([RelationCheck.judge(f"{name} self-adjoint", _hermiticity_residual(x),
+                                         policy.hermiticity_tol)
+                     for name, x in named], what)
+
+
 def _require_hermitian_parts(a1, a2, policy):
     p1 = as_operator(a1, "a1")
     p2 = as_operator(a2, "a2")
     if p1.shape != p2.shape:
         raise ShapeError(f"part shapes differ: {p1.shape} vs {p2.shape}")
-    checks = [RelationCheck.judge(f"{name} self-adjoint", _hermiticity_residual(p),
-                                  policy.hermiticity_tol)
-              for name, p in (("a1", p1), ("a2", p2))]
-    _raise_failures(checks, "parts must be Hermitian")
+    _require_self_adjoint((("a1", p1), ("a2", p2)), policy, "parts must be Hermitian")
     return p1, p2
 
 

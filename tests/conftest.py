@@ -1,14 +1,19 @@
-"""Shared generators for the test suite.
+"""Shared generators, oracles and fixtures for the test suite.
 
 System builders here assemble matrices directly with numpy, independent
 of the library's own constructors, so validator tests cannot be fooled
-by a bug shared with the code under test.
+by a bug shared with the code under test.  The exceptions are
+:func:`c07_system`, the library's 101-site superpotential lattice that
+many tests read, and the ``no_jacobi`` fixture.  The kernel oracle
+:func:`svd_kernel_dim` counts with LAPACK's SVD, not the library.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from susyqm import Boundary, LatticeSpec, NumericPolicy, spectral, witten_model_lattice
 
 
 def adj(a):
@@ -78,3 +83,34 @@ def corrupt_entry(rng, m, relative=1e-4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240117)
+
+
+def c07_system(w_sign):
+    """The 101-site, dx = 0.15 Dirichlet lattice with superpotential
+    ``W(x) = w_sign * x``: two numerical zero modes, one per sector."""
+    spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
+    return witten_model_lattice(spec, w_sign * spec.coordinates())
+
+
+def gram_cutoff(a, policy=NumericPolicy()):
+    """kernel_basis's cut on the squared singular values of ``a``:
+    ``max(kernel_tol^2, 2 max(shape) eps) sigma_max^2``."""
+    floor = 2.0 * max(a.shape) * np.finfo(np.float64).eps
+    sigma_max = float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
+    return max(policy.kernel_tol**2, floor) * sigma_max**2
+
+
+def svd_kernel_dim(a, policy=NumericPolicy()):
+    """dim ker A from LAPACK singular values under :func:`gram_cutoff`."""
+    a = np.asarray(a)
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return a.shape[1] - int(np.count_nonzero(sigma**2 > gram_cutoff(a, policy)))
+
+
+@pytest.fixture
+def no_jacobi(monkeypatch):
+    """Make any call of the Jacobi sweep kernel fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Jacobi sweeps on a path that should take none")
+
+    monkeypatch.setattr(spectral._kernel, "jacobi_sweeps", refuse)

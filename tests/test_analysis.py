@@ -32,7 +32,7 @@ from susyqm import (
 from susyqm import analysis
 from susyqm.spectral import _Tridiagonal
 
-from conftest import block_system, rank_deficient
+from conftest import block_system, c07_system, rank_deficient, svd_kernel_dim
 
 # Policies and a singular value that drive the pairing walk into each of
 # its exits on a hand-built system: a 1e-12 bump separates partners by
@@ -42,7 +42,6 @@ from conftest import block_system, rank_deficient
 _TIGHT = NumericPolicy(kernel_tol=1e-14, pairing_tol=1e-13)
 _LOOSE = NumericPolicy(algebra_tol=1e-3)
 _SIGMA_EXHAUST = np.sqrt(4.9e-4)
-_C07 = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
 
 
 def _bumped_block_system(a, mode, bump, policy):
@@ -77,8 +76,7 @@ class TestSpectralPairingReport:
         # bosonic sector; its image under the truncated difference sits in
         # the fermionic sector as a boundary mode, so the lattice index
         # vanishes even though the continuum limit would give +1.
-        spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
-        system = witten_model_lattice(spec, spec.coordinates())
+        system = c07_system(1.0)
         report = spectral_pairing_report(system)
         assert report.unpaired_bosonic_zero_modes == 1
         assert report.unpaired_fermionic_zero_modes == 1
@@ -164,8 +162,7 @@ class TestWittenIndex:
         assert report.fermionic_zero_modes == df - rank
 
     def test_superpotential_lattice_both_formulas_vanish(self):
-        spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
-        system = witten_model_lattice(spec, spec.coordinates())
+        system = c07_system(1.0)
         report = witten_index_report(system)
         assert report.index == 0
         assert (report.dim_kernel_a, report.dim_kernel_a_dagger) == (1, 1)
@@ -275,6 +272,18 @@ class TestKernelEqualityCheck:
         with pytest.raises(ValidationError, match="Q1\\^2 != Q2\\^2"):
             kernel_equality_check(SIGMA1, 2.0 * SIGMA3)
 
+    @pytest.mark.parametrize("q1,q2,names", [
+        ([[0, 1], [0, 0]], np.zeros((2, 2)), ["Q1 self-adjoint"]),
+        (SIGMA1, [[0, 0], [1, 0]], ["Q2 self-adjoint"]),
+        ([[0, 1], [0, 0]], [[0, 0], [1j, 0]], ["Q1 self-adjoint", "Q2 self-adjoint"]),
+    ])
+    def test_rejects_charges_that_are_not_self_adjoint(self, q1, q2, names):
+        # The norm identity needs self-adjoint charges: Q1 = [[0, 1], [0, 0]]
+        # squares to Q2^2 = 0, yet its kernel is one-dimensional.
+        with pytest.raises(ValidationError, match="self-adjoint") as excinfo:
+            kernel_equality_check(q1, q2)
+        assert [c.name for c in excinfo.value.failures] == names
+
 
 class TestReportInvariants:
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -298,14 +307,9 @@ class TestReportInvariants:
         assert np.abs(pos_b - pos_f).max() <= 1e-8 * pos_b.max()
 
 
-def _c07_system(w_sign):
-    spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
-    return witten_model_lattice(spec, w_sign * spec.coordinates())
-
-
 CROSS_REPORT_CASES = [
-    pytest.param(lambda: _c07_system(1.0), id="c07-W=x"),
-    pytest.param(lambda: _c07_system(-1.0), id="c07-W=-x"),
+    pytest.param(lambda: c07_system(1.0), id="c07-W=x"),
+    pytest.param(lambda: c07_system(-1.0), id="c07-W=-x"),
 ] + [
     pytest.param(lambda db=db, df=df, conj=conj: random_graded_system(
         db, df, seed=29, conjugate=conj),
@@ -313,15 +317,6 @@ CROSS_REPORT_CASES = [
     for db, df in ((1, 4), (5, 3), (10, 10), (64, 48))
     for conj in (False, True)
 ]
-
-
-def _svd_kernel_dim(a, policy=NumericPolicy()):
-    """dim ker A from LAPACK singular values under kernel_basis's cutoff
-    ``max(kernel_tol^2, 2 max(shape) eps) sigma_max^2`` on sigma^2."""
-    sigma = np.linalg.svd(np.asarray(a), compute_uv=False)
-    floor = 2.0 * max(a.shape) * np.finfo(np.float64).eps
-    cutoff = max(policy.kernel_tol**2, floor) * float(sigma.max(initial=0.0))**2
-    return a.shape[1] - int(np.count_nonzero(sigma**2 > cutoff))
 
 
 @pytest.mark.parametrize("build", CROSS_REPORT_CASES)
@@ -334,8 +329,8 @@ def test_zero_counts_agree_across_reports(build):
         pair_report.unpaired_bosonic_zero_modes,
         pair_report.unpaired_fermionic_zero_modes)
     a = np.asarray(standard_representation(system).a_operator)
-    assert index_report.dim_kernel_a == _svd_kernel_dim(a)
-    assert index_report.dim_kernel_a_dagger == _svd_kernel_dim(adjoint(a))
+    assert index_report.dim_kernel_a == svd_kernel_dim(a)
+    assert index_report.dim_kernel_a_dagger == svd_kernel_dim(adjoint(a))
 
 
 def _counts(pair, index):
@@ -372,8 +367,8 @@ def test_reports_do_not_depend_on_the_basis(db, df, seed):
 
 
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda: _c07_system(1.0), id="c07-W=x"),
-    pytest.param(lambda: _c07_system(-1.0), id="c07-W=-x"),
+    pytest.param(lambda: c07_system(1.0), id="c07-W=x"),
+    pytest.param(lambda: c07_system(-1.0), id="c07-W=-x"),
 ] + [
     pytest.param(lambda seed=seed: random_graded_system(64, 48, seed, conjugate=True),
                  id=f"random-64x48-conjugated-seed{seed}")
@@ -440,10 +435,8 @@ def test_each_sector_is_bisected_once_per_analysis(monkeypatch):
 
 
 @pytest.mark.parametrize("system,sectors,passes", [
-    (lambda: witten_model_lattice(_C07, _C07.coordinates()),
-     [(101, 0), (101, 202)], 12),
-    (lambda: witten_model_lattice(_C07, -_C07.coordinates()),
-     [(101, 0), (101, 202)], 12),
+    (lambda: c07_system(1.0), [(101, 0), (101, 202)], 12),
+    (lambda: c07_system(-1.0), [(101, 0), (101, 202)], 12),
     (lambda: random_graded_system(64, 48, seed=1, conjugate=True),
      [(64, 0), (48, 128)], 5),
     (lambda: random_graded_system(20, 31, seed=1, conjugate=True),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from susyqm import (
-    Boundary,
     GradingBasis,
     Involution,
     LatticeSpec,
@@ -28,16 +27,14 @@ from susyqm import (
     projectors,
     random_graded_system,
     residual_norm,
-    spectral,
     spectral_pairing_report,
     susy,
     validate_involution,
     witten_index_report,
-    witten_model_lattice,
 )
 from susyqm.cli import main
 
-from conftest import block_system, random_complex, random_hermitian
+from conftest import block_system, c07_system, random_complex, random_hermitian
 
 
 def parity_matrix(n):
@@ -386,15 +383,11 @@ def test_dense_grading_basis_property(n, data, kind, seed):
     assert worst <= n * NumericPolicy().algebra_tol
 
 
-def test_grading_path_runs_no_jacobi(monkeypatch, tmp_path, capsys):
+@pytest.mark.usefixtures("no_jacobi")
+def test_grading_path_runs_no_jacobi(tmp_path, capsys):
     system = random_graded_system(9, 6, seed=3, conjugate=True)
     path = tmp_path / "system.json"
     path.write_text(io.dump_json(io.system_to_obj(system)))
-
-    def no_jacobi(*args, **kwargs):
-        raise AssertionError("Jacobi sweeps on the grading path")
-
-    monkeypatch.setattr(spectral._kernel, "jacobi_sweeps", no_jacobi)
     gb = grading_basis(system.involution)
     assert (gb.dim_bosonic, gb.dim_fermionic) == (9, 6)
     assert spectral_pairing_report(system).witten_index == 3
@@ -476,8 +469,7 @@ def _graded_by(rng, k):
 class TestStructuredGradingIdentity:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_superpotential_lattice(self, monkeypatch, sign):
-        spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
-        system = witten_model_lattice(spec, sign * spec.coordinates())
+        system = c07_system(sign)
         h, k, q = system.hamiltonian, system.involution.matrix, system.charges[0]
         assert _is_gathered(k)
         verdict, _ = _assert_dense_identity(monkeypatch, h, k, [q])

@@ -47,6 +47,26 @@ class TestLatticeSpec:
         with pytest.raises(ValueError, match="spacing"):
             LatticeSpec(11, 0.0)
 
+    @pytest.mark.parametrize("sites,spacing,error,message", [
+        (5.0, 0.5, TypeError, "sites must be an integer"),
+        (True, 0.5, TypeError, "sites must be an integer"),
+        (5, True, TypeError, "spacing must be real"),
+        (5, np.bool_(True), TypeError, "spacing must be real"),
+        (5, np.inf, ValueError, "spacing must be positive and finite"),
+        (5, np.nan, ValueError, "spacing must be positive and finite"),
+    ])
+    def test_rejects_mistyped_and_non_finite_fields(self, sites, spacing, error,
+                                                     message):
+        # Refused here rather than in a builder, where a float sites fails
+        # inside numpy and an infinite spacing builds H = 0.
+        with pytest.raises(error, match=message):
+            LatticeSpec(sites, spacing, "dirichlet")
+
+    def test_numpy_integer_sites_are_python_ints(self):
+        spec = LatticeSpec(np.int64(5), np.float64(0.5))
+        assert type(spec.sites) is int and spec.sites == 5
+        assert np.array_equal(spec.coordinates(), LatticeSpec(5, 0.5).coordinates())
+
     def test_coordinates_symmetric(self):
         x = LatticeSpec(5, 0.5).coordinates()
         assert np.allclose(x, [-1.0, -0.5, 0.0, 0.5, 1.0])

@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyqm import (
-    Boundary,
     ConvergenceError,
-    LatticeSpec,
     NumericPolicy,
     SIGMA1,
     SIGMA2,
@@ -26,7 +24,6 @@ from susyqm import (
     spectral_pairing_report,
     standard_representation,
     tensor_supercharge,
-    witten_model_lattice,
 )
 from susyqm import _jacobi_py, spectral
 from susyqm.cli import main
@@ -34,11 +31,14 @@ from susyqm.core import RelationCheck, residual_norm
 from susyqm.spectral import _float_key, _key_float, _pinv_and_kernel, _Tridiagonal
 
 from conftest import (
+    c07_system,
+    gram_cutoff,
     haar_unitary,
     random_complex,
     random_hermitian,
     rank_deficient,
     real_pair_from_block,
+    svd_kernel_dim,
 )
 
 F = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -166,9 +166,7 @@ class TestBackends:
 
 class TestEighWittenLattice:
     def test_lowest_cluster_matches_oracle(self):
-        spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
-        system = witten_model_lattice(spec, spec.coordinates())
-        w = eigvalsh(system.hamiltonian)
+        w = eigvalsh(c07_system(1.0).hamiltonian)
         lam_max = w[-1]
         # two numerical zero modes (bulk Gaussian and boundary partner)
         assert w[0] <= 1e-8 * lam_max
@@ -252,14 +250,6 @@ class TestInverseOnComplement:
         assert np.linalg.norm(projector @ projector - projector) < tol
 
 
-@pytest.fixture
-def no_jacobi(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("Jacobi sweeps on the pseudo-inverse path")
-
-    monkeypatch.setattr(spectral._kernel, "jacobi_sweeps", refuse)
-
-
 def _hermitian_of_rank(rng, n, rank):
     """Indefinite Hermitian matrix of the given rank, nonzero eigenvalues
     of modulus in [1, 2]."""
@@ -331,30 +321,12 @@ class TestPseudoInverseWithoutJacobi:
             assert io.load_system(out).involution is not None
 
 
-def _svd_kernel_dim(a, policy=NumericPolicy()):
-    """dim ker A from LAPACK singular values under kernel_basis's cutoff."""
-    sigma = np.linalg.svd(a, compute_uv=False)
-    return a.shape[1] - int(np.count_nonzero(sigma**2 > _gram_cutoff(a, policy)))
-
-
-def _gram_cutoff(a, policy=NumericPolicy()):
-    floor = 2.0 * max(a.shape) * np.finfo(np.float64).eps
-    return max(policy.kernel_tol**2, floor) * np.linalg.norm(a, 2)**2
-
-
 def _second_difference(n):
     return (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)).astype(complex)
 
 
 def _c07_sector(name):
-    spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
-    rep = standard_representation(witten_model_lattice(spec, spec.coordinates()))
-    return getattr(rep, name)
-
-
-def _witten_101_hamiltonian():
-    spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
-    return witten_model_lattice(spec, spec.coordinates()).hamiltonian
+    return getattr(standard_representation(c07_system(1.0)), name)
 
 
 def _split_tridiagonal(rng, n):
@@ -370,7 +342,7 @@ SPECTRUM_CASES = {
     "c07-h_plus": lambda rng: _c07_sector("h_plus"),
     "c07-h_minus": lambda rng: _c07_sector("h_minus"),
     "second-difference": lambda rng: _second_difference(40),
-    "witten-101": lambda rng: _witten_101_hamiltonian(),
+    "witten-101": lambda rng: c07_system(1.0).hamiltonian,
     "repeated-diagonal": lambda rng: np.diag([2.0, -1.0, 2.0, 0.0, 2.0, -1.0]),
     "one-by-one": lambda rng: np.array([[-3.5]]),
     "zero": lambda rng: np.zeros((5, 5)),
@@ -489,17 +461,21 @@ class TestTridiagonalPath:
                              ids=["zeros-4", "ones-2"])
     def test_counts_recount_guarded_shifts(self, monkeypatch, a):
         # Shifts within pivmin of an exact eigenvalue make the pivot guard
-        # fire; -1 and 3 clear every eigenvalue and need no guard.
+        # fire; -1 and 3 clear every eigenvalue and need no guard.  One
+        # unguarded pass counts all shifts, and _below recounts exactly
+        # the flagged ones.
         tri = _Tridiagonal(a.astype(complex))
         pivmin = tri._pivmin
         xs = np.array([-1.0, -pivmin / 2, 0.0, pivmin / 2, 3.0])
-        passes = []
-        pivots = tri._pivots
-        monkeypatch.setattr(tri, "_pivots", lambda x, guard: (
-            passes.append((guard, x.tolist())) or pivots(x, guard)))
-        assert tri._counts(xs).tolist() == [tri._below(x) for x in xs]
-        assert passes == [(False, xs.tolist()),
-                          (True, [-pivmin / 2, 0.0, pivmin / 2])]
+        want = [tri._below(x) for x in xs]
+        passes, recounts = [], []
+        pivots, below = tri._pivots, tri._below
+        monkeypatch.setattr(tri, "_pivots", lambda x: (
+            passes.append(x.tolist()) or pivots(x)))
+        monkeypatch.setattr(tri, "_below", lambda x: recounts.append(x) or below(x))
+        assert tri._counts(xs).tolist() == want
+        assert passes == [xs.tolist()]
+        assert recounts == [-pivmin / 2, 0.0, pivmin / 2]
 
     @pytest.mark.parametrize("case,rounds", [
         ("c07-h_plus", 22), ("c07-h_minus", 22), ("random-2", 11)])
@@ -620,9 +596,7 @@ def _block_with_zero_middle(rng):
 
 
 def _c07_map(sign):
-    spec = LatticeSpec(101, 0.15, Boundary.DIRICHLET)
-    system = witten_model_lattice(spec, sign * spec.coordinates())
-    return standard_representation(system).a_operator
+    return standard_representation(c07_system(sign)).a_operator
 
 
 KERNEL_CASES = {
@@ -650,13 +624,13 @@ class TestKernelBasisTridiagonal:
         a = np.asarray(KERNEL_CASES[case](rng), dtype=complex)
         for m in (a, adjoint(a)):
             kb = kernel_basis(m)
-            assert kb.dim_kernel == _svd_kernel_dim(m)
+            assert kb.dim_kernel == svd_kernel_dim(m)
             assert kb.basis.shape == (m.shape[1], kb.dim_kernel)
             gram = adjoint(kb.basis) @ kb.basis
             assert np.linalg.norm(gram - np.eye(kb.dim_kernel)) < 1e-13
             if kb.dim_kernel:
                 residual = np.linalg.norm(m @ kb.basis, axis=0).max()
-                assert residual**2 <= _gram_cutoff(m)
+                assert residual**2 <= gram_cutoff(m)
             again = kernel_basis(m)
             assert again.basis.tobytes() == kb.basis.tobytes()
 
