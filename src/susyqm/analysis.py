@@ -37,10 +37,12 @@ from .core import (
     DEFAULT_POLICY,
     CrossCheckError,
     NumericPolicy,
-    ValidationError,
+    RelationCheck,
+    _as_operators,
     _operator_scale,
+    _raise_failures,
     _readonly,
-    _require_hermitian,
+    _require_self_adjoint,
     adjoint,
     residual_norm,
 )
@@ -49,7 +51,6 @@ from .spectral import _EPS, _kernel_dim, _Tridiagonal, kernel_basis
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401
 from .susy import GradedSystem, StandardRepresentation, standard_representation
-from .susy import _charge_pair, _require_self_adjoint
 
 __all__ = [
     "KernelEqualityReport",
@@ -131,18 +132,19 @@ class _SectorAnalysis:
     zeros_f: int
 
 
-def _sector_analysis(system: GradedSystem, policy: NumericPolicy,
-                     who: str) -> _SectorAnalysis:
+def _sector_analysis(system: GradedSystem, policy: NumericPolicy) -> _SectorAnalysis:
     """The sector analysis of ``system`` under ``policy``, built on first
     use and kept on the system.  The policy is frozen and the system's
     arrays are read-only, so a kept analysis never goes stale; a build
-    that raises keeps nothing.  Each sector is bisected once, the
+    that raises keeps nothing.  Both sector blocks must be Hermitian
+    within ``hermiticity_tol``.  Each sector is bisected once, the
     smaller one from seeds, and a valid system has no empty sector."""
     found = system._sector_analyses.get(policy)
     if found is None:
         rep = standard_representation(system, policy)
-        tris = [_Tridiagonal(_require_hermitian(block, policy, who))
-                for block in (rep.h_plus, rep.h_minus)]
+        blocks = (("h_plus", rep.h_plus), ("h_minus", rep.h_minus))
+        _require_self_adjoint(blocks, policy, "sector blocks must be Hermitian")
+        tris = [_Tridiagonal(block) for _, block in blocks]
         # The larger sector, bosonic on ties, seeds the other (see the
         # module docstring); dim is that sector's, max(A.shape).
         first = 0 if tris[0].n >= tris[1].n else 1
@@ -176,7 +178,7 @@ def spectral_pairing_report(system: GradedSystem,
     naming the first orphan and its sector, which signals either a
     broken system or a too-tight pairing tolerance.
     """
-    sectors = _sector_analysis(system, policy, "spectral_pairing_report")
+    sectors = _sector_analysis(system, policy)
     ev_b, ev_f = sectors.ev_b.tolist(), sectors.ev_f.tolist()
     zeros_b, zeros_f = sectors.zeros_b, sectors.zeros_f
     pos_b = list(enumerate(ev_b))[zeros_b:]
@@ -219,7 +221,7 @@ def witten_index_report(system: GradedSystem,
     its message gives how far each sector block of H is from ``A^dag A``
     or ``A A^dag`` and the sector eigenvalue nearest the zero cut.
     """
-    sectors = _sector_analysis(system, policy, "witten_index_report")
+    sectors = _sector_analysis(system, policy)
     a_op = sectors.rep.a_operator
     dim_ker_a = _kernel_dim(a_op, policy)
     dim_ker_ad = _kernel_dim(adjoint(a_op), policy)
@@ -283,16 +285,15 @@ def kernel_equality_check(q1, q2,
     accounting for the precondition residual, exactly as the norm
     identity dictates.
     """
-    a, b = _charge_pair(q1, q2)
+    a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     _require_self_adjoint((("Q1", a), ("Q2", b)), policy,
                           "kernel equality needs self-adjoint charges")
     h1, h2 = a @ a, b @ b
     pre_abs = residual_norm(h1 - h2)
-    pre_rel = pre_abs / _operator_scale(h1, h2)
-    if pre_rel > policy.algebra_tol:
-        raise ValidationError(
-            f"Q1^2 != Q2^2 (relative residual {pre_rel:.3e} above "
-            f"{policy.algebra_tol:.1e})")
+    _raise_failures([RelationCheck.judge("Q1^2 = Q2^2",
+                                         pre_abs / _operator_scale(h1, h2),
+                                         policy.algebra_tol)],
+                    "charges with Q1^2 != Q2^2 need not share a kernel")
 
     kb1 = kernel_basis(a, policy)
     kb2 = kernel_basis(b, policy)

@@ -1,13 +1,18 @@
 """Dense complex operator arithmetic shared by every other module.
 
-Operators are plain numpy ``complex128`` arrays.  :func:`as_operator`
-checks squareness and finiteness once, at the boundary; the algebra
-helpers stay thin after that.  Hermiticity and algebra residuals are
-relative, scaled by ``max(1, norm)`` of the participating operators,
-so validators behave uniformly across operator scales.  Two kinds of
-residual are not: the involution relations ``K^2 = 1`` and
-``K != +-1`` divide by the dimension, and ``H != 0`` compares the
-absolute norm ``||H||`` with ``algebra_tol``.
+Operators are plain numpy ``complex128`` arrays.  An input is refused
+at the boundary in one of two ways.  A wrong shape raises
+:class:`ShapeError`: :func:`as_operator` checks squareness and
+finiteness, and ``_as_operators`` also names the first of several
+operators whose dimension differs; the algebra helpers stay thin after
+that.  A broken relation raises :class:`ValidationError` carrying a
+:class:`RelationCheck` for each failed relation (``_raise_failures``).
+Hermiticity and algebra residuals are relative, scaled by
+``max(1, norm)`` of the participating operators, so validators behave
+uniformly across operator scales.  Two kinds of residual are not: the
+involution relations ``K^2 = 1`` and ``K != +-1`` divide by the
+dimension, and ``H != 0`` compares the absolute norm ``||H||`` with
+``algebra_tol``.
 """
 
 from __future__ import annotations
@@ -46,7 +51,11 @@ class ShapeError(ValueError):
 class ValidationError(ValueError):
     """A validated object failed one or more of its defining relations.
 
-    ``failures`` holds the :class:`RelationCheck` entries that did not pass.
+    ``failures`` holds the :class:`RelationCheck` entries that did not
+    pass.  Every residual rejection carries them; two rejections have no
+    residual and leave ``failures`` empty: a system given no charges,
+    and a grading projector ``(1 +- K)/2`` whose rank falls below the
+    count that ``Tr K`` gives.  A wrong shape is a :class:`ShapeError`.
     """
 
     def __init__(self, message: str, failures=()):
@@ -153,24 +162,30 @@ def frozen_copy(a) -> np.ndarray:
     return _readonly(np.array(a))
 
 
-def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"incompatible operators: shapes {a.shape} and {b.shape}")
+def _as_operators(named, dim: int | None = None) -> list[np.ndarray]:
+    """:func:`as_operator` of each ``(name, a)`` of ``named``, all of one
+    dimension: ``dim`` if given, else the first operator's.  The first
+    operator that differs raises :class:`ShapeError` naming it."""
+    out = []
+    for name, a in named:
+        arr = as_operator(a, name)
+        if dim is None:
+            dim = arr.shape[0]
+        elif arr.shape[0] != dim:
+            raise ShapeError(f"{name} has shape {arr.shape}, expected {(dim, dim)}")
+        out.append(arr)
+    return out
 
 
 def commutator(a, b) -> np.ndarray:
     """Return ``AB - BA``."""
-    a = as_operator(a, "A")
-    b = as_operator(b, "B")
-    _same_dim(a, b)
+    a, b = _as_operators((("A", a), ("B", b)))
     return a @ b - b @ a
 
 
 def anticommutator(a, b) -> np.ndarray:
     """Return ``AB + BA``."""
-    a = as_operator(a, "A")
-    b = as_operator(b, "B")
-    _same_dim(a, b)
+    a, b = _as_operators((("A", a), ("B", b)))
     return a @ b + b @ a
 
 
@@ -244,17 +259,20 @@ def _hermiticity_residual(a) -> float:
     return rel_residual(a - adjoint(a), a)
 
 
-def _require_hermitian(a, policy: NumericPolicy, who: str) -> np.ndarray:
-    """``a`` as an operator, or :class:`ValidationError` naming ``who`` if
-    it is not Hermitian within ``hermiticity_tol``."""
-    arr = as_operator(a)
-    res = _hermiticity_residual(arr)
-    # Written so that a NaN residual fails too.
-    if not res <= policy.hermiticity_tol:
-        raise ValidationError(
-            f"{who} requires a Hermitian matrix "
-            f"(relative asymmetry {res:.3e} above {policy.hermiticity_tol:.1e})"
-        )
+def _require_self_adjoint(named, policy: NumericPolicy, what: str) -> None:
+    """Raise ``what`` naming each ``(name, x)`` of ``named`` not Hermitian."""
+    _raise_failures([RelationCheck.judge(f"{name} self-adjoint", _hermiticity_residual(x),
+                                         policy.hermiticity_tol)
+                     for name, x in named], what)
+
+
+def _require_hermitian(a, policy: NumericPolicy, who: str,
+                       name: str = "A") -> np.ndarray:
+    """``a`` as an operator, or :class:`ValidationError` naming ``who``
+    and the failed ``{name} self-adjoint`` check if it is not Hermitian
+    within ``hermiticity_tol``."""
+    arr = as_operator(a, name)
+    _require_self_adjoint(((name, arr),), policy, f"{who} requires a Hermitian matrix")
     return arr
 
 

@@ -27,6 +27,7 @@ from .core import (
     RelationCheck,
     ShapeError,
     ValidationError,
+    _as_operators,
     _hermiticity_residual,
     _raise_failures,
     _require_hermitian,
@@ -147,9 +148,7 @@ def classify_operator(k: Involution, m, policy: NumericPolicy = DEFAULT_POLICY) 
 
     The zero operator commutes with everything and classifies even.
     """
-    arr = as_operator(m, "M")
-    if arr.shape[0] != k.dim:
-        raise ShapeError(f"operator dim {arr.shape[0]} does not match K dim {k.dim}")
+    [arr] = _as_operators((("M", m),), k.dim)
     scale = residual_norm(arr)
     km = k.matrix @ arr
     mk = arr @ k.matrix
@@ -189,7 +188,7 @@ def grading_basis(k: Involution, policy: NumericPolicy = DEFAULT_POLICY) -> Grad
     Inside each sector the basis is opaque: downstream code must rely
     only on the block positions, never on the columns themselves.
     """
-    arr = _require_hermitian(k.matrix, policy, "grading_basis")
+    arr = _require_hermitian(k.matrix, policy, "grading_basis", "K")
     n = arr.shape[0]
     dim_b = min(n, max(0, round((n + float(np.trace(arr).real)) / 2.0)))
     u = _signed_permutation_basis(arr)
@@ -197,12 +196,9 @@ def grading_basis(k: Involution, policy: NumericPolicy = DEFAULT_POLICY) -> Grad
         u = _projector_basis(arr, dim_b)
         signs = np.concatenate([np.ones(dim_b), -np.ones(n - dim_b)])
         worst = float(np.linalg.norm(arr @ u - u * signs, axis=0).max(initial=0.0))
-        # Written so that a NaN residual fails too.
-        if not worst <= n * policy.algebra_tol:
-            raise ValidationError(
-                f"grading_basis: K is not an involution to working accuracy "
-                f"(largest column of K U - U diag(+-1) has norm {worst:.3e}, "
-                f"above n * algebra_tol = {n * policy.algebra_tol:.1e})")
+        _raise_failures([RelationCheck.judge("K U = U diag(+-1)", worst,
+                                             n * policy.algebra_tol)],
+                        "grading_basis: K is not an involution to working accuracy")
     return GradingBasis(frozen_copy(u), dim_b, n - dim_b)
 
 
@@ -331,11 +327,7 @@ def block_extract(basis: GradingBasis, m):
     of a K with 2-cycles included, keeps the dense product, whose
     rounding a gather would not reproduce.
     """
-    arr = as_operator(m, "M")
-    if arr.shape[0] != basis.dim:
-        raise ShapeError(
-            f"operator dim {arr.shape[0]} does not match basis dim {basis.dim}"
-        )
+    [arr] = _as_operators((("M", m),), basis.dim)
     u = basis.unitary
     p = _permutation_rows(u)
     conj = adjoint(u) @ arr @ u if p is None else arr[p][:, p] + 0.0

@@ -37,7 +37,8 @@ from .core import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    ValidationError,
+    RelationCheck,
+    _raise_failures,
     adjoint,
     as_operator,
 )
@@ -86,9 +87,16 @@ class LatticeSpec:
         if self.sites < 1 or self.sites % 2 == 0:
             raise ValueError(f"sites must be an odd positive integer, "
                              f"got {self.sites}")
-        if not 0 < _spec_reals(self.spacing, "spacing") < math.inf:
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        self._checked_spacing(self.spacing, "spacing")
         object.__setattr__(self, "boundary", Boundary(self.boundary))
+
+    @staticmethod
+    def _checked_spacing(value, name: str):
+        """``value`` if it is a positive finite real; errors name the
+        field ``name`` that holds it."""
+        if not 0 < _spec_reals(value, name) < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+        return value
 
     def coordinates(self) -> np.ndarray:
         m = self.sites // 2
@@ -185,7 +193,8 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
     ``K = (spatial parity) (x) 1_2``; the magnetic term emerges from
     ``H = Q^2``, it is never inserted by hand.  The vector potential must
     be parity odd, ``a_i(-r) = -a_i(r)``, otherwise K fails to
-    anticommute with Q; violations are rejected naming the worst sample.
+    anticommute with Q.  Each field that violates it fails its check
+    ``a_i(-r) = -a_i(r)``, whose residual is the worst sample's violation.
 
     ``a_x`` and ``a_y`` are real samples on the lattice, either shaped
     ``(sites, sites)`` or flat of length ``sites**2``, indexed row-major
@@ -213,15 +222,10 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
     reflected = (n - 1 - flat // n) * n + (n - 1 - flat % n)
     tol = policy.algebra_tol * max(
         1.0, max(float(np.abs(f).max(initial=0.0)) for f in fields))
-    for name, arr in zip(("a_x", "a_y"), fields):
-        violation = np.abs(arr + arr[reflected])
-        worst = int(np.argmax(violation))
-        if violation[worst] > tol:
-            ix, iy = divmod(worst, n)
-            raise ValidationError(
-                f"vector potential must be parity odd: {name} at site "
-                f"(ix={ix}, iy={iy}) violates a(-r) = -a(r) by "
-                f"{violation[worst]:.3e}")
+    _raise_failures([RelationCheck.judge(f"{name}(-r) = -{name}(r)",
+                                         float(np.abs(arr + arr[reflected]).max()), tol)
+                     for name, arr in zip(("a_x", "a_y"), fields)],
+                    "vector potential must be parity odd")
 
     p1 = _central_momentum(spec)
     eye = np.eye(n)
@@ -390,7 +394,8 @@ def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> Graded
     if kind not in ("free_particle", "witten", "pauli"):
         raise ValueError(f"unknown model kind: {kind!r}")
     boundary = Boundary.DIRICHLET if kind == "witten" else Boundary.PERIODIC
-    lattice = LatticeSpec(spec["sites"], float(_spec_reals(spec["dx"], "dx")),
+    lattice = LatticeSpec(spec["sites"],
+                          float(LatticeSpec._checked_spacing(spec["dx"], "dx")),
                           boundary)
     if kind == "free_particle":
         return free_particle_lattice(lattice, policy)

@@ -71,7 +71,7 @@ from .core import (
     DEFAULT_POLICY,
     ConvergenceError,
     NumericPolicy,
-    ValidationError,
+    ShapeError,
     _binary_exponent,
     _ldexp,
     _require_hermitian,
@@ -546,7 +546,7 @@ def _kernel_input(a) -> np.ndarray:
     so the kernel does not depend on the scale."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
-        raise ValidationError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
+        raise ShapeError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("kernel_basis input contains non-finite entries")
     return _ldexp(arr, -_binary_exponent(arr))

@@ -39,10 +39,11 @@ from .core import (
     SIGMA2,
     SIGMA3,
     ValidationError,
+    _as_operators,
     _hermiticity_residual,
     _operator_scale,
     _raise_failures,
-    _same_dim,
+    _require_self_adjoint,
     adjoint,
     as_operator,
     frozen_copy,
@@ -159,20 +160,14 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     h_arr = as_operator(h, "H")
     if len(charges) == 0:
         raise ValidationError("at least one supercharge is required")
-
-    def coerce(a, name):
-        arr = as_operator(a, name)
-        if arr.shape != h_arr.shape:
-            raise ShapeError(f"{name} has shape {arr.shape}, expected {h_arr.shape}")
-        return arr
-
     label = "q" if complex_charges else "Q"
     names = [f"{label}{i + 1}" for i in range(len(charges))]
-    qs = [coerce(q, name) for name, q in zip(names, charges)]
+    named = list(zip(names, charges))
     graded = k is not None
-    if isinstance(k, Involution):
-        k = k.matrix
-    k_arr = coerce(k, "K") if graded else None
+    if graded:
+        named.append(("K", k.matrix if isinstance(k, Involution) else k))
+    qs = _as_operators(named, h_arr.shape[0])
+    k_arr = qs.pop() if graded else None
     norm_h = residual_norm(h_arr)
     norms = [residual_norm(q) for q in qs]
     tol = policy.algebra_tol
@@ -270,18 +265,9 @@ def validate_graded_complex_system(h, k, charges: Sequence,
 # charge-pair conversions
 
 
-def _charge_pair(q1, q2) -> tuple[np.ndarray, np.ndarray]:
-    """``Q1`` and ``Q2`` as operators of one shape."""
-    a = as_operator(q1, "Q1")
-    b = as_operator(q2, "Q2")
-    if a.shape != b.shape:
-        raise ShapeError(f"charge shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def complex_from_real(q1, q2) -> np.ndarray:
     """Combine two real charges into ``q = (Q1 + i Q2) / sqrt(2)``."""
-    a, b = _charge_pair(q1, q2)
+    a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     return (a + 1j * b) / _SQRT2
 
 
@@ -304,9 +290,8 @@ def second_supercharge(k, q, sign: int = 1,
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    k_arr = as_operator(k.matrix if isinstance(k, Involution) else k, "K")
-    q_arr = as_operator(q, "Q")
-    _same_dim(k_arr, q_arr)
+    k_arr, q_arr = _as_operators(
+        (("K", k.matrix if isinstance(k, Involution) else k), ("Q", q)))
     q_prime = sign * 1j * (k_arr @ q_arr)
     validate_graded_real_system(q_arr @ q_arr, k_arr, [q_arr, q_prime], policy)
     return q_prime
@@ -320,8 +305,7 @@ def check_pairing_relation(k, q1, q2,
     satisfying neither sign relation (possible for degenerate spectra,
     where the second charge is not unique up to sign).
     """
-    a = as_operator(q1, "Q1")
-    b = as_operator(q2, "Q2")
+    a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     h = a @ a
     k_arr = validate_graded_real_system(h, k, [a, b], policy).involution.matrix
     scale = _operator_scale(h, a, b, k_arr)
@@ -358,7 +342,7 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     which with the default policy is always the ``sqrt(2 * dim * eps)``
     floor.  No eigendecomposition is formed.
     """
-    a, b = _charge_pair(q1, q2)
+    a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     h = a @ a
     validate_real_system(h, [a, b], policy)
 
@@ -395,9 +379,10 @@ def standard_representation(system: GradedSystem,
     The map A is read off the charge's off-diagonal block (for a complex
     charge ``q = sqrt(2) [[0, A^dag], [0, 0]]``, for a real charge the
     lower-left block of ``Q``); the sector blocks of H are then verified
-    against ``A^dag A`` and ``A A^dag``.  A is only determined up to the
-    unitary freedom of the grading basis, so its contract is spectral,
-    not entrywise.
+    against ``A^dag A`` and ``A A^dag``.  Every relation is checked
+    before any raises, so one :class:`ValidationError` names all that
+    fail.  A is only determined up to the unitary freedom of the grading
+    basis, so its contract is spectral, not entrywise.
     """
     if len(system.charges) != 1:
         raise ValueError(
@@ -410,30 +395,25 @@ def standard_representation(system: GradedSystem,
     tol = policy.algebra_tol
 
     q_bb, q_bf, q_fb, q_ff = block_extract(basis, q)
-    diag_res = math.hypot(residual_norm(q_bb), residual_norm(q_ff)) / scale
-    if diag_res > tol:
-        raise ValidationError(
-            f"charge is not odd in the grading basis "
-            f"(diagonal-block residual {diag_res:.3e})")
+    checks = [RelationCheck.judge(
+        "charge odd in the grading basis",
+        math.hypot(residual_norm(q_bb), residual_norm(q_ff)) / scale, tol)]
     if system.complex_charges:
-        lower_res = residual_norm(q_fb) / scale
-        if lower_res > tol:
-            raise ValidationError(
-                f"complex charge has a lower-left block "
-                f"(residual {lower_res:.3e}); it does not reduce to the "
-                f"standard strictly-upper form")
+        # A lower-left block keeps q from the strictly-upper standard form.
+        checks.append(RelationCheck.judge("complex charge has no lower-left block",
+                                          residual_norm(q_fb) / scale, tol))
         a_op = adjoint(q_bf) / _SQRT2
     else:
         a_op = q_fb
 
     h_plus, _, _, h_minus = block_extract(basis, h)
-    res_plus = residual_norm(h_plus - adjoint(a_op) @ a_op) / scale
-    res_minus = residual_norm(h_minus - a_op @ adjoint(a_op)) / scale
-    if res_plus > tol or res_minus > tol:
-        raise ValidationError(
-            f"H blocks do not match the partner forms: "
-            f"|h_plus - A^dag A| = {res_plus:.3e}, "
-            f"|h_minus - A A^dag| = {res_minus:.3e} (tolerance {tol:.1e})")
+    checks += [
+        RelationCheck.judge("h_plus = A^dag A",
+                            residual_norm(h_plus - adjoint(a_op) @ a_op) / scale, tol),
+        RelationCheck.judge("h_minus = A A^dag",
+                            residual_norm(h_minus - a_op @ adjoint(a_op)) / scale, tol),
+    ]
+    _raise_failures(checks, "system does not reduce to the standard representation")
     return StandardRepresentation(
         basis, frozen_copy(a_op), frozen_copy(h_plus), frozen_copy(h_minus))
 
@@ -455,18 +435,8 @@ def hermitian_parts(a1) -> tuple[np.ndarray, np.ndarray]:
     return part1, part2
 
 
-def _require_self_adjoint(named, policy: NumericPolicy, what: str) -> None:
-    """Raise ``what`` naming each ``(name, x)`` of ``named`` not Hermitian."""
-    _raise_failures([RelationCheck.judge(f"{name} self-adjoint", _hermiticity_residual(x),
-                                         policy.hermiticity_tol)
-                     for name, x in named], what)
-
-
 def _require_hermitian_parts(a1, a2, policy):
-    p1 = as_operator(a1, "a1")
-    p2 = as_operator(a2, "a2")
-    if p1.shape != p2.shape:
-        raise ShapeError(f"part shapes differ: {p1.shape} vs {p2.shape}")
+    p1, p2 = _as_operators((("a1", a1), ("a2", a2)))
     _require_self_adjoint((("a1", p1), ("a2", p2)), policy, "parts must be Hermitian")
     return p1, p2
 
@@ -515,16 +485,15 @@ def reparametrize(system, rotation,
     rot = np.asarray(rotation)
     if rot.shape != (2, 2):
         raise ShapeError(f"rotation must be 2x2, got shape {rot.shape}")
-    if np.iscomplexobj(rot) and residual_norm(rot.imag) > 0.0:
-        raise ValidationError("rotation must be real")
-    rot = rot.real.astype(float)
-    ortho_res = residual_norm(rot.T @ rot - np.eye(2))
-    if ortho_res > policy.algebra_tol:
-        raise ValidationError(
-            f"rotation is not orthogonal (residual {ortho_res:.3e})")
+    real = rot.real.astype(float)
+    _raise_failures([
+        RelationCheck.judge("R real", residual_norm(rot.imag), 0.0),
+        RelationCheck.judge("R^T R = 1", residual_norm(real.T @ real - np.eye(2)),
+                            policy.algebra_tol),
+    ], "rotation R must be real and orthogonal")
     q1, q2 = system.charges
-    new_charges = [rot[0, 0] * q1 + rot[0, 1] * q2,
-                   rot[1, 0] * q1 + rot[1, 1] * q2]
+    new_charges = [real[0, 0] * q1 + real[0, 1] * q2,
+                   real[1, 0] * q1 + real[1, 1] * q2]
     if isinstance(system, GradedSystem):
         return validate_graded_real_system(
             system.hamiltonian, system.involution.matrix, new_charges, policy)

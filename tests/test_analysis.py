@@ -380,7 +380,7 @@ def test_zero_cut_is_shared_by_both_reports(build):
     # magnitude of its stored spectra, and each count the number of
     # stored eigenvalues at or below the cut, as a Python int.
     policy = NumericPolicy()
-    sectors = analysis._sector_analysis(build(), policy, "test")
+    sectors = analysis._sector_analysis(build(), policy)
     largest = max(float(np.abs(ev).max()) for ev in (sectors.ev_b, sectors.ev_f))
     assert sectors.cut == policy.kernel_tol * largest
     for ev, zeros in ((sectors.ev_b, sectors.zeros_b),

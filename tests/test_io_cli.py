@@ -551,6 +551,14 @@ class TestCliPipeline:
         spec_path.write_text(json.dumps(spec))
         assert main(["model", str(spec_path)]) == 2
 
+    @pytest.mark.parametrize("dx", ["0", "1e400"])
+    def test_model_out_of_range_dx_exits_two_naming_dx(self, tmp_path, capsys, dx):
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(f'{{"model": "free_particle", "sites": 5, "dx": {dx}}}')
+        assert main(["model", str(spec_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: dx must be positive and finite")
+
 
 class TestCliSpectrumPairRepr:
     def test_spectrum(self, minimal_system_file, capsys):

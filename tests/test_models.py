@@ -360,6 +360,12 @@ class TestBuildModel:
         with pytest.raises(TypeError, match=match):
             build_model(spec)
 
+    @pytest.mark.parametrize("dx", [0, -0.5, float("inf"), float("nan")])
+    def test_out_of_range_dx_is_named_dx(self, dx):
+        # The spec has no field called spacing, so the error names dx.
+        with pytest.raises(ValueError, match="^dx must be positive and finite"):
+            build_model({"model": "free_particle", "sites": 5, "dx": dx})
+
     def test_accepts_numpy_arrays(self):
         random_spec = {"model": "random", "dims": [2, 3], "seed": 4}
         built = build_model(dict(random_spec, dims=np.array([2, 3])))
