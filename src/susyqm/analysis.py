@@ -13,14 +13,21 @@ Both reports and the ``index``, ``pair`` and ``spectrum`` verbs read one
 sector analysis per system and policy, built on first use: the standard
 representation, the two sector spectra, the zero cut and the zero-mode
 count of each sector.  The larger sector (bosonic on ties) is bisected
-from scratch, and its spectrum, widened by the Gram floor
-``2 dim eps lambda_max``, seeds the bisection of the other: the partner
-eigenvalues sit within a few ulps of the seeds, so their brackets start
-narrow.  It is the larger sector that goes first because it holds at
-least ``|dim_b - dim_f|`` zero modes with no partner, which need
-full-width brackets either way.  Seeds decide only where the brackets
-start, never the floats they close on, so the pairing check stays
-independent: on a broken system wrong seeds only cost rounds.
+from scratch, and each of its eigenvalues seeds the bisection of the
+other four times: ``K / 2`` floats on either side, ``K`` the fewest
+parts a multisection round cuts a bracket into, and the Gram floor
+``2 dim eps lambda_max`` on either side.  A partner within ``K / 2``
+floats (98 of the 100 on a C07 lattice sit within one) closes in the
+first round after the seeds; one further out but inside the Gram
+floor starts from a bracket of that width.  It is the
+larger sector that goes first because it holds at least ``|dim_b -
+dim_f|`` zero modes with no partner, which need full-width brackets
+either way.  The index report seeds the largest eigenvalue of each
+Gram matrix of formula one in the same way, with the spectral radius
+of H widened by the Gram floor.  Seeds decide only where the brackets
+start, never the floats they close on, so the pairing check and
+formula one stay independent: on a broken system wrong seeds only cost
+counts.
 
 At finite dimension every operator is trivially Fredholm, so the index
 is always well defined here.
@@ -39,6 +46,8 @@ from .core import (
     NumericPolicy,
     RelationCheck,
     _as_operators,
+    _binary_exponent,
+    _ldexp,
     _operator_scale,
     _raise_failures,
     _readonly,
@@ -46,7 +55,7 @@ from .core import (
     adjoint,
     residual_norm,
 )
-from .spectral import _EPS, _kernel_dim, _Tridiagonal, kernel_basis
+from .spectral import _EPS, _floats_apart, _kernel_dim, _Tridiagonal, kernel_basis
 # Not called here; ``analysis.eigvalsh`` stays bound because the
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401
@@ -119,14 +128,14 @@ def _relative_gap(x: float, y: float) -> float:
 @dataclass(frozen=True)
 class _SectorAnalysis:
     """A graded system's standard representation, the ascending spectra
-    of ``h_plus`` and ``h_minus`` and the zero cut: sector eigenvalues at
-    or below ``cut = kernel_tol * lambda_max``, with ``lambda_max`` the
-    spectral radius of H, are zero modes, ``zeros_b`` and ``zeros_f`` of
-    them."""
+    of ``h_plus`` and ``h_minus``, the spectral radius ``radius`` of H
+    and the zero cut: sector eigenvalues at or below ``cut = kernel_tol *
+    radius`` are zero modes, ``zeros_b`` and ``zeros_f`` of them."""
 
     rep: StandardRepresentation
     ev_b: np.ndarray
     ev_f: np.ndarray
+    radius: float
     cut: float
     zeros_b: int
     zeros_f: int
@@ -151,13 +160,15 @@ def _sector_analysis(system: GradedSystem, policy: NumericPolicy) -> _SectorAnal
         lead = tris[first].eigenvalues()
         pad = 2.0 * tris[first].n * _EPS * max(abs(float(lead[0])),
                                                abs(float(lead[-1])))
-        seeded = tris[1 - first].eigenvalues(
-            np.concatenate([lead - pad, lead + pad]))
+        half = tris[1 - first].parts // 2
+        seeded = tris[1 - first].eigenvalues(np.concatenate([
+            lead - pad, _floats_apart(lead, -half),
+            _floats_apart(lead, half), lead + pad]))
         spectra = [_readonly(ev) for ev in ((lead, seeded) if first == 0
                                             else (seeded, lead))]
-        cut = policy.kernel_tol * max(abs(float(ev[k]))
-                                      for ev in spectra for k in (0, -1))
-        found = _SectorAnalysis(rep, *spectra, cut, *(
+        radius = max(abs(float(ev[k])) for ev in spectra for k in (0, -1))
+        cut = policy.kernel_tol * radius
+        found = _SectorAnalysis(rep, *spectra, radius, cut, *(
             int(np.count_nonzero(ev <= cut)) for ev in spectra))
         system._sector_analyses[policy] = found
     return found
@@ -223,8 +234,12 @@ def witten_index_report(system: GradedSystem,
     """
     sectors = _sector_analysis(system, policy)
     a_op = sectors.rep.a_operator
-    dim_ker_a = _kernel_dim(a_op, policy)
-    dim_ker_ad = _kernel_dim(adjoint(a_op), policy)
+    # The Gram matrices' largest eigenvalue is that of the sectors, the
+    # spectral radius of H, up to rounding: seeds within the Gram floor.
+    floor = 2.0 * max(a_op.shape) * _EPS * sectors.radius
+    seeds = (sectors.radius - floor, sectors.radius + floor)
+    dim_ker_a = _kernel_dim(a_op, policy, seeds)
+    dim_ker_ad = _kernel_dim(adjoint(a_op), policy, seeds)
     zeros_b, zeros_f = sectors.zeros_b, sectors.zeros_f
     via_a = dim_ker_a - dim_ker_ad
     via_blocks = zeros_b - zeros_f
@@ -284,14 +299,24 @@ def kernel_equality_check(q1, q2,
     annihilation threshold carries a slack term ``sqrt(||Q1^2 - Q2^2||)``
     accounting for the precondition residual, exactly as the norm
     identity dictates.
+
+    Both charges are squared scaled by one power of two ``2**-e``, ``e >=
+    0`` putting their largest entry below one, so entries beyond about
+    ``1e154`` do not overflow; the scaling is undone on the norms, and
+    within that range it changes no bit.
     """
     a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     _require_self_adjoint((("Q1", a), ("Q2", b)), policy,
                           "kernel equality needs self-adjoint charges")
-    h1, h2 = a @ a, b @ b
-    pre_abs = residual_norm(h1 - h2)
-    _raise_failures([RelationCheck.judge("Q1^2 = Q2^2",
-                                         pre_abs / _operator_scale(h1, h2),
+    e = max(_binary_exponent(a), _binary_exponent(b), 0)
+    a_s, b_s = _ldexp(a, -e), _ldexp(b, -e)
+    h1, h2 = a_s @ a_s, b_s @ b_s
+    # In units of 2**2e: the relative scale max(1, ||Q1^2||, ||Q2^2||)
+    # is max(2**-2e, ...), and the slack sqrt(||Q1^2 - Q2^2||) 2**e.
+    pre = residual_norm(h1 - h2)
+    relative = pre / max(math.ldexp(1.0, -2 * e), residual_norm(h1),
+                         residual_norm(h2))
+    _raise_failures([RelationCheck.judge("Q1^2 = Q2^2", relative,
                                          policy.algebra_tol)],
                     "charges with Q1^2 != Q2^2 need not share a kernel")
 
@@ -302,13 +327,15 @@ def kernel_equality_check(q1, q2,
             f"kernel dimensions differ: dim ker Q1 = {kb1.dim_kernel}, "
             f"dim ker Q2 = {kb2.dim_kernel}")
 
-    slack = float(np.sqrt(pre_abs))
+    slack = math.ldexp(math.sqrt(pre), e)
     residuals = []
-    for name, kb, other, op in (("Q1", kb1, "Q2", b), ("Q2", kb2, "Q1", a)):
+    for name, kb, other, op, op_s in (("Q1", kb1, "Q2", b, b_s),
+                                      ("Q2", kb2, "Q1", a, a_s)):
         threshold = policy.kernel_tol * _operator_scale(op) + slack
         res = 0.0
         if kb.dim_kernel:
-            res = float(np.linalg.norm(op @ kb.basis, axis=0).max())
+            res = math.ldexp(
+                float(np.linalg.norm(op_s @ kb.basis, axis=0).max()), e)
             if res > threshold:
                 raise CrossCheckError(
                     f"a kernel vector of {name} is not annihilated by {other} "

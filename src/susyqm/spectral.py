@@ -13,7 +13,8 @@ Two paths, neither of which calls LAPACK:
 * Sector spectra (each sector of an analysis in :mod:`susyqm.analysis`,
   read by both reports and the ``spectrum`` verb), counts below a cutoff
   and kernel vectors (:func:`kernel_basis`) come from a Householder
-  reduction to a real symmetric tridiagonal matrix.  Eigenvalues at or
+  reduction to a real symmetric tridiagonal matrix (none when the input
+  is tridiagonal already, as lattice sectors are).  Eigenvalues at or
   below ``x`` are counted from the inertia of ``T - x = L D L^T`` (Sturm
   count, with LAPACK ``dstebz``'s guard against zero pivots, written
   once: a count at many shifts runs unguarded and recounts the shifts
@@ -26,13 +27,15 @@ Two paths, neither of which calls LAPACK:
   brackets of a round split ``dim * (K - 1)`` inner points evenly,
   ``K`` the power of two nearest ``1024 / dim`` within ``[2, 64]``, so
   no bracket gets fewer than ``K`` parts and at most ``ceil(64 / log2
-  K)`` rounds run.  Brackets start from the Gershgorin bracket,
+  K)`` rounds run; a lone bracket holding one eigenvalue is finished by
+  scalar bisection.  Brackets start from the Gershgorin bracket,
   narrowed by one count at any seed floats given (the sector analysis
-  seeds one sector with the other's spectrum).  The count is monotone
-  in the shift in floating point, so both return the same floats bit
-  for bit, seeded or not.  Kernel vectors come from a few steps of
-  inverse iteration on the tridiagonal from a fixed-seed start
-  block, so the output is byte-deterministic; each step solves with
+  seeds one sector with the other's spectrum, the index report each
+  Gram matrix's largest eigenvalue with the spectral radius of H).  The
+  count is monotone in the shift in floating point, so both return the
+  same floats bit for bit, seeded or not.  Kernel vectors come from a
+  few steps of inverse iteration on the tridiagonal from a fixed-seed
+  start block, so the output is byte-deterministic; each step solves with
   the unpivoted ``T = L D L^T`` factorization, which needs positive
   semidefinite input (a Gram matrix).  No eigenvector matrix is formed,
   and no tolerance is involved.
@@ -208,6 +211,21 @@ def _key_float(key: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
+def _float_keys(x: np.ndarray) -> np.ndarray:
+    """The vector form of :func:`_float_key`, for float64 ``x``."""
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+    return np.where(bits < _SIGN_BIT, bits | _SIGN_BIT, np.uint64(0) - bits)
+
+
+def _floats_apart(x: np.ndarray, steps: int) -> np.ndarray:
+    """Each float of ``x`` moved ``steps`` floats up the float ordering
+    (down for negative ``steps``); past the largest float lies ``inf``,
+    then NaN."""
+    keys = _float_keys(x)
+    return _key_floats(keys + np.uint64(steps) if steps >= 0
+                       else keys - np.uint64(-steps))
+
+
 def _key_floats(keys: np.ndarray) -> np.ndarray:
     """The vector form of :func:`_key_float`, for uint64 keys."""
     bits = np.where(keys >= _SIGN_BIT, keys - _SIGN_BIT,
@@ -228,9 +246,17 @@ class _Tridiagonal:
     def __init__(self, a: np.ndarray):
         work, self._exp = _scaled_hermitian_part(a)
         n = work.shape[0]
-        sub = np.zeros(max(n - 1, 0), dtype=np.complex128)
+        sub = np.diagonal(work, -1).copy()
         self._reflectors = []
-        for k in range(n - 1):
+        # Every column overwrites its entry of sub, except that on
+        # tridiagonal input each takes the tail_sq == 0 branch, which
+        # keeps it: then the loop is skipped.  work is exactly Hermitian,
+        # so its nonzero entries tell (counting them copies nothing; a
+        # copy of the lower triangle raised a lattice analysis's peak
+        # memory).
+        band = (np.count_nonzero(np.diagonal(work))
+                + 2 * np.count_nonzero(sub))
+        for k in range(n - 1 if np.count_nonzero(work) > band else 0):
             x = work[k + 1:, k]
             tail_sq = float(np.vdot(x[1:], x[1:]).real)
             if tail_sq == 0.0:
@@ -251,6 +277,9 @@ class _Tridiagonal:
             sub[k] = -phase * norm
             self._reflectors.append((k + 1, v, beta))
         self.n = n
+        # K, the fewest parts a multisection round cuts a bracket into:
+        # the power of two nearest 1024 / n, within [2, 64].
+        self.parts = 2 ** min(max(round(math.log2(1024 / max(n, 1))), 1), 6)
         self._d = np.diagonal(work).real.copy()
         self._e = np.abs(sub)
         phases = np.ones(n, dtype=np.complex128)
@@ -330,19 +359,35 @@ class _Tridiagonal:
         returned as ``0.0``."""
         return np.ldexp(np.where(np.abs(x) <= self._pivmin, 0.0, x), self._exp)
 
-    def eigenvalue(self, k: int) -> float:
+    def eigenvalue(self, k: int, seeds=()) -> float:
         """The ``k``-th smallest eigenvalue (from 0): the smallest float
         ``x`` with more than ``k`` eigenvalues at or below it, bisected
         over the float ordering until the bracket holds two adjacent
-        floats."""
+        floats.  The bracket starts as the Gershgorin bracket, narrowed
+        by one count at each of the ``seeds`` strictly inside it (floats
+        in the units of ``a``, as for :meth:`eigenvalues`; the
+        non-finite ones are dropped), ascending, up to the first that
+        counts more than ``k``.  The count is monotone in the shift, so
+        the seeds change only the number of counts, never the float."""
         lo, hi = (_float_key(b) for b in self._bracket)
+        for key in self._seed_keys(seeds, lo, hi).tolist():
+            if self._below(_key_float(key)) > k:
+                hi = key
+                break
+            lo = key
+        return float(self._unscale(_key_float(self._bisect(lo, hi, k))))
+
+    def _bisect(self, lo: int, hi: int, k: int) -> int:
+        """The high end of the bracket of float keys ``lo < hi`` that
+        holds the ``k``-th eigenvalue, bisected on :meth:`_below` until
+        it holds two adjacent floats."""
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self._below(_key_float(mid)) > k:
                 hi = mid
             else:
                 lo = mid
-        return float(self._unscale(_key_float(hi)))
+        return hi
 
     def eigenvalues(self, seeds=()) -> np.ndarray:
         """All eigenvalues, ascending: :meth:`eigenvalue` for every ``k``,
@@ -372,10 +417,17 @@ class _Tridiagonal:
         in floating point (Demmel, Dhillon & Ren, ETNA 3 (1995) 116), so
         every bracketing that closes on adjacent floats closes on the
         same pair: the start and the cuts change only the number of
-        rounds."""
+        rounds.
+
+        Once the only open bracket holds a single eigenvalue, it is
+        finished by scalar bisection (:meth:`_bisect`), which closes on
+        the same pair: one :meth:`_below` call yields a bit for the cost
+        of ``n`` scalar steps, where a round of ``n * (K - 1)`` shifts
+        yields ``log2 (n * (K - 1) + 1)`` bits for ``n`` numpy calls of
+        that length (at dim 101, about 8 us a bit against 0.37 ms for
+        9.5 bits).  A one-by-one matrix takes that path from the start."""
         n = self.n
-        k_ary = 2 ** min(max(round(math.log2(1024 / max(n, 1))), 1), 6)
-        budget = n * (k_ary - 1)
+        budget = n * (self.parts - 1)
         keys = np.array([[_float_key(b)] for b in self._bracket], dtype=np.uint64)
         counts = np.array([[0], [n]])
         inside = self._seed_keys(seeds, keys[0], keys[1])
@@ -392,6 +444,11 @@ class _Tridiagonal:
                 starts[lows] = lows
                 keys, counts = keys[:, ~shut], counts[:, ~shut]
             if not keys.size:
+                break
+            if keys.shape[1] == 1 and counts[1, 0] - counts[0, 0] == 1:
+                k = int(counts[0, 0])
+                high_end[k] = self._bisect(int(keys[0, 0]), int(keys[1, 0]), k)
+                starts[k] = k
                 break
             parts = budget // keys.shape[1] + 1
             lo, width = keys[0], keys[1] - keys[0]
@@ -412,10 +469,7 @@ class _Tridiagonal:
         holds no eigenvalue, so :meth:`_split` drops it."""
         with np.errstate(over="ignore"):
             x = np.ldexp(np.asarray(seeds, dtype=np.float64).ravel(), -self._exp)
-        bits = np.ascontiguousarray(x[np.isfinite(x)]).view(np.uint64)
-        # The vector form of _float_key.
-        keys = np.sort(np.where(bits < _SIGN_BIT, bits | _SIGN_BIT,
-                                np.uint64(0) - bits))
+        keys = np.sort(_float_keys(x[np.isfinite(x)]))
         return keys[(keys > bottom) & (keys < top)]
 
     def _split(self, keys: np.ndarray, ends: np.ndarray):
@@ -530,36 +584,44 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     is one orthonormal basis of the kernel among many; compare kernels
     by their projectors.
     """
-    gram, lam_max, dim = _gram_split(_kernel_input(a), policy)
+    gram, lam_max, dim = _gram_split(_kernel_input(a)[0], policy)
     return KernelBasis(dim, frozen_copy(gram.lowest_vectors(dim, lam_max)))
 
 
-def _kernel_dim(a, policy: NumericPolicy) -> int:
+def _kernel_dim(a, policy: NumericPolicy, seeds=()) -> int:
     """``kernel_basis(a, policy).dim_kernel``, with the same input checks
-    and the same count, but no kernel vectors."""
-    return _gram_split(_kernel_input(a), policy)[2]
+    and the same count, but no kernel vectors.  ``seeds`` (guesses of
+    the largest eigenvalue of ``a^dag a``, in its units) narrow the
+    bracket of that eigenvalue (:meth:`_Tridiagonal.eigenvalue`), never
+    its float."""
+    arr, e = _kernel_input(a)
+    with np.errstate(over="ignore", under="ignore"):
+        seeds = np.ldexp(np.asarray(seeds, dtype=np.float64), -2 * e)
+    return _gram_split(arr, policy, seeds)[2]
 
 
-def _kernel_input(a) -> np.ndarray:
-    """``a`` as a complex matrix, checked finite and scaled by a power of
-    two so that its Gram matrix cannot overflow; the cutoff is relative,
-    so the kernel does not depend on the scale."""
+def _kernel_input(a) -> tuple[np.ndarray, int]:
+    """``(arr, e)``: ``a`` as a complex matrix, checked finite and scaled
+    by ``2**-e`` so that its Gram matrix cannot overflow; the cutoff is
+    relative, so the kernel does not depend on the scale."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ShapeError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("kernel_basis input contains non-finite entries")
-    return _ldexp(arr, -_binary_exponent(arr))
+    e = _binary_exponent(arr)
+    return _ldexp(arr, -e), e
 
 
-def _gram_split(arr: np.ndarray, policy: NumericPolicy):
+def _gram_split(arr: np.ndarray, policy: NumericPolicy, seeds=()):
     """:func:`kernel_basis`'s split of ``arr``, which must already be
     scaled so that its Gram matrix cannot overflow: the tridiagonal of
     the Gram matrix ``arr^dag arr``, its largest eigenvalue ``lam_max``
-    (the square of the largest singular value) and the number of its
-    eigenvalues at or below the cut, the kernel dimension."""
+    (the square of the largest singular value, bisected from the
+    ``seeds``) and the number of its eigenvalues at or below the cut,
+    the kernel dimension."""
     gram = _Tridiagonal(adjoint(arr) @ arr)
-    lam_max = max(gram.eigenvalue(gram.n - 1), 0.0)
+    lam_max = max(gram.eigenvalue(gram.n - 1, seeds), 0.0)
     gram_floor = 2.0 * max(arr.shape) * _EPS
     cutoff = max(policy.kernel_tol**2, gram_floor) * lam_max
     return gram, lam_max, gram.count(cutoff)

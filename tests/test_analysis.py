@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ class TestWittenIndex:
         system = random_graded_system(3, 3, seed=2)
         dims = iter([7, 0])
         monkeypatch.setattr(analysis, "_kernel_dim",
-                            lambda a, policy: next(dims))
+                            lambda a, policy, seeds: next(dims))
         with pytest.raises(CrossCheckError, match="disagree"):
             witten_index_report(system)
 
@@ -271,6 +272,21 @@ class TestKernelEqualityCheck:
     def test_rejects_unequal_squares(self):
         with pytest.raises(ValidationError, match="Q1\\^2 != Q2\\^2"):
             kernel_equality_check(SIGMA1, 2.0 * SIGMA3)
+
+    def test_charges_at_two_to_the_540(self):
+        # Squared bare, entries of 2**540 overflow; squared scaled, the
+        # kernels match and the residuals are rescaled exactly.
+        spec = LatticeSpec(61, 0.25, Boundary.DIRICHLET)
+        system = witten_model_lattice(spec, spec.coordinates())
+        q1 = np.asarray(system.charges[0])
+        q2 = -1j * (np.asarray(system.involution.matrix) @ q1)
+        report = kernel_equality_check(q1, q2)
+        big = kernel_equality_check(2.0**540 * q1, 2.0**540 * q2)
+        assert big.dim_kernel_q1 == big.dim_kernel_q2 == report.dim_kernel_q1 == 2
+        assert big.max_residual_q2_on_ker_q1 == math.ldexp(
+            report.max_residual_q2_on_ker_q1, 540)
+        assert big.max_residual_q1_on_ker_q2 == math.ldexp(
+            report.max_residual_q1_on_ker_q2, 540)
 
     @pytest.mark.parametrize("q1,q2,names", [
         ([[0, 1], [0, 0]], np.zeros((2, 2)), ["Q1 self-adjoint"]),
@@ -435,18 +451,19 @@ def test_each_sector_is_bisected_once_per_analysis(monkeypatch):
 
 
 @pytest.mark.parametrize("system,sectors,passes", [
-    (lambda: c07_system(1.0), [(101, 0), (101, 202)], 12),
-    (lambda: c07_system(-1.0), [(101, 0), (101, 202)], 12),
+    (lambda: c07_system(1.0), [(101, 0), (101, 404)], 4),
+    (lambda: c07_system(-1.0), [(101, 0), (101, 404)], 4),
     (lambda: random_graded_system(64, 48, seed=1, conjugate=True),
-     [(64, 0), (48, 128)], 5),
+     [(64, 0), (48, 256)], 4),
     (lambda: random_graded_system(20, 31, seed=1, conjugate=True),
-     [(31, 0), (20, 62)], 4),
+     [(31, 0), (20, 124)], 2),
 ], ids=["c07-up", "c07-down", "scrambled-64-48", "scrambled-20-31"])
 def test_larger_sector_seeds_the_other(monkeypatch, system, sectors, passes):
     # The larger sector (bosonic on ties) is bisected from the Gershgorin
-    # bracket; its spectrum, widened on both sides, seeds the other, whose
-    # Sturm passes are pinned: one over the seeds, then the rounds.  C07's
-    # seeded sector spends most of its rounds on its one near-zero mode.
+    # bracket; its spectrum seeds the other, four seeds per eigenvalue
+    # (K / 2 floats and the Gram floor on both sides).  The seeded
+    # sector's Sturm passes are pinned: one over the seeds, then the
+    # rounds; C07's one near-zero mode is finished by scalar bisection.
     calls = []
     counts = _Tridiagonal._counts
     eigenvalues = _Tridiagonal.eigenvalues
@@ -464,6 +481,41 @@ def test_larger_sector_seeds_the_other(monkeypatch, system, sectors, passes):
     spectral_pairing_report(system())
     assert [(n, seeds) for n, seeds, _ in calls] == sectors
     assert calls[1][2] == passes
+
+
+@pytest.mark.parametrize("system,policy", [
+    (lambda: c07_system(1.0), NumericPolicy()),
+    (lambda: c07_system(-1.0), NumericPolicy()),
+    (lambda: random_graded_system(64, 48, seed=1, conjugate=True), NumericPolicy()),
+    (lambda: random_graded_system(20, 31, seed=1, conjugate=True), NumericPolicy()),
+    (lambda: random_graded_system(1, 4, seed=3, conjugate=True), NumericPolicy()),
+    # h_minus = diag(1 + 1e-12, 2): its partner of 1 sits about 4,500
+    # floats away, outside both seed pairs.
+    (lambda: _bumped_block_system(np.diag([1.0, 2.0]), 2, 1e-12, _TIGHT), _TIGHT),
+], ids=["c07-up", "c07-down", "scrambled-64-48", "scrambled-20-31",
+        "one-by-one-sector", "bumped-partner"])
+def test_seeded_sector_spectra_match_unseeded(system, policy):
+    # Seeds choose only where the brackets start: the seeded sector
+    # closes on the floats a from-scratch bisection of its block gives.
+    sectors = analysis._sector_analysis(system(), policy)
+    for block, ev in ((sectors.rep.h_plus, sectors.ev_b),
+                      (sectors.rep.h_minus, sectors.ev_f)):
+        assert ev.tobytes() == _Tridiagonal(block).eigenvalues().tobytes()
+
+
+def test_index_report_seeds_the_gram_lambda_max(monkeypatch):
+    # The sector analysis's spectral radius, widened by the Gram floor,
+    # seeds both Gram lambda_max bisections: C07's index report makes
+    # two counts at the seeds, about eleven steps of bisection and one
+    # count at the cutoff per Gram matrix (128 counts from Gershgorin).
+    system = c07_system(1.0)
+    spectral_pairing_report(system)
+    calls = []
+    below = _Tridiagonal._below
+    monkeypatch.setattr(_Tridiagonal, "_below",
+                        lambda self, x: calls.append(x) or below(self, x))
+    witten_index_report(system)
+    assert len(calls) <= 30
 
 
 def test_index_report_builds_no_kernel_vectors(monkeypatch):

@@ -1,6 +1,8 @@
 """Every refusal of an input at an operator boundary takes one of two
 forms: a broken relation raises ValidationError carrying a RelationCheck
 for each failure, and a wrong shape raises ShapeError naming the operand."""
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from susyqm import (
     validate_real_system,
     witten_index_report,
 )
+from susyqm import analysis
 from susyqm.grading import Involution
 from susyqm.models import LatticeSpec, pauli_lattice
 
@@ -134,15 +137,30 @@ def test_residual_rejection_names_each_failed_relation(reject, names):
         assert check.name in str(excinfo.value)
 
 
-def test_nan_precondition_residual_fails():
-    # Both squares overflow, so ||Q1^2 - Q2^2|| is NaN: the precondition
-    # fails rather than letting the kernel comparison run.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValidationError) as excinfo:
-            kernel_equality_check(1e200 * SIGMA1, 1e200 * np.diag([1.0, 0.0]))
+def test_nan_precondition_residual_fails(monkeypatch):
+    # A NaN residual fails the precondition rather than letting the
+    # kernel comparison run.  Finite charges give none (they are squared
+    # scaled), so the norms are made NaN.
+    monkeypatch.setattr(analysis, "residual_norm", lambda x: math.nan)
+    with pytest.raises(ValidationError) as excinfo:
+        kernel_equality_check(SIGMA1, SIGMA3)
     [check] = excinfo.value.failures
     assert check.name == "Q1^2 = Q2^2"
     assert np.isnan(check.residual)
+
+
+def test_charges_beyond_1e154_fail_the_precondition_with_a_finite_residual():
+    # Squared bare, both charges would overflow to a NaN residual (and a
+    # RuntimeWarning); squared scaled, the residual is the unscaled one.
+    q2 = np.diag([1.0, 0.0])
+    with pytest.raises(ValidationError) as excinfo:
+        kernel_equality_check(SIGMA1, q2)
+    [want] = excinfo.value.failures
+    with pytest.raises(ValidationError) as excinfo:
+        kernel_equality_check(2.0**600 * SIGMA1, 2.0**600 * q2)
+    [check] = excinfo.value.failures
+    assert check.name == "Q1^2 = Q2^2"
+    assert check.residual == want.residual == 1 / math.sqrt(2)
 
 
 SHAPE_MISMATCHES = [

@@ -360,6 +360,26 @@ SPECTRUM_CASES.update({
 SPECTRUM_CASES["split-tridiagonal-400"] = lambda rng: _split_tridiagonal(rng, 400)
 
 
+def _complex_tridiagonal(rng, n):
+    """Hermitian tridiagonal with complex couplings, one of them zero and
+    one subnormal."""
+    e = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+    e[n // 3] = 0.0
+    e[n // 2] = complex(math.ldexp(3.0, -1060), math.ldexp(-4.0, -1060))
+    t = np.diag(rng.normal(size=n)).astype(complex) + np.diag(e, -1)
+    return t + np.diag(e.conj(), 1)
+
+
+TRIDIAGONAL_CASES = {
+    "c07-h_plus": lambda rng: _c07_sector("h_plus"),
+    "c07-h_minus": lambda rng: _c07_sector("h_minus"),
+    "c07-gram": lambda rng: _c07_gram(1),
+    "second-difference": lambda rng: _second_difference(40),
+    "split-tridiagonal": lambda rng: _split_tridiagonal(rng, 30),
+    "complex-12": lambda rng: _complex_tridiagonal(rng, 12),
+}
+
+
 class TestTridiagonalPath:
     @pytest.mark.parametrize("n", [1, 2, 7, 33])
     def test_sturm_count_matches_oracle(self, rng, n):
@@ -500,6 +520,27 @@ class TestTridiagonalPath:
         tri = _Tridiagonal(np.array([[1.0, np.conj(c)], [c, 0.0]]))
         assert abs(tri._phases[1] - phase) <= 1e-15
 
+    @pytest.mark.parametrize("case", sorted(TRIDIAGONAL_CASES))
+    def test_tridiagonal_input_skips_the_reduction(self, monkeypatch, rng, case):
+        # Entries 2**-600 outside the band send the input through the
+        # reduction loop (one tail_sq per column), where they underflow
+        # in tail_sq, so every column keeps its subdiagonal entry: the
+        # skip must give the same d, e and phases bit for bit.
+        t = np.asarray(TRIDIAGONAL_CASES[case](rng), dtype=complex)
+        outside = np.tril(np.ones(t.shape), -2) + np.triu(np.ones(t.shape), 2)
+        tiny = math.ldexp(float(np.abs(t).max()), -600) * outside
+        tail_sqs = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda x, y: tail_sqs.append(1) or vdot(x, y))
+        skipped = _Tridiagonal(t)
+        assert tail_sqs == []
+        reduced = _Tridiagonal(t + tiny)
+        assert len(tail_sqs) == len(t) - 1
+        assert skipped._reflectors == reduced._reflectors == []
+        for name in ("_d", "_e", "_phases"):
+            assert (getattr(skipped, name).tobytes()
+                    == getattr(reduced, name).tobytes()), name
+
     @pytest.mark.parametrize("seeds", [(), (0.0, 1.0)])
     def test_empty_matrix_has_no_eigenvalues(self, seeds):
         tri = _Tridiagonal(np.zeros((0, 0), dtype=complex))
@@ -575,15 +616,33 @@ def test_seeded_multisection_matches_scalar_bisection(case, data):
     # subnormals, values outside the bracket and non-finite values (which
     # are dropped) gives the scalar bisection's floats.
     tri, scalar = case
-    values = scalar.tolist()
+    seeds = _draw_seeds(data, scalar.tolist())
+    assert tri.eigenvalues(seeds).tobytes() == scalar.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tridiagonals(), data=st.data())
+def test_seeded_scalar_bisection_matches_unseeded(case, data):
+    # eigenvalue(k, seeds) counts at the seeds inside the Gershgorin
+    # bracket and bisects from the narrowest bracket they give: the same
+    # float as from the Gershgorin bracket, whatever the seeds.
+    tri, scalar = case
+    k = data.draw(st.integers(0, tri.n - 1))
+    seeds = _draw_seeds(data, scalar.tolist())
+    assert np.float64(tri.eigenvalue(k, seeds)).tobytes() == scalar[k].tobytes()
+
+
+def _draw_seeds(data, values):
+    """Seeds for a spectrum ``values``: any mix of its floats, floats a
+    few ulps off them, special and arbitrary floats, in any order, with
+    duplicates."""
     exact = data.draw(st.lists(st.sampled_from(values), max_size=2 * len(values)))
     near = [_key_float(_float_key(v) + data.draw(st.integers(-4, 4)))
             for v in data.draw(st.lists(st.sampled_from(values), max_size=8))]
     other = data.draw(st.lists(st.floats() | st.sampled_from(_SPECIAL_SEEDS),
                                max_size=12))
     seeds = data.draw(st.permutations(exact + near + other))
-    seeds += seeds[:data.draw(st.integers(0, len(seeds)))]
-    assert tri.eigenvalues(seeds).tobytes() == scalar.tobytes()
+    return seeds + seeds[:data.draw(st.integers(0, len(seeds)))]
 
 
 def _block_with_zero_middle(rng):
