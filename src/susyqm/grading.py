@@ -93,18 +93,19 @@ def involution_checks(k, policy: NumericPolicy = DEFAULT_POLICY) -> list[Relatio
     return _involution_checks(arr, _grading_products(arr)[0], policy)
 
 
-def _involution_checks(arr: np.ndarray, k_times,
-                       policy: NumericPolicy) -> list[RelationCheck]:
+def _involution_checks(arr: np.ndarray, k_times, policy: NumericPolicy,
+                       norm: float | None = None) -> list[RelationCheck]:
     """:func:`involution_checks` of the checked matrix ``arr``, given its
     map ``X -> K X`` from :func:`_grading_products`, so a caller that
-    already holds the products reads K's structure once."""
+    already holds the products reads K's structure once.  ``norm`` is
+    ``||K||`` when the caller has it (see :func:`_hermiticity_residual`)."""
     n = arr.shape[0]
     eye = np.eye(n)
     tol_a = policy.algebra_tol
     # K = +1 or K = -1 would make the grading trivial, so those residuals
     # must be LARGE for a valid involution.
     return [
-        RelationCheck.judge("K self-adjoint", _hermiticity_residual(arr),
+        RelationCheck.judge("K self-adjoint", _hermiticity_residual(arr, norm),
                             policy.hermiticity_tol),
         RelationCheck.judge("K^2 = 1", residual_norm(k_times(arr) - eye) / n, tol_a),
         RelationCheck.judge("K != +1", residual_norm(arr - eye) / n, tol_a,

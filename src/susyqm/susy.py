@@ -40,9 +40,11 @@ from .core import (
     SIGMA3,
     ValidationError,
     _as_operators,
+    _dagger,
     _hermiticity_residual,
     _operator_scale,
     _raise_failures,
+    _real_if_exact,
     _require_self_adjoint,
     adjoint,
     as_operator,
@@ -154,10 +156,15 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     operators of its own relation: the two charges, H too when the
     right-hand side is ``2H``, H or K with the charge they are checked
     against, and H and K for ``[H,K] = 0``.
+    When every imaginary part of H, the charges and K is exactly zero,
+    all relations are checked in float64 (:func:`core._real_if_exact`),
+    one decision for the whole system; otherwise all are complex.  The
+    residuals of the two differ only in the last bits, and the returned
+    system stores the complex128 operands either way.
     Returns a :class:`GradedSystem` when ``k`` is given, a
     :class:`SuperchargeSystem` otherwise.
     """
-    h_arr = as_operator(h, "H")
+    h_in = as_operator(h, "H")
     if len(charges) == 0:
         raise ValidationError("at least one supercharge is required")
     label = "q" if complex_charges else "Q"
@@ -166,7 +173,8 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     graded = k is not None
     if graded:
         named.append(("K", k.matrix if isinstance(k, Involution) else k))
-    qs = _as_operators(named, h_arr.shape[0])
+    ops = [h_in, *_as_operators(named, h_in.shape[0])]
+    h_arr, *qs = _real_if_exact(*ops)
     k_arr = qs.pop() if graded else None
     norm_h = residual_norm(h_arr)
     norms = [residual_norm(q) for q in qs]
@@ -177,12 +185,13 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     herm_rule = ("{} not self-adjoint (a self-adjoint complex charge forces "
                  "H = 0)" if complex_charges else "{} self-adjoint")
     checks = [
-        RelationCheck.judge("H self-adjoint", _hermiticity_residual(h_arr), h_tol),
+        RelationCheck.judge("H self-adjoint", _hermiticity_residual(h_arr, norm_h),
+                            h_tol),
         RelationCheck.judge("H != 0", norm_h, tol, must_exceed=True),
     ]
-    checks += [RelationCheck.judge(herm_rule.format(name), _hermiticity_residual(q),
+    checks += [RelationCheck.judge(herm_rule.format(name), _hermiticity_residual(q, nq),
                                    h_tol, must_exceed=complex_charges)
-               for name, q in zip(names, qs)]
+               for name, q, nq in zip(names, qs, norms)]
 
     def relation(name, x, *operand_norms):
         scale = max(1.0, *operand_norms)
@@ -200,7 +209,7 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
             return p + p
         return x @ y + y @ x
 
-    qs_dag = [adjoint(q) for q in qs] if complex_charges else qs
+    qs_dag = [_dagger(q) for q in qs] if complex_charges else qs
     for i, (qi, a, a_dag, na) in enumerate(zip(names, qs, qs_dag, norms)):
         for qj, b, b_dag, nb in zip(names[i:], qs[i:], qs_dag[i:], norms[i:]):
             if qi == qj:
@@ -221,19 +230,20 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
         relation(f"[H,{name}] = 0", h_arr @ q - q @ h_arr, norm_h, nq)
 
     flavour = "complex" if complex_charges else "real"
-    charges_out = tuple(frozen_copy(q) for q in qs)
+    # The system keeps the complex128 operands, not the checked ones.
+    charges_out = tuple(frozen_copy(q) for q in ops[1:len(names) + 1])
     if not graded:
         _raise_failures(checks, f"not a valid {flavour}-supercharge system")
-        return SuperchargeSystem(frozen_copy(h_arr), charges_out,
+        return SuperchargeSystem(frozen_copy(h_in), charges_out,
                                  complex_charges, tuple(checks))
     k_times, times_k = _grading_products(k_arr)
-    checks += _involution_checks(k_arr, k_times, policy)
     norm_k = residual_norm(k_arr)
+    checks += _involution_checks(k_arr, k_times, policy, norm_k)
     for name, q, nq in zip(names, qs, norms):
         relation(f"{{K,{name}}} = 0", k_times(q) + times_k(q), norm_k, nq)
     relation("[H,K] = 0", times_k(h_arr) - k_times(h_arr), norm_h, norm_k)
     _raise_failures(checks, f"not a valid graded {flavour}-supercharge system")
-    return GradedSystem(frozen_copy(h_arr), Involution(frozen_copy(k_arr)),
+    return GradedSystem(frozen_copy(h_in), Involution(frozen_copy(ops[-1])),
                         charges_out, complex_charges, tuple(checks))
 
 
@@ -407,11 +417,14 @@ def standard_representation(system: GradedSystem,
         a_op = q_fb
 
     h_plus, _, _, h_minus = block_extract(basis, h)
+    # The partner forms are checked in float64 when A and both sector
+    # blocks are real; the representation keeps the complex128 blocks.
+    a_w, plus_w, minus_w = _real_if_exact(a_op, h_plus, h_minus)
     checks += [
         RelationCheck.judge("h_plus = A^dag A",
-                            residual_norm(h_plus - adjoint(a_op) @ a_op) / scale, tol),
+                            residual_norm(plus_w - _dagger(a_w) @ a_w) / scale, tol),
         RelationCheck.judge("h_minus = A A^dag",
-                            residual_norm(h_minus - a_op @ adjoint(a_op)) / scale, tol),
+                            residual_norm(minus_w - a_w @ _dagger(a_w)) / scale, tol),
     ]
     _raise_failures(checks, "system does not reduce to the standard representation")
     return StandardRepresentation(
