@@ -36,7 +36,6 @@ from .core import (
     NumericPolicy,
     SIGMA1,
     SIGMA2,
-    SIGMA3,
     RelationCheck,
     _raise_failures,
     adjoint,
@@ -127,14 +126,17 @@ def tensor_supercharge(a, policy: NumericPolicy = DEFAULT_POLICY) -> GradedSyste
     """Single real charge ``Q = f^dag (x) A + f (x) A^dag`` with the
     grading ``K = sigma_3 (x) 1``.
 
-    H is assembled directly as ``diag(A^dag A, A A^dag)``; that block
-    form equals ``Q^2`` and the validator confirms ``{Q, Q} = 2H``.
+    All three are assembled directly in block form: ``A`` and ``A^dag``
+    are written into the off-diagonal blocks of Q, ``K = diag(1, -1)``
+    and ``H = diag(A^dag A, A A^dag)``; that block form equals ``Q^2``
+    and the validator confirms ``{Q, Q} = 2H``.
     """
     arr = as_operator(a, "A")
     n = arr.shape[0]
-    f, f_dag = fermionic_ladder()
-    q = np.kron(f_dag, arr) + np.kron(f, adjoint(arr))
-    k = np.kron(SIGMA3, np.eye(n))
+    q = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    q[n:, :n] = arr
+    q[:n, n:] = adjoint(arr)
+    k = np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(np.complex128)
     h = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     h[:n, :n] = adjoint(arr) @ arr
     h[n:, n:] = arr @ adjoint(arr)

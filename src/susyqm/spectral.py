@@ -14,15 +14,20 @@ Two paths, neither of which calls LAPACK:
   read by both reports and the ``spectrum`` verb), counts below a cutoff
   and kernel vectors (:func:`kernel_basis`) come from a Householder
   reduction to a real symmetric tridiagonal matrix (none when the input
-  is tridiagonal already, as lattice sectors are).  Eigenvalues at or
-  below ``x`` are counted from the inertia of ``T - x = L D L^T`` (Sturm
-  count, with LAPACK ``dstebz``'s guard against zero pivots, written
-  once: a count at many shifts runs unguarded and recounts the shifts
-  where the guard would fire).  Each eigenvalue is bisected on that
-  count over float keys until its bracket closes on adjacent floats; a
-  whole spectrum cuts all brackets together with one count of every
-  inner point per round (multisection; Demmel, Marques, Parlett &
-  Voemel, SIAM J. Sci. Comput. 30 (2008) 1508).  The
+  is tridiagonal already, as lattice sectors are).  The reduction, and
+  the Gram product in front of it, run in float64 when every imaginary
+  part of the input is exactly zero (``core._real_if_exact``'s
+  decision), in complex128 otherwise; each column updates the trailing
+  block by one rank-2 product.  Eigenvalues at or below ``x`` are
+  counted from the inertia of ``T - x = L D L^T`` (Sturm count, with
+  LAPACK ``dstebz``'s guard against zero pivots, written once: a count
+  at many shifts runs unguarded, one test of its smallest pivot
+  magnitude tells whether the guard would fire anywhere, and only then
+  are the shifts where it would recounted).  Each eigenvalue is
+  bisected on that count over float keys until its bracket closes on
+  adjacent floats; a whole spectrum cuts all brackets together with
+  one count of every inner point per round (multisection; Demmel,
+  Marques, Parlett & Voemel, SIAM J. Sci. Comput. 30 (2008) 1508).  The
   eigenvalues that share a bracket share its cut, and the distinct open
   brackets of a round split ``dim * (K - 1)`` inner points evenly,
   ``K`` the power of two nearest ``1024 / dim`` within ``[2, 64]``, so
@@ -63,6 +68,7 @@ share that one cut.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -76,7 +82,9 @@ from .core import (
     NumericPolicy,
     ShapeError,
     _binary_exponent,
+    _dagger,
     _ldexp,
+    _real_if_exact,
     _require_hermitian,
     adjoint,
     frozen_copy,
@@ -123,21 +131,31 @@ class KernelBasis:
     basis: np.ndarray
 
 
-def _scaled_hermitian_part(a) -> tuple[np.ndarray, int]:
+def _scaled_hermitian_part(a, keep_complex: bool = False) -> tuple[np.ndarray, int]:
     """``(work, e)``: the exactly Hermitian part of ``a * 2**-e`` (a new
-    contiguous complex matrix with a real diagonal), ``e`` the
+    contiguous matrix with a real diagonal), ``e`` the
     :func:`_binary_exponent` of ``a``, so squared entries neither
-    overflow nor underflow."""
+    overflow nor underflow.  ``work`` is float64 when every imaginary
+    part of ``a`` is exactly zero (:func:`_work_array`), complex128
+    otherwise or when ``keep_complex`` is set."""
+    a = np.asarray(a, dtype=np.complex128) if keep_complex else _work_array(a)
     e = _binary_exponent(a)
     work = _ldexp(a, -e)
-    return np.ascontiguousarray(0.5 * (work + adjoint(work)),
-                                dtype=np.complex128), e
+    return np.ascontiguousarray(0.5 * (work + _dagger(work))), e
+
+
+def _work_array(a) -> np.ndarray:
+    """``a`` as float64 when every imaginary part is exactly zero
+    (:func:`core._real_if_exact`'s decision), else as complex128."""
+    [arr] = _real_if_exact(np.asarray(a))
+    return arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64,
+                      copy=False)
 
 
 def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
                  track_vectors: bool):
     # Rotations are invariant under the scaling: no bit changes within 1e+-154.
-    work, e = _scaled_hermitian_part(a)
+    work, e = _scaled_hermitian_part(a, keep_complex=True)
     n = work.shape[0]
     tol_off = policy.eigensolver_tol * residual_norm(work)
     if track_vectors:
@@ -241,6 +259,17 @@ class _Tridiagonal:
     that puts the largest entry of ``T`` near one, so squares neither
     overflow nor underflow.  Scaling by a power of two is exact;
     eigenvalues are taken and returned in the units of ``a``.
+
+    When every imaginary part of ``a`` is exactly zero the reduction
+    runs in float64, so ``Q`` is real orthogonal and ``P`` a diagonal of
+    signs; otherwise in complex128.  Column ``k`` updates the trailing
+    block by ``I - beta v v^dag`` on both sides as ``block -= v w^dag +
+    w v^dag``, one product of the ``(m, 2)`` matrix ``[v w]`` with the
+    ``(2, m)`` matrix ``[w v]^dag`` (the rank-2 update of Dongarra,
+    Hammarling & Sorensen, J. Comput. Appl. Math. 27 (1989) 215, one
+    column at a time).  On tridiagonal input, as lattice sectors are,
+    no column is reduced and ``d``, ``e`` are the same bits on either
+    path.
     """
 
     def __init__(self, a: np.ndarray):
@@ -256,33 +285,39 @@ class _Tridiagonal:
         # memory).
         band = (np.count_nonzero(np.diagonal(work))
                 + 2 * np.count_nonzero(sub))
+        # v and w of each column, rows 0 and 1, so the two-sided update
+        # is one rank-2 product.
+        vw_buf = np.empty((2, max(n - 1, 0)), dtype=work.dtype)
         for k in range(n - 1 if np.count_nonzero(work) > band else 0):
             x = work[k + 1:, k]
             tail_sq = float(np.vdot(x[1:], x[1:]).real)
             if tail_sq == 0.0:
                 sub[k] = x[0]
                 continue
-            alpha = complex(x[0])
+            # A Python float on the float64 path, so the phase stays real.
+            alpha = x[0].item()
             norm = math.sqrt(abs(alpha) ** 2 + tail_sq)
             phase = alpha / abs(alpha) if alpha != 0 else 1.0
-            v = x.copy()
+            vw = vw_buf[:, k:]
+            v = vw[0]
+            v[...] = x
             v[0] += phase * norm
             beta = 2.0 / float(np.vdot(v, v).real)
-            # Two-sided update of the trailing block by I - beta v v^dag.
+            # Two-sided update of the trailing block by I - beta v v^dag:
+            # block -= v w^dag + w v^dag.
             block = work[k + 1:, k + 1:]
             p = beta * (block @ v)
-            w = p - (0.5 * beta * float(np.vdot(v, p).real)) * v
-            block -= np.outer(v, w.conj())
-            block -= np.outer(w, v.conj())
+            np.subtract(p, (0.5 * beta * float(np.vdot(v, p).real)) * v, out=vw[1])
+            block -= vw.T @ vw[::-1].conj()
             sub[k] = -phase * norm
-            self._reflectors.append((k + 1, v, beta))
+            self._reflectors.append((k + 1, v.copy(), beta))
         self.n = n
         # K, the fewest parts a multisection round cuts a bracket into:
         # the power of two nearest 1024 / n, within [2, 64].
         self.parts = 2 ** min(max(round(math.log2(1024 / max(n, 1))), 1), 6)
         self._d = np.diagonal(work).real.copy()
         self._e = np.abs(sub)
-        phases = np.ones(n, dtype=np.complex128)
+        phases = np.ones(n, dtype=work.dtype)
         for k, c in enumerate(sub):
             if abs(c) < _SAFMIN:
                 # numpy divides by multiplying with the reciprocal, which
@@ -326,16 +361,19 @@ class _Tridiagonal:
         """:meth:`_below` at every shift in ``xs`` at once.
 
         One unguarded :meth:`_pivots` pass counts every shift, then one
-        check over all pivots finds the shifts where the guard would
-        have fired (a pivot below ``pivmin`` in magnitude, or NaN after
-        one); only those are recounted, by :meth:`_below`.  Up to the
-        first guarded row the two recurrences are the same arithmetic,
-        so each count is the one :meth:`_below` gives."""
+        test of the smallest pivot magnitude tells whether the guard
+        would have fired anywhere (a pivot below ``pivmin`` in magnitude,
+        or NaN after one, which fails the test too).  Only then are the
+        shifts where it would found, and only those are recounted, by
+        :meth:`_below`.  Up to the first guarded row the two recurrences
+        are the same arithmetic, so each count is the one :meth:`_below`
+        gives."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             pivots = self._pivots(xs)
         counts = np.count_nonzero(pivots <= 0.0, axis=0)
-        guarded = ~(np.abs(pivots, out=pivots) >= self._pivmin).all(axis=0)
-        if guarded.any():
+        # False on a NaN pivot; inf on no pivots at all.
+        if not np.abs(pivots, out=pivots).min(initial=math.inf) >= self._pivmin:
+            guarded = ~(pivots >= self._pivmin).all(axis=0)
             counts[guarded] = [self._below(x) for x in xs[guarded].tolist()]
         return counts
 
@@ -345,12 +383,18 @@ class _Tridiagonal:
         shift), unguarded: a zero pivot makes the next one inf or NaN."""
         pivots = np.empty((self.n, len(xs)))
         q = np.ones_like(xs)
-        for row, (dj, e2) in zip(pivots, self._rows):
+        for row, (dj, e2) in zip(pivots, self._array_rows):
             np.divide(e2, q, out=row)
             np.subtract(dj, row, out=row)
             np.subtract(row, xs, out=row)
             q = row
         return pivots
+
+    @functools.cached_property
+    def _array_rows(self) -> list:
+        """:attr:`_rows` as 0-d float64 arrays, which numpy's ufuncs take
+        without converting a Python float on every call (same bits)."""
+        return [(np.array(dj), np.array(e2)) for dj, e2 in self._rows]
 
     def _unscale(self, x):
         """A bisected eigenvalue of ``T`` in the units of ``a``.  An exactly
@@ -499,9 +543,9 @@ class _Tridiagonal:
         cannot grow."""
         n = self.n
         if m == n:
-            return np.eye(n, dtype=np.complex128)
+            return np.eye(n, dtype=self._phases.dtype)
         if m == 0:
-            return np.zeros((n, 0), dtype=np.complex128)
+            return np.zeros((n, 0), dtype=self._phases.dtype)
         unit = math.ldexp(lam_max, -self._exp) if lam_max > 0.0 else 1.0
         e = (self._e / unit).tolist()
         # The pivots of T / unit = L D L^T, :meth:`_below`'s recurrence at
@@ -582,10 +626,12 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     the tridiagonal, which is unpivoted because a Gram matrix is positive
     semidefinite.  The basis is deterministic, but it
     is one orthonormal basis of the kernel among many; compare kernels
-    by their projectors.
+    by their projectors.  Real input is reduced in float64; the basis
+    is complex128 either way.
     """
     gram, lam_max, dim = _gram_split(_kernel_input(a)[0], policy)
-    return KernelBasis(dim, frozen_copy(gram.lowest_vectors(dim, lam_max)))
+    return KernelBasis(dim, frozen_copy(
+        gram.lowest_vectors(dim, lam_max).astype(np.complex128, copy=False)))
 
 
 def _kernel_dim(a, policy: NumericPolicy, seeds=()) -> int:
@@ -601,13 +647,15 @@ def _kernel_dim(a, policy: NumericPolicy, seeds=()) -> int:
 
 
 def _kernel_input(a) -> tuple[np.ndarray, int]:
-    """``(arr, e)``: ``a`` as a complex matrix, checked finite and scaled
-    by ``2**-e`` so that its Gram matrix cannot overflow; the cutoff is
-    relative, so the kernel does not depend on the scale."""
-    arr = np.asarray(a, dtype=np.complex128)
+    """``(arr, e)``: ``a`` as a float64 or complex matrix
+    (:func:`_work_array`), checked finite and scaled by ``2**-e`` so that
+    its Gram matrix cannot overflow; the cutoff is relative, so the
+    kernel does not depend on the scale."""
+    arr = np.asarray(a)
     if arr.ndim != 2:
         raise ShapeError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    arr = _work_array(arr)
+    if not np.isfinite(arr).all():
         raise ValueError("kernel_basis input contains non-finite entries")
     e = _binary_exponent(arr)
     return _ldexp(arr, -e), e
@@ -620,7 +668,7 @@ def _gram_split(arr: np.ndarray, policy: NumericPolicy, seeds=()):
     (the square of the largest singular value, bisected from the
     ``seeds``) and the number of its eigenvalues at or below the cut,
     the kernel dimension."""
-    gram = _Tridiagonal(adjoint(arr) @ arr)
+    gram = _Tridiagonal(_dagger(arr) @ arr)
     lam_max = max(gram.eigenvalue(gram.n - 1, seeds), 0.0)
     gram_floor = 2.0 * max(arr.shape) * _EPS
     cutoff = max(policy.kernel_tol**2, gram_floor) * lam_max
@@ -630,17 +678,20 @@ def _gram_split(arr: np.ndarray, policy: NumericPolicy, seeds=()):
 def _pivoted_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular square matrix by Gaussian elimination
     with partial pivoting (backward stable in practice; Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 9)."""
-    lu = np.array(a, dtype=np.complex128)
-    n = lu.shape[0]
-    x = np.eye(n, dtype=np.complex128)
+    and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 9), in
+    ``a``'s dtype.  Elimination runs on the augmented ``[LU | X]``, ``X``
+    starting as the identity: one row swap and one rank-1 update per
+    step, elementwise the arithmetic of updating ``LU`` and ``X`` apart."""
+    n = a.shape[0]
+    aug = np.zeros((n, 2 * n), dtype=a.dtype)
+    aug[:, :n] = a
+    aug[:, n:] = np.eye(n)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        lu[[k, p]] = lu[[p, k]]
-        x[[k, p]] = x[[p, k]]
-        f = lu[k + 1:, k] / lu[k, k]
-        lu[k + 1:, k:] -= np.outer(f, lu[k, k:])
-        x[k + 1:] -= np.outer(f, x[k])
+        p = k + int(np.argmax(np.abs(aug[k:, k])))
+        aug[[k, p]] = aug[[p, k]]
+        f = aug[k + 1:, k] / aug[k, k]
+        aug[k + 1:, k:] -= np.outer(f, aug[k, k:])
+    lu, x = aug[:, :n], aug[:, n:]
     for k in range(n - 1, -1, -1):
         x[k] -= lu[k, k + 1:] @ x[k + 1:]
         x[k] /= lu[k, k]
@@ -660,18 +711,21 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
     ``Q^+ = (Q + r N N^dag)^-1 - N N^dag / r``, and the inverse comes from
     Gaussian elimination with partial pivoting; its condition is at most
     the reciprocal of the cut.  The zero matrix gives zeros and an
-    identity kernel.
+    identity kernel.  Real input is worked in float64 throughout; both
+    results are complex128 either way.
     """
     work, e = _scaled_hermitian_part(a)
     gram, lam_max, dim = _gram_split(work, policy)
     kernel = gram.lowest_vectors(dim, lam_max)
     n = work.shape[0]
     if kernel.shape[1] == n:
-        return np.zeros((n, n), dtype=np.complex128), kernel
-    r = math.sqrt(lam_max)
-    proj = kernel @ adjoint(kernel)
-    pinv = _pivoted_inverse(work + r * proj) - proj / r
-    return _ldexp(0.5 * (pinv + adjoint(pinv)), -e), kernel
+        pinv = np.zeros((n, n))
+    else:
+        r = math.sqrt(lam_max)
+        proj = kernel @ _dagger(kernel)
+        pinv = _pivoted_inverse(work + r * proj) - proj / r
+        pinv = _ldexp(0.5 * (pinv + _dagger(pinv)), -e)
+    return pinv.astype(np.complex128), kernel.astype(np.complex128)
 
 
 def inverse_on_complement(q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:

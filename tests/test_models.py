@@ -120,6 +120,19 @@ class TestTensorSupercharge:
         direct[6:, 6:] = a @ adjoint(a)
         assert np.array_equal(np.asarray(system.hamiltonian), direct)
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_blocks_equal_the_tensor_products(self, rng, real):
+        # Written blockwise, Q and K equal f^dag (x) A + f (x) A^dag and
+        # sigma_3 (x) 1 in value (only the sign of some zeros differs).
+        a = random_complex(rng, 5, 5)
+        a = a.real if real else a
+        f, f_dag = fermionic_ladder()
+        system = tensor_supercharge(a)
+        assert np.array_equal(np.asarray(system.charges[0]),
+                              np.kron(f_dag, a) + np.kron(f, adjoint(a)))
+        assert np.array_equal(np.asarray(system.involution.matrix),
+                              np.kron(SIGMA3, np.eye(5)))
+
 
 class TestFreeParticleLattice:
     def test_three_site_spectrum(self):

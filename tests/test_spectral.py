@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from susyqm import (
     ConvergenceError,
+    LatticeSpec,
     NumericPolicy,
     SIGMA1,
     SIGMA2,
@@ -17,6 +18,7 @@ from susyqm import (
     construct_involution,
     eigh,
     eigvalsh,
+    free_particle_lattice,
     inverse_on_complement,
     io,
     jacobi_backend,
@@ -358,6 +360,19 @@ SPECTRUM_CASES.update({
     for n in (48, 101, 122, 202)
 })
 SPECTRUM_CASES["split-tridiagonal-400"] = lambda rng: _split_tridiagonal(rng, 400)
+# The float64 reduction (real dense and a real lattice sector) and the
+# complex one at the largest sector dim of the benchmark.
+SPECTRUM_CASES.update({
+    "real-101": lambda rng: _real_symmetric(rng, 101),
+    "free-particle-21": lambda rng: standard_representation(
+        free_particle_lattice(LatticeSpec(21, 0.3))).h_plus,
+    "complex-112": lambda rng: random_hermitian(rng, 112),
+})
+
+
+def _real_symmetric(rng, n):
+    b = rng.normal(size=(n, n))
+    return 0.5 * (b + b.T)
 
 
 def _complex_tridiagonal(rng, n):
@@ -541,6 +556,45 @@ class TestTridiagonalPath:
             assert (getattr(skipped, name).tobytes()
                     == getattr(reduced, name).tobytes()), name
 
+    @pytest.mark.parametrize("case", ["c07-h_plus", "c07-h_minus", "c07-gram",
+                                      "second-difference", "split-tridiagonal"])
+    def test_real_tridiagonal_gives_the_same_bits_on_either_path(
+            self, monkeypatch, rng, case):
+        # Tridiagonal input skips the reduction, so d = Re diag and
+        # e = |subdiagonal| are exact on either path: float64 input,
+        # complex input with zero imaginary parts (both take the float64
+        # path) and the complex path forced give the same bits.
+        t = np.ascontiguousarray(np.asarray(TRIDIAGONAL_CASES[case](rng)).real)
+        real, zero_imag = _Tridiagonal(t), _Tridiagonal(t.astype(complex))
+        monkeypatch.setattr(spectral, "_work_array",
+                            lambda a: np.asarray(a, dtype=np.complex128))
+        forced = _Tridiagonal(t)
+        assert real._phases.dtype == zero_imag._phases.dtype == np.float64
+        assert forced._phases.dtype == np.complex128
+        for tri in (zero_imag, forced):
+            for name in ("_d", "_e"):
+                assert (getattr(tri, name).tobytes()
+                        == getattr(real, name).tobytes()), name
+            assert tri.eigenvalues().tobytes() == real.eigenvalues().tobytes()
+
+    def test_real_input_stays_real(self, rng):
+        # Imaginary parts of -0.0 count as zero, a subnormal one does not.
+        a = _real_symmetric(rng, 12)
+        signed = a.astype(complex)
+        signed.imag = -0.0
+        tiny = a.astype(complex)
+        tiny[0, 1] += 5e-324j
+        tiny[1, 0] -= 5e-324j
+        real = _Tridiagonal(a)
+        assert real._reflectors and real._phases.dtype == np.float64
+        assert all(v.dtype == np.float64 for _, v, _ in real._reflectors)
+        assert _Tridiagonal(signed).eigenvalues().tobytes() == real.eigenvalues().tobytes()
+        assert _Tridiagonal(tiny)._phases.dtype == np.complex128
+        # The public results keep their complex dtype on the float64 path.
+        assert kernel_basis(rank_deficient(rng, 9, 7, 4).real).basis.dtype == np.complex128
+        assert inverse_on_complement(a).dtype == np.complex128
+        assert eigh(a).eigenvectors.dtype == np.complex128
+
     @pytest.mark.parametrize("seeds", [(), (0.0, 1.0)])
     def test_empty_matrix_has_no_eigenvalues(self, seeds):
         tri = _Tridiagonal(np.zeros((0, 0), dtype=complex))
@@ -643,6 +697,73 @@ def _draw_seeds(data, values):
                                max_size=12))
     seeds = data.draw(st.permutations(exact + near + other))
     return seeds + seeds[:data.draw(st.integers(0, len(seeds)))]
+
+
+@st.composite
+def _count_cases(draw):
+    """A tridiagonal (real or with complex couplings, dense or not, or
+    empty) and Sturm shifts in the units of its ``T``: its eigenvalues,
+    shifts up to a few ``pivmin`` and a few ulps around them, its
+    diagonal entries (a zero pivot, inf or NaN after it), signed zeros
+    and arbitrary floats, any number of them, none included."""
+    kind = draw(st.sampled_from(["random", "gram", "empty"]))
+    a = (np.zeros((0, 0)) if kind == "empty" else draw(
+        _random_tridiagonals() if kind == "random" else _grams_with_zero_modes()))
+    if draw(st.booleans()):
+        angles = draw(st.lists(st.floats(0.0, 6.0), min_size=len(a), max_size=len(a)))
+        phases = np.exp(1j * np.array(angles, dtype=float))
+        a = phases[:, None] * a * phases.conj()
+    tri = _Tridiagonal(a)
+    ev = np.ldexp(tri.eigenvalues(), -tri._exp).tolist()
+    pivmin = tri._pivmin
+    near = [v + j * pivmin for v in ev for j in (-2, -1, -0.5, 0, 0.5, 1, 2)]
+    near += [_key_float(_float_key(v) + j) for v in ev for j in (-2, -1, 1, 2)]
+    pool = ev + near + tri._d.tolist() + [0.0, -0.0, pivmin, -pivmin]
+    shifts = (st.sampled_from(pool) if pool else st.nothing()) | st.floats(-20.0, 20.0)
+    return tri, draw(st.lists(shifts, max_size=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_count_cases())
+def test_counts_match_the_guarded_count(case):
+    # One unguarded pass, then a recount by _below of the shifts where
+    # the guard would have fired, must give _below at every shift.
+    tri, xs = case
+    assert tri._counts(np.array(xs, dtype=float)).tolist() == [tri._below(x) for x in xs]
+
+
+def _textbook_inverse(a):
+    """Gaussian elimination with partial pivoting on separate ``LU`` and
+    ``X`` arrays, one row at a time, then back substitution: the
+    reference :func:`spectral._pivoted_inverse` must match bit for bit."""
+    lu = np.array(a)
+    n = len(lu)
+    x = np.eye(n, dtype=lu.dtype)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        lu[[k, p]] = lu[[p, k]]
+        x[[k, p]] = x[[p, k]]
+        f = lu[k + 1:, k] / lu[k, k]
+        for i in range(k + 1, n):
+            lu[i, k:] -= f[i - k - 1] * lu[k, k:]
+            x[i] -= f[i - k - 1] * x[k]
+    for k in range(n - 1, -1, -1):
+        x[k] -= lu[k, k + 1:] @ x[k + 1:]
+        x[k] /= lu[k, k]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_pivoted_inverse_matches_textbook_elimination(rng, n, dtype):
+    a = rng.normal(size=(n, n)).astype(dtype)
+    if dtype is np.complex128:
+        a += 1j * rng.normal(size=(n, n))
+    a[0] *= 1e-3  # the first pivot comes from another row
+    inv = spectral._pivoted_inverse(a)
+    assert inv.dtype == dtype
+    assert np.ascontiguousarray(inv).tobytes() == _textbook_inverse(a).tobytes()
+    assert np.linalg.norm(inv @ a - np.eye(n)) < 1e-10
 
 
 def _block_with_zero_middle(rng):
