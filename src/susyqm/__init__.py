@@ -8,160 +8,17 @@ Lattice builders provide the canonical worked examples; a CLI
 (``susyqm``) drives everything from JSON files.
 """
 
-from .core import (
-    DEFAULT_POLICY,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
-    ConvergenceError,
-    CrossCheckError,
-    NumericPolicy,
-    RelationCheck,
-    ShapeError,
-    ValidationError,
-    adjoint,
-    anticommutator,
-    as_operator,
-    commutator,
-    is_hermitian,
-    rel_residual,
-    residual_norm,
-)
-from .spectral import (
-    EigenDecomposition,
-    KernelBasis,
-    eigh,
-    eigvalsh,
-    inverse_on_complement,
-    jacobi_backend,
-    kernel_basis,
-)
-from .grading import (
-    GradingBasis,
-    Involution,
-    Parity,
-    block_extract,
-    classify_operator,
-    decompose_vector,
-    grading_basis,
-    projectors,
-    validate_involution,
-)
-from .susy import (
-    GradedSystem,
-    PairingSign,
-    StandardRepresentation,
-    SuperchargeSystem,
-    charges_from_parts,
-    check_pairing_relation,
-    complex_from_real,
-    construct_involution,
-    hamiltonian_from_parts,
-    hermitian_parts,
-    real_from_complex,
-    reparametrize,
-    second_supercharge,
-    standard_representation,
-    validate_complex_system,
-    validate_graded_complex_system,
-    validate_graded_real_system,
-    validate_real_system,
-)
-from .analysis import (
-    KernelEqualityReport,
-    PairingError,
-    SpectralReport,
-    WittenIndexReport,
-    index_range,
-    kernel_equality_check,
-    spectral_pairing_report,
-    witten_index,
-    witten_index_report,
-)
-from .models import (
-    Boundary,
-    LatticeSpec,
-    Lcg,
-    build_model,
-    fermionic_ladder,
-    free_particle_lattice,
-    pauli_lattice,
-    random_graded_system,
-    tensor_supercharge,
-    witten_model_lattice,
-)
+# Each module's __all__ is the one list of its public names; the package
+# re-exports them all, in this import order.
+from .core import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .grading import *  # noqa: F401,F403
+from .susy import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from . import analysis, core, grading, models, spectral, susy
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Boundary",
-    "ConvergenceError",
-    "CrossCheckError",
-    "DEFAULT_POLICY",
-    "EigenDecomposition",
-    "GradedSystem",
-    "GradingBasis",
-    "Involution",
-    "KernelBasis",
-    "KernelEqualityReport",
-    "LatticeSpec",
-    "Lcg",
-    "NumericPolicy",
-    "PairingError",
-    "PairingSign",
-    "Parity",
-    "RelationCheck",
-    "SIGMA1",
-    "SIGMA2",
-    "SIGMA3",
-    "ShapeError",
-    "SpectralReport",
-    "StandardRepresentation",
-    "SuperchargeSystem",
-    "ValidationError",
-    "WittenIndexReport",
-    "adjoint",
-    "anticommutator",
-    "as_operator",
-    "block_extract",
-    "build_model",
-    "charges_from_parts",
-    "check_pairing_relation",
-    "classify_operator",
-    "commutator",
-    "complex_from_real",
-    "construct_involution",
-    "decompose_vector",
-    "eigh",
-    "eigvalsh",
-    "fermionic_ladder",
-    "free_particle_lattice",
-    "grading_basis",
-    "hamiltonian_from_parts",
-    "hermitian_parts",
-    "index_range",
-    "inverse_on_complement",
-    "is_hermitian",
-    "jacobi_backend",
-    "kernel_basis",
-    "kernel_equality_check",
-    "pauli_lattice",
-    "projectors",
-    "random_graded_system",
-    "real_from_complex",
-    "rel_residual",
-    "reparametrize",
-    "residual_norm",
-    "second_supercharge",
-    "spectral_pairing_report",
-    "standard_representation",
-    "tensor_supercharge",
-    "validate_complex_system",
-    "validate_graded_complex_system",
-    "validate_graded_real_system",
-    "validate_involution",
-    "validate_real_system",
-    "witten_index",
-    "witten_index_report",
-    "witten_model_lattice",
-]
+__all__ = sorted(name for module in (core, spectral, grading, susy, analysis, models)
+                 for name in module.__all__)

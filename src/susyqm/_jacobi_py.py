@@ -1,4 +1,5 @@
-"""Cyclic Jacobi sweep kernel for complex Hermitian matrices.
+"""Cyclic Jacobi sweep kernel for real symmetric or complex Hermitian
+matrices.
 
 The iterate stays exactly Hermitian: each rotation recombines the two
 affected rows and restores the matching columns by conjugation, and the
@@ -25,10 +26,11 @@ def _offdiag_sq(a: np.ndarray) -> float:
 def jacobi_sweeps(a, vt, tol_off, max_sweeps, track_vectors):
     """Drive ``a`` toward diagonal form with cyclic 2x2 unitary rotations.
 
-    ``a`` must be exactly Hermitian, C-contiguous ``complex128``, and is
-    modified in place.  When ``track_vectors`` is true the rotations
-    accumulate into ``vt`` so that on exit ``a_in = vt^dag a_out vt`` up
-    to rounding (``vt`` holds the adjoint of the eigenvector matrix).
+    ``a`` must be exactly Hermitian, C-contiguous ``float64`` or
+    ``complex128``, and is modified in place; ``vt`` has its dtype.  When
+    ``track_vectors`` is true the rotations accumulate into ``vt`` so
+    that on exit ``a_in = vt^dag a_out vt`` up to rounding (``vt`` holds
+    the adjoint of the eigenvector matrix).
     Returns ``(sweeps, off)`` with ``off`` the final off-diagonal
     Frobenius norm; the caller decides whether ``off`` met its target.
     """

@@ -51,11 +51,12 @@ from .core import (
     _operator_scale,
     _raise_failures,
     _readonly,
+    _require_int,
     _require_self_adjoint,
     adjoint,
     residual_norm,
 )
-from .spectral import _EPS, _floats_apart, _kernel_dim, _Tridiagonal, kernel_basis
+from .spectral import _floats_apart, _gram_floor, _kernel_dim, _Tridiagonal, kernel_basis
 # Not called here; ``analysis.eigvalsh`` stays bound because the
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401
@@ -158,7 +159,7 @@ def _sector_analysis(system: GradedSystem, policy: NumericPolicy) -> _SectorAnal
         # module docstring); dim is that sector's, max(A.shape).
         first = 0 if tris[0].n >= tris[1].n else 1
         lead = tris[first].eigenvalues()
-        pad = 2.0 * tris[first].n * _EPS * max(abs(float(lead[0])),
+        pad = _gram_floor(tris[first].n) * max(abs(float(lead[0])),
                                                abs(float(lead[-1])))
         half = tris[1 - first].parts // 2
         seeded = tris[1 - first].eigenvalues(np.concatenate([
@@ -236,7 +237,7 @@ def witten_index_report(system: GradedSystem,
     a_op = sectors.rep.a_operator
     # The Gram matrices' largest eigenvalue is that of the sectors, the
     # spectral radius of H, up to rounding: seeds within the Gram floor.
-    floor = 2.0 * max(a_op.shape) * _EPS * sectors.radius
+    floor = _gram_floor(max(a_op.shape)) * sectors.radius
     seeds = (sectors.radius - floor, sectors.radius + floor)
     dim_ker_a = _kernel_dim(a_op, policy, seeds)
     dim_ker_ad = _kernel_dim(adjoint(a_op), policy, seeds)
@@ -282,7 +283,10 @@ def witten_index(system: GradedSystem,
 
 def index_range(d: int) -> list[int]:
     """All indices reachable by extending an involution over a
-    ``d``-dimensional charge kernel: ``{-d, -d+2, ..., d}``."""
+    ``d``-dimensional charge kernel: ``{-d, -d+2, ..., d}``.  ``d`` must
+    be an integer (numpy integers too); a bool or float raises
+    :class:`TypeError`."""
+    d = _require_int(d, "d")
     if d < 0:
         raise ValueError(f"kernel dimension must be nonnegative, got {d}")
     return list(range(-d, d + 1, 2))

@@ -19,7 +19,6 @@ from .analysis import (
     witten_index_report,
 )
 from .core import (
-    ConvergenceError,
     CrossCheckError,
     NumericPolicy,
     ShapeError,
@@ -259,7 +258,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"validation failure: {exc}\n")
         return EXIT_INVALID
-    except (CrossCheckError, ConvergenceError, PairingError) as exc:
+    except (CrossCheckError, PairingError) as exc:
         sys.stderr.write(f"internal cross-check failure: {exc}\n")
         return EXIT_INTERNAL
     except (io.FormatError, ShapeError, OSError, ValueError) as exc:

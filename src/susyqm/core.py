@@ -21,6 +21,7 @@ dimension, and ``H != 0`` compares the absolute norm ``||H||`` with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,6 @@ __all__ = [
     "anticommutator",
     "as_operator",
     "commutator",
-    "frozen_copy",
     "is_hermitian",
     "rel_residual",
     "residual_norm",
@@ -166,6 +166,15 @@ def as_operator(a, name: str = "operator") -> np.ndarray:
 def frozen_copy(a) -> np.ndarray:
     """Defensive read-only copy for values stored in result objects."""
     return _readonly(np.array(a))
+
+
+def _require_int(value, name: str) -> int:
+    """``value`` as an ``int``: an integer (numpy integers too), never a
+    boolean, string or float, not even an integral one; anything else
+    raises :class:`TypeError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_operators(named, dim: int | None = None) -> list[np.ndarray]:

@@ -38,6 +38,7 @@ from .core import (
     SIGMA2,
     RelationCheck,
     _raise_failures,
+    _require_int,
     adjoint,
     as_operator,
 )
@@ -82,7 +83,7 @@ class LatticeSpec:
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", _spec_int(self.sites, "sites"))
+        object.__setattr__(self, "sites", _require_int(self.sites, "sites"))
         if self.sites < 1 or self.sites % 2 == 0:
             raise ValueError(f"sites must be an odd positive integer, "
                              f"got {self.sites}")
@@ -136,11 +137,21 @@ def tensor_supercharge(a, policy: NumericPolicy = DEFAULT_POLICY) -> GradedSyste
     q = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     q[n:, :n] = arr
     q[:n, n:] = adjoint(arr)
-    k = np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(np.complex128)
-    h = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    h[:n, :n] = adjoint(arr) @ arr
-    h[n:, n:] = arr @ adjoint(arr)
+    k, h = _block_graded(arr)
     return validate_graded_real_system(h, k, [q], policy)
+
+
+def _block_graded(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(K, H)`` of the block-graded layout of a complex map ``a`` of
+    shape ``(dim_f, dim_b)``, from the bosonic sector to the fermionic
+    one: ``K = diag(1_b, -1_f)`` and ``H = diag(A^dag A, A A^dag)``."""
+    dim_f, dim_b = a.shape
+    k = np.diag(np.concatenate(
+        [np.ones(dim_b), -np.ones(dim_f)])).astype(np.complex128)
+    h = np.zeros((dim_b + dim_f, dim_b + dim_f), dtype=np.complex128)
+    h[:dim_b, :dim_b] = adjoint(a) @ a
+    h[dim_b:, dim_b:] = a @ adjoint(a)
+    return k, h
 
 
 def free_particle_lattice(spec: LatticeSpec,
@@ -168,12 +179,14 @@ def witten_model_lattice(spec: LatticeSpec, superpotential,
     ``D`` is the forward difference with Dirichlet truncation
     (``D[j, j] = -1/dx``, ``D[j, j+1] = +1/dx``, nothing beyond the last
     site), and ``W`` holds the superpotential samples at the lattice
-    coordinates.  The system is built through :func:`tensor_supercharge`,
-    so the supersymmetry is exact no matter how coarse the lattice.
+    coordinates, of an integer or real floating dtype (any other raises
+    :class:`TypeError`).  The system is built through
+    :func:`tensor_supercharge`, so the supersymmetry is exact no matter
+    how coarse the lattice.
     """
     if spec.boundary is not Boundary.DIRICHLET:
         raise ValueError("the superpotential lattice needs Dirichlet boundary")
-    w = np.asarray(superpotential, dtype=float)
+    w = _real_samples(superpotential, "superpotential")
     if w.shape != (spec.sites,):
         raise ValueError(
             f"superpotential needs {spec.sites} samples, got shape {w.shape}")
@@ -198,9 +211,10 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
     anticommute with Q.  Each field that violates it fails its check
     ``a_i(-r) = -a_i(r)``, whose residual is the worst sample's violation.
 
-    ``a_x`` and ``a_y`` are real samples on the lattice, either shaped
-    ``(sites, sites)`` or flat of length ``sites**2``, indexed row-major
-    as ``(ix, iy)``.
+    ``a_x`` and ``a_y`` are real samples on the lattice, of an integer or
+    real floating dtype (any other raises :class:`TypeError`), either
+    shaped ``(sites, sites)`` or flat of length ``sites**2``, indexed
+    row-major as ``(ix, iy)``.
     """
     if spec.boundary is not Boundary.PERIODIC:
         raise ValueError("the planar spin lattice needs periodic boundary")
@@ -209,7 +223,7 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
 
     fields = []
     for name, samples in (("a_x", a_x), ("a_y", a_y)):
-        arr = np.asarray(samples, dtype=float)
+        arr = _real_samples(samples, name)
         if arr.shape == (n, n):
             arr = arr.reshape(n_sp)
         if arr.shape != (n_sp,):
@@ -240,6 +254,17 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
     k = np.kron(np.kron(parity1, parity1), np.eye(2))
     h = q @ q
     return validate_graded_real_system(h, k, [q], policy)
+
+
+def _real_samples(samples, name: str) -> np.ndarray:
+    """``samples`` as a float64 array if their dtype is an integer or real
+    floating one; complex, boolean, string and object samples raise
+    :class:`TypeError` naming ``name``, before any cast could drop an
+    imaginary part or read a string as a number."""
+    arr = np.asarray(samples)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must be real, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
 
 
 class Lcg:
@@ -329,25 +354,13 @@ def random_graded_system(dim_b: int, dim_f: int, seed: int,
     n = dim_b + dim_f
     q = np.zeros((n, n), dtype=np.complex128)
     q[:dim_b, dim_b:] = _SQRT2 * adjoint(a)
-    k = np.diag(np.concatenate(
-        [np.ones(dim_b), -np.ones(dim_f)])).astype(np.complex128)
-    h = np.zeros((n, n), dtype=np.complex128)
-    h[:dim_b, :dim_b] = adjoint(a) @ a
-    h[dim_b:, dim_b:] = a @ adjoint(a)
+    k, h = _block_graded(a)
     if conjugate:
         u = _lcg_unitary(stream, n)
         q = u @ q @ adjoint(u)
         k = u @ k @ adjoint(u)
         h = u @ h @ adjoint(u)
     return validate_graded_complex_system(h, k, [q], policy)
-
-
-def _spec_int(value, name: str) -> int:
-    """A model-spec size or seed: an integer (numpy integers too), never a
-    boolean, string or float, not even an integral one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _spec_reals(value, name: str):
@@ -363,6 +376,13 @@ def _spec_reals(value, name: str):
             raise TypeError(f"{name} has a number too large for a "
                             f"double") from None
     return value
+
+
+def _spec_samples(value, name: str) -> np.ndarray:
+    """Model-spec samples checked by :func:`_spec_reals`, as float64: a
+    Python integer too wide for int64 would otherwise make an object
+    array, which the lattice builders refuse."""
+    return np.asarray(_spec_reals(value, name), dtype=np.float64)
 
 
 def _spec_pair(value, message: str):
@@ -389,9 +409,9 @@ def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> Graded
     kind = spec.get("model")
     if kind == "random":
         dims = _spec_pair(spec["dims"], "dims must hold the two sector dimensions")
-        return random_graded_system(_spec_int(dims[0], "dims"),
-                                    _spec_int(dims[1], "dims"),
-                                    _spec_int(spec.get("seed", 0), "seed"),
+        return random_graded_system(_require_int(dims[0], "dims"),
+                                    _require_int(dims[1], "dims"),
+                                    _require_int(spec.get("seed", 0), "seed"),
                                     policy=policy)
     if kind not in ("free_particle", "witten", "pauli"):
         raise ValueError(f"unknown model kind: {kind!r}")
@@ -402,7 +422,7 @@ def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> Graded
     if kind == "free_particle":
         return free_particle_lattice(lattice, policy)
     if kind == "witten":
-        return witten_model_lattice(lattice, _spec_reals(spec["W"], "W"), policy)
+        return witten_model_lattice(lattice, _spec_samples(spec["W"], "W"), policy)
     field = _spec_pair(spec["A_field"], "A_field must hold two sample arrays")
-    return pauli_lattice(lattice, _spec_reals(field[0], "A_field"),
-                         _spec_reals(field[1], "A_field"), policy)
+    return pauli_lattice(lattice, _spec_samples(field[0], "A_field"),
+                         _spec_samples(field[1], "A_field"), policy)

@@ -4,21 +4,23 @@ Two paths, neither of which calls LAPACK:
 
 * Jacobi serves only the public :func:`eigh` and :func:`eigvalsh`:
   cyclic sweeps of 2x2 unitary rotations, run until the off-diagonal
-  Frobenius norm drops below
-  ``eigensolver_tol * ||A||``.  The matrix is first scaled by a power of
-  two, so entries far from one neither overflow nor underflow.  Jacobi
-  was chosen over QR iteration because it is simple to verify,
-  unconditionally convergent on Hermitian input and accurate enough at
-  the desk-scale dimensions this package targets.
+  Frobenius norm drops below ``eigensolver_tol * ||A||``.  The matrix
+  is first scaled by a power of two, so entries far from one neither
+  overflow nor underflow, and worked in float64 when every imaginary
+  part is exactly zero (``core._real_if_exact``'s decision), in
+  complex128 otherwise: ``_scaled_hermitian_part``, the one prologue
+  of both paths and the pseudo-inverse.  Jacobi was chosen over QR
+  iteration because it is simple to verify, unconditionally convergent
+  on Hermitian input and accurate enough at the desk-scale dimensions
+  this package targets.
 * Sector spectra (each sector of an analysis in :mod:`susyqm.analysis`,
   read by both reports and the ``spectrum`` verb), counts below a cutoff
   and kernel vectors (:func:`kernel_basis`) come from a Householder
   reduction to a real symmetric tridiagonal matrix (none when the input
   is tridiagonal already, as lattice sectors are).  The reduction, and
-  the Gram product in front of it, run in float64 when every imaginary
-  part of the input is exactly zero (``core._real_if_exact``'s
-  decision), in complex128 otherwise; each column updates the trailing
-  block by one rank-2 product.  Eigenvalues at or below ``x`` are
+  the Gram product in front of it, run in that same float64 or
+  complex128 arithmetic; each column updates the trailing block by one
+  rank-2 product.  Eigenvalues at or below ``x`` are
   counted from the inertia of ``T - x = L D L^T`` (Sturm count, with
   LAPACK ``dstebz``'s guard against zero pivots, written once: a count
   at many shifts runs unguarded, one test of its smallest pivot
@@ -92,7 +94,6 @@ from .core import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_SWEEPS",
     "EigenDecomposition",
     "KernelBasis",
     "eigh",
@@ -131,14 +132,14 @@ class KernelBasis:
     basis: np.ndarray
 
 
-def _scaled_hermitian_part(a, keep_complex: bool = False) -> tuple[np.ndarray, int]:
+def _scaled_hermitian_part(a) -> tuple[np.ndarray, int]:
     """``(work, e)``: the exactly Hermitian part of ``a * 2**-e`` (a new
     contiguous matrix with a real diagonal), ``e`` the
     :func:`_binary_exponent` of ``a``, so squared entries neither
     overflow nor underflow.  ``work`` is float64 when every imaginary
     part of ``a`` is exactly zero (:func:`_work_array`), complex128
-    otherwise or when ``keep_complex`` is set."""
-    a = np.asarray(a, dtype=np.complex128) if keep_complex else _work_array(a)
+    otherwise; both eigen-paths and the pseudo-inverse read it."""
+    a = _work_array(a)
     e = _binary_exponent(a)
     work = _ldexp(a, -e)
     return np.ascontiguousarray(0.5 * (work + _dagger(work))), e
@@ -155,13 +156,10 @@ def _work_array(a) -> np.ndarray:
 def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
                  track_vectors: bool):
     # Rotations are invariant under the scaling: no bit changes within 1e+-154.
-    work, e = _scaled_hermitian_part(a, keep_complex=True)
+    work, e = _scaled_hermitian_part(a)
     n = work.shape[0]
     tol_off = policy.eigensolver_tol * residual_norm(work)
-    if track_vectors:
-        vt = np.eye(n, dtype=np.complex128)
-    else:
-        vt = np.zeros((1, 1), dtype=np.complex128)
+    vt = np.eye(n if track_vectors else 1, dtype=work.dtype)
     sweeps, off = _kernel.jacobi_sweeps(work, vt, tol_off, max_sweeps,
                                         track_vectors)
     if off > tol_off:
@@ -670,9 +668,15 @@ def _gram_split(arr: np.ndarray, policy: NumericPolicy, seeds=()):
     the kernel dimension."""
     gram = _Tridiagonal(_dagger(arr) @ arr)
     lam_max = max(gram.eigenvalue(gram.n - 1, seeds), 0.0)
-    gram_floor = 2.0 * max(arr.shape) * _EPS
-    cutoff = max(policy.kernel_tol**2, gram_floor) * lam_max
+    cutoff = max(policy.kernel_tol**2, _gram_floor(max(arr.shape))) * lam_max
     return gram, lam_max, gram.count(cutoff)
+
+
+def _gram_floor(dim: int) -> float:
+    """``2 * dim * eps``, the Gram floor: relative to the largest
+    eigenvalue of a ``dim``-dimensional Gram product, the rounding below
+    which none of its eigenvalues is resolved."""
+    return 2.0 * dim * _EPS
 
 
 def _pivoted_inverse(a: np.ndarray) -> np.ndarray:

@@ -45,6 +45,7 @@ from .core import (
     _operator_scale,
     _raise_failures,
     _real_if_exact,
+    _require_int,
     _require_self_adjoint,
     adjoint,
     as_operator,
@@ -340,7 +341,8 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     shared by both charges) any choice of signature works; the extension
     used here is diagonal in the kernel eigenbasis with ``d_plus``
     entries ``+1`` followed by ``d - d_plus`` entries ``-1``.  ``d_plus``
-    defaults to ``d``.  The sign convention makes
+    defaults to ``d``; it must be an integer (numpy integers too), and a
+    bool or float raises :class:`TypeError`.  The sign convention makes
     :func:`check_pairing_relation` report ``MINUS``; the opposite overall
     sign is reachable by swapping the charge order.
 
@@ -353,6 +355,8 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     floor.  No eigendecomposition is formed.
     """
     a, b = _as_operators((("Q1", q1), ("Q2", q2)))
+    if d_plus is not None:
+        d_plus = _require_int(d_plus, "d_plus")
     h = a @ a
     validate_real_system(h, [a, b], policy)
 

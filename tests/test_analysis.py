@@ -246,6 +246,14 @@ class TestIndexRange:
         with pytest.raises(ValueError):
             index_range(-1)
 
+    @pytest.mark.parametrize("d", [True, 1.0, 2.5, "2"])
+    def test_rejects_non_integers(self, d):
+        with pytest.raises(TypeError, match="^d must be an integer"):
+            index_range(d)
+
+    def test_accepts_numpy_integers(self):
+        assert index_range(np.int64(2)) == index_range(np.uint8(2)) == [-2, 0, 2]
+
 
 class TestKernelEqualityCheck:
     def test_pauli_pair_trivial_kernels(self):

@@ -1,10 +1,14 @@
 """Package-wide contracts: the pinned public name list, which refactors
-keep, and the rule that the package makes no LAPACK calls."""
+keep, each name written in one module's ``__all__`` and re-exported as
+the same object, and the rule that the package makes no LAPACK calls."""
 
 import ast
 from pathlib import Path
 
 import susyqm
+from susyqm import analysis, core, grading, models, spectral, susy
+
+MODULES = (core, spectral, grading, susy, analysis, models)
 
 PUBLIC_NAMES = [
     "Boundary", "ConvergenceError", "CrossCheckError", "DEFAULT_POLICY",
@@ -33,6 +37,18 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(susyqm.__all__) == PUBLIC_NAMES
+
+
+def test_each_public_name_is_written_once():
+    # The package's list is the union of its modules' lists, with no
+    # name in two of them.
+    assert sorted(name for module in MODULES for name in module.__all__) == PUBLIC_NAMES
+
+
+def test_module_names_are_the_package_objects():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(susyqm, name) is getattr(module, name), name
 
 
 def test_package_makes_no_lapack_calls():

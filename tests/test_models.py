@@ -28,7 +28,7 @@ from susyqm import (
 )
 from susyqm import models
 
-from conftest import random_complex
+from conftest import block_system, random_complex
 
 
 def symmetric_gauge(spec, b0):
@@ -170,6 +170,13 @@ class TestFreeParticleLattice:
             free_particle_lattice(LatticeSpec(5, 1.0, Boundary.DIRICHLET))
 
 
+NON_REAL_SAMPLES = [
+    pytest.param(lambda n: np.full(n, 0.1 + 0.2j), id="complex"),
+    pytest.param(lambda n: [True] * n, id="bool"),
+    pytest.param(lambda n: ["0.1"] * n, id="string"),
+]
+
+
 class TestWittenModelLattice:
     def test_zero_superpotential_has_trivial_kernels(self):
         spec = LatticeSpec(9, 0.5, Boundary.DIRICHLET)
@@ -194,6 +201,14 @@ class TestWittenModelLattice:
         spec = LatticeSpec(5, 1.0, Boundary.DIRICHLET)
         with pytest.raises(ValueError, match="samples"):
             witten_model_lattice(spec, np.zeros(6))
+
+    @pytest.mark.parametrize("samples", NON_REAL_SAMPLES)
+    def test_rejects_non_real_samples(self, samples):
+        # A cast to float would drop the imaginary parts (numpy only
+        # warns) and read booleans and numeric strings as numbers.
+        spec = LatticeSpec(5, 1.0, Boundary.DIRICHLET)
+        with pytest.raises(TypeError, match="^superpotential must be real"):
+            witten_model_lattice(spec, samples(5))
 
 
 class TestPauliLattice:
@@ -224,11 +239,41 @@ class TestPauliLattice:
         with pytest.raises(ValidationError, match="parity odd"):
             pauli_lattice(spec, bad, np.zeros(25))
 
+    @pytest.mark.parametrize("samples", NON_REAL_SAMPLES)
+    @pytest.mark.parametrize("name", ["a_x", "a_y"])
+    def test_rejects_non_real_samples(self, samples, name):
+        spec = LatticeSpec(5, 1.0)
+        fields = {"a_x": np.zeros(25), "a_y": np.zeros(25)}
+        fields[name] = samples(25)
+        with pytest.raises(TypeError, match=f"^{name} must be real"):
+            pauli_lattice(spec, **fields)
+
     def test_accepts_square_sample_layout(self):
         spec = LatticeSpec(5, 1.0)
         ax, ay = symmetric_gauge(spec, 0.1)
         system = pauli_lattice(spec, ax.reshape(5, 5), ay.reshape(5, 5))
         assert system.dim == 50
+
+
+class TestBlockGradedLayout:
+    # K = diag(1_b, -1_f) and H = diag(A^dag A, A A^dag), byte for byte
+    # as the independent conftest builder lays them out.
+    @pytest.mark.parametrize("dim_b,dim_f", [(1, 1), (4, 3), (2, 5)])
+    def test_random_graded_system(self, dim_b, dim_f):
+        system = random_graded_system(dim_b, dim_f, seed=11)
+        h, k, q = block_system(Lcg(11).complex_matrix(dim_f, dim_b))
+        for got, want in ((system.hamiltonian, h), (system.involution.matrix, k),
+                          (system.charges[0], q)):
+            assert np.asarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_tensor_supercharge(self, rng, real):
+        a = random_complex(rng, 6, 6)
+        a = a.real if real else a
+        system = tensor_supercharge(a)
+        h, k, _ = block_system(a)
+        assert np.asarray(system.hamiltonian).tobytes() == h.tobytes()
+        assert np.asarray(system.involution.matrix).tobytes() == k.tobytes()
 
 
 class TestRandomGradedSystem:
@@ -411,3 +456,11 @@ class TestBuildModel:
         spec = {"model": "witten", "sites": np.int64(5), "dx": np.float64(0.5),
                 "W": np.linspace(-1.0, 1.0, 5)}
         assert build_model(spec).dim == 10
+
+    def test_accepts_integers_wider_than_int64(self):
+        # They fit in a double, so the spec takes them, although numpy
+        # would hold them in an object array.
+        wide = {"model": "witten", "sites": 3, "dx": 0.5, "W": [2**64, 0, -(2**64)]}
+        floats = dict(wide, W=[2.0**64, 0.0, -(2.0**64)])
+        assert build_model(wide).hamiltonian.tobytes() == build_model(
+            floats).hamiltonian.tobytes()

@@ -166,6 +166,47 @@ class TestBackends:
         assert jacobi_backend() == "python"
 
 
+def _real_with_degenerate_spectrum(rng, n):
+    # Integer eigenvalues in [-3, 3]: zeros, repeats and negatives for n >= 7.
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    d = np.round(3.0 * rng.uniform(-1.0, 1.0, size=n))
+    d[0] = 0.0
+    a = (q * d) @ q.T
+    return 0.5 * (a + a.T)
+
+
+JACOBI_REAL_CASES = {
+    **{f"degenerate-{n}": functools.partial(_real_with_degenerate_spectrum, n=n)
+       for n in (1, 2, 3, 7, 12, 24, 40)},
+    "zero-5": lambda rng: np.zeros((5, 5)),
+    "free-particle-21": lambda rng: free_particle_lattice(
+        LatticeSpec(21, 0.3)).hamiltonian,
+}
+
+
+class TestJacobiRealWork:
+    @pytest.mark.parametrize("case", sorted(JACOBI_REAL_CASES))
+    def test_same_bits_as_complex_work(self, monkeypatch, rng, case):
+        # Real input reaches the sweeps as float64 work, the array the
+        # tridiagonal path reads; forcing complex128 work changes no bit of
+        # the eigenvalues or of the (complex128) eigenvectors.
+        a = JACOBI_REAL_CASES[case](rng)
+        seen = []
+        sweeps = spectral._kernel.jacobi_sweeps
+        monkeypatch.setattr(spectral._kernel, "jacobi_sweeps",
+                            lambda work, vt, *rest: seen.append((work.dtype, vt.dtype))
+                            or sweeps(work, vt, *rest))
+        real, real_w = eigh(a), eigvalsh(a)
+        monkeypatch.setattr(spectral, "_work_array",
+                            lambda a: np.asarray(a, dtype=np.complex128))
+        forced, forced_w = eigh(a), eigvalsh(a)
+        assert seen == [(np.float64, np.float64)] * 2 + [(np.complex128,) * 2] * 2
+        assert real.eigenvectors.dtype == forced.eigenvectors.dtype == np.complex128
+        assert real.eigenvalues.tobytes() == forced.eigenvalues.tobytes()
+        assert real.eigenvectors.tobytes() == forced.eigenvectors.tobytes()
+        assert real_w.tobytes() == forced_w.tobytes() == real.eigenvalues.tobytes()
+
+
 class TestEighWittenLattice:
     def test_lowest_cluster_matches_oracle(self):
         w = eigvalsh(c07_system(1.0).hamiltonian)

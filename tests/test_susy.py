@@ -333,6 +333,20 @@ class TestConstructInvolution:
         inv_explicit = construct_involution(q1, q2, d_plus=3)
         assert np.allclose(inv_default.matrix, inv_explicit.matrix)
 
+    @pytest.mark.parametrize("d_plus", [True, 1.0, np.float64(1.0), "1"],
+                             ids=["bool", "float", "numpy-float", "string"])
+    def test_d_plus_must_be_an_integer(self, rng, d_plus):
+        a = rank_deficient(rng, 3, 3, 2)
+        h, _, q1, q2 = real_pair_from_block(a)
+        with pytest.raises(TypeError, match="^d_plus must be an integer"):
+            construct_involution(q1, q2, d_plus=d_plus)
+
+    def test_d_plus_may_be_a_numpy_integer(self, rng):
+        a = rank_deficient(rng, 3, 3, 2)
+        h, _, q1, q2 = real_pair_from_block(a)
+        assert construct_involution(q1, q2, d_plus=np.int64(1)).matrix.tobytes() == (
+            construct_involution(q1, q2, d_plus=1).matrix.tobytes())
+
     def test_d_plus_out_of_range(self, rng):
         a = rank_deficient(rng, 3, 3, 2)
         h, _, q1, q2 = real_pair_from_block(a)
