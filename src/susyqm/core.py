@@ -4,12 +4,17 @@ Operators are plain numpy ``complex128`` arrays.  A relation whose
 operands all have imaginary parts exactly zero is checked on their
 float64 real parts (``_real_if_exact``, with the dtype-preserving
 ``_dagger``); the stored operators stay complex.  An input is refused
-at the boundary in one of two ways.  A wrong shape raises
-:class:`ShapeError`: :func:`as_operator` checks squareness and
-finiteness, and ``_as_operators`` also names the first of several
-operators whose dimension differs; the algebra helpers stay thin after
-that.  A broken relation raises :class:`ValidationError` carrying a
-:class:`RelationCheck` for each failed relation (``_raise_failures``).
+at the boundary in one of three ways.  Every value a caller passes, an
+operator, a vector, a sample array or a tolerance, goes through one
+gate, ``_require_numbers``: a boolean, a string, ``None`` or a number
+too large for a double raises :class:`TypeError` naming the argument,
+so :func:`as_operator` refuses non-numbers rather than parsing them.  A
+wrong shape raises :class:`ShapeError`: :func:`as_operator` checks
+squareness and finiteness, and ``_as_operators`` also names the first
+of several operators whose dimension differs; the algebra helpers stay
+thin after that.  A broken relation raises :class:`ValidationError`
+carrying a :class:`RelationCheck` for each failed relation
+(``_raise_failures``).
 Hermiticity and algebra residuals are relative, scaled by
 ``max(1, norm)`` of the participating operators, so validators behave
 uniformly across operator scales.  Two kinds of residual are not: the
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,6 +99,31 @@ class RelationCheck:
         return cls(name, residual, tolerance, passed)
 
 
+def _require_numbers(value, name: str, real: bool = False) -> np.ndarray:
+    """``value`` as a float64 array if ``real``, else as a complex128 one.
+
+    A float, or a numpy array of an integer or floating dtype (or a
+    complex one, unless ``real``), is cast by dtype, with no copy when it
+    already has the target dtype.  Anything else is checked entry by
+    entry: each must be a number (a real one, if ``real``) that fits in
+    a double, never a boolean, a string or ``None``; otherwise
+    :class:`TypeError` names ``name``.
+    """
+    dtype, kinds, number = ((np.float64, "iuf", numbers.Real) if real
+                            else (np.complex128, "iufc", numbers.Complex))
+    if isinstance(value, float) or (isinstance(value, np.ndarray)
+                                    and value.dtype.kind in kinds):
+        return np.asarray(value, dtype=dtype)
+    entries = np.asarray(value, dtype=object)
+    for x in entries.flat:
+        if isinstance(x, (bool, np.bool_)) or not isinstance(x, number):
+            raise TypeError(f"{name} must be {'real' if real else 'numeric'}, got {x!r}")
+    try:
+        return entries.astype(dtype)
+    except OverflowError:
+        raise TypeError(f"{name} has a number too large for a double") from None
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
     """Tolerances for validators, kernel detection and the Jacobi eigensolver.
@@ -128,16 +158,12 @@ class NumericPolicy:
     pairing_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in (
-            "hermiticity_tol",
-            "algebra_tol",
-            "kernel_tol",
-            "eigensolver_tol",
-            "pairing_tol",
-        ):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1e-3:
-                raise ValueError(f"{name} must lie in (0, 1e-3], got {value!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            tol = _require_numbers(value, field.name, real=True)
+            if tol.ndim or not 0.0 < float(tol) <= 1e-3:
+                raise ValueError(f"{field.name} must lie in (0, 1e-3], got {value!r}")
+            object.__setattr__(self, field.name, float(tol))
 
 
 DEFAULT_POLICY = NumericPolicy()
@@ -154,8 +180,9 @@ SIGMA3 = _readonly(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
 
 def as_operator(a, name: str = "operator") -> np.ndarray:
-    """Coerce ``a`` to a square, finite complex matrix."""
-    arr = np.asarray(a, dtype=np.complex128)
+    """Coerce ``a`` to a square, finite complex matrix; a non-number
+    raises :class:`TypeError` naming ``name``."""
+    arr = _require_numbers(a, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
@@ -206,7 +233,7 @@ def anticommutator(a, b) -> np.ndarray:
 
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose (also accepts rectangular blocks)."""
-    return np.asarray(a, dtype=np.complex128).conj().T
+    return _require_numbers(a, "operator").conj().T
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:

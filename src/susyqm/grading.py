@@ -31,6 +31,7 @@ from .core import (
     _hermiticity_residual,
     _raise_failures,
     _require_hermitian,
+    _require_numbers,
     adjoint,
     as_operator,
     frozen_copy,
@@ -130,13 +131,15 @@ def projectors(k: Involution) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decompose_vector(k: Involution, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Split a vector into even and odd parts.
+    """Split a finite vector into even and odd parts.
 
     The parts sum back to the input to within one rounding per entry
     (exactly, for same-magnitude entries)."""
-    vec = np.asarray(phi, dtype=np.complex128)
+    vec = _require_numbers(phi, "phi")
     if vec.shape != (k.dim,):
         raise ShapeError(f"vector of length {k.dim} expected, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError("phi contains non-finite entries")
     phi_b = 0.5 * (vec + k.matrix @ vec)
     # Complement instead of (phi - K phi)/2: the sum then reproduces phi
     # whenever the subtraction is exact, and to one ulp otherwise.

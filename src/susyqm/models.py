@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -39,6 +38,7 @@ from .core import (
     RelationCheck,
     _raise_failures,
     _require_int,
+    _require_numbers,
     adjoint,
     as_operator,
 )
@@ -75,7 +75,8 @@ class LatticeSpec:
     """Symmetric one-dimensional lattice ``x_j = j * spacing``, ``j = -m..m``.
 
     ``sites`` must be an odd integer so the site-reversal parity has
-    well-defined sector dimensions ``(m + 1, m)``; ``spacing`` a positive finite real.
+    well-defined sector dimensions ``(m + 1, m)``; ``spacing`` a positive
+    finite real, stored as a ``float``.
     """
 
     sites: int
@@ -87,16 +88,17 @@ class LatticeSpec:
         if self.sites < 1 or self.sites % 2 == 0:
             raise ValueError(f"sites must be an odd positive integer, "
                              f"got {self.sites}")
-        self._checked_spacing(self.spacing, "spacing")
+        object.__setattr__(self, "spacing", self._checked_spacing(self.spacing, "spacing"))
         object.__setattr__(self, "boundary", Boundary(self.boundary))
 
     @staticmethod
-    def _checked_spacing(value, name: str):
-        """``value`` if it is a positive finite real; errors name the
-        field ``name`` that holds it."""
-        if not 0 < _spec_reals(value, name) < math.inf:
+    def _checked_spacing(value, name: str) -> float:
+        """``value`` as a ``float`` if it is a positive finite real; errors
+        name the field ``name`` that holds it."""
+        spacing = _require_numbers(value, name, real=True)
+        if spacing.ndim or not 0 < float(spacing) < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
-        return value
+        return float(spacing)
 
     def coordinates(self) -> np.ndarray:
         m = self.sites // 2
@@ -178,15 +180,14 @@ def witten_model_lattice(spec: LatticeSpec, superpotential,
 
     ``D`` is the forward difference with Dirichlet truncation
     (``D[j, j] = -1/dx``, ``D[j, j+1] = +1/dx``, nothing beyond the last
-    site), and ``W`` holds the superpotential samples at the lattice
-    coordinates, of an integer or real floating dtype (any other raises
-    :class:`TypeError`).  The system is built through
+    site), and ``W`` holds the real superpotential samples at the
+    lattice coordinates.  The system is built through
     :func:`tensor_supercharge`, so the supersymmetry is exact no matter
     how coarse the lattice.
     """
     if spec.boundary is not Boundary.DIRICHLET:
         raise ValueError("the superpotential lattice needs Dirichlet boundary")
-    w = _real_samples(superpotential, "superpotential")
+    w = _require_numbers(superpotential, "superpotential", real=True)
     if w.shape != (spec.sites,):
         raise ValueError(
             f"superpotential needs {spec.sites} samples, got shape {w.shape}")
@@ -211,10 +212,9 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
     anticommute with Q.  Each field that violates it fails its check
     ``a_i(-r) = -a_i(r)``, whose residual is the worst sample's violation.
 
-    ``a_x`` and ``a_y`` are real samples on the lattice, of an integer or
-    real floating dtype (any other raises :class:`TypeError`), either
-    shaped ``(sites, sites)`` or flat of length ``sites**2``, indexed
-    row-major as ``(ix, iy)``.
+    ``a_x`` and ``a_y`` are real samples on the lattice, either shaped
+    ``(sites, sites)`` or flat of length ``sites**2``, indexed row-major
+    as ``(ix, iy)``.
     """
     if spec.boundary is not Boundary.PERIODIC:
         raise ValueError("the planar spin lattice needs periodic boundary")
@@ -223,7 +223,7 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
 
     fields = []
     for name, samples in (("a_x", a_x), ("a_y", a_y)):
-        arr = _real_samples(samples, name)
+        arr = _require_numbers(samples, name, real=True)
         if arr.shape == (n, n):
             arr = arr.reshape(n_sp)
         if arr.shape != (n_sp,):
@@ -254,17 +254,6 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
     k = np.kron(np.kron(parity1, parity1), np.eye(2))
     h = q @ q
     return validate_graded_real_system(h, k, [q], policy)
-
-
-def _real_samples(samples, name: str) -> np.ndarray:
-    """``samples`` as a float64 array if their dtype is an integer or real
-    floating one; complex, boolean, string and object samples raise
-    :class:`TypeError` naming ``name``, before any cast could drop an
-    imaginary part or read a string as a number."""
-    arr = np.asarray(samples)
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"{name} must be real, got dtype {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
 
 
 class Lcg:
@@ -340,16 +329,19 @@ def random_graded_system(dim_b: int, dim_f: int, seed: int,
     and ``H = diag(A^dag A, A A^dag)``.  With ``conjugate=True`` the whole
     triple is rotated by a random unitary to exercise non-standard bases;
     the unitary orthonormalizes the next ``n x n`` complex draws of the
-    same stream, ``n = dim_b + dim_f``, after those of ``A``.
+    same stream, ``n = dim_b + dim_f``, after those of ``A``.  The sizes
+    and the seed must be integers; anything else raises
+    :class:`TypeError` naming it.
 
     The draws are bit for bit the same on every platform.  ``H`` and,
     with ``conjugate=True``, the unitary and the rotated triple are
     summed through BLAS, so they reproduce bit for bit on one machine
     and to rounding across platforms; counts and the index do not move.
     """
+    dim_b, dim_f = _require_int(dim_b, "dim_b"), _require_int(dim_f, "dim_f")
     if dim_b < 1 or dim_f < 1:
         raise ValueError("sector dimensions must be positive")
-    stream = Lcg(seed)
+    stream = Lcg(_require_int(seed, "seed"))
     a = stream.complex_matrix(dim_f, dim_b)
     n = dim_b + dim_f
     q = np.zeros((n, n), dtype=np.complex128)
@@ -361,28 +353,6 @@ def random_graded_system(dim_b: int, dim_f: int, seed: int,
         k = u @ k @ adjoint(u)
         h = u @ h @ adjoint(u)
     return validate_graded_complex_system(h, k, [q], policy)
-
-
-def _spec_reals(value, name: str):
-    """A model-spec number or array of samples: every entry a real number
-    (numpy ones too) that fits in a double, never a boolean or string."""
-    entries = np.asarray(value, dtype=object).reshape(-1)
-    for x in entries:
-        if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
-            raise TypeError(f"{name} must be real, got {x!r}")
-        try:
-            float(x)
-        except OverflowError:
-            raise TypeError(f"{name} has a number too large for a "
-                            f"double") from None
-    return value
-
-
-def _spec_samples(value, name: str) -> np.ndarray:
-    """Model-spec samples checked by :func:`_spec_reals`, as float64: a
-    Python integer too wide for int64 would otherwise make an object
-    array, which the lattice builders refuse."""
-    return np.asarray(_spec_reals(value, name), dtype=np.float64)
 
 
 def _spec_pair(value, message: str):
@@ -401,28 +371,25 @@ def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> Graded
     The ``"model"`` key selects the builder (``free_particle``,
     ``witten``, ``pauli`` or ``random``); each builder reads only the
     fields it needs (``sites``, ``dx``, ``W``, ``A_field``, ``dims``,
-    ``seed``) and ignores the rest.  Sizes and the seed must be integers;
-    ``dx`` and the ``W`` and ``A_field`` samples must be real numbers
-    that fit in a double.  Booleans, strings and integers too large for a
-    double are rejected with :class:`TypeError`.
+    ``seed``) and ignores the rest; a mistyped field raises
+    :class:`TypeError` naming it.
     """
     kind = spec.get("model")
     if kind == "random":
         dims = _spec_pair(spec["dims"], "dims must hold the two sector dimensions")
         return random_graded_system(_require_int(dims[0], "dims"),
                                     _require_int(dims[1], "dims"),
-                                    _require_int(spec.get("seed", 0), "seed"),
-                                    policy=policy)
+                                    spec.get("seed", 0), policy=policy)
     if kind not in ("free_particle", "witten", "pauli"):
         raise ValueError(f"unknown model kind: {kind!r}")
     boundary = Boundary.DIRICHLET if kind == "witten" else Boundary.PERIODIC
     lattice = LatticeSpec(spec["sites"],
-                          float(LatticeSpec._checked_spacing(spec["dx"], "dx")),
-                          boundary)
+                          LatticeSpec._checked_spacing(spec["dx"], "dx"), boundary)
     if kind == "free_particle":
         return free_particle_lattice(lattice, policy)
     if kind == "witten":
-        return witten_model_lattice(lattice, _spec_samples(spec["W"], "W"), policy)
+        return witten_model_lattice(
+            lattice, _require_numbers(spec["W"], "W", real=True), policy)
     field = _spec_pair(spec["A_field"], "A_field must hold two sample arrays")
-    return pauli_lattice(lattice, _spec_samples(field[0], "A_field"),
-                         _spec_samples(field[1], "A_field"), policy)
+    return pauli_lattice(lattice, _require_numbers(field[0], "A_field", real=True),
+                         _require_numbers(field[1], "A_field", real=True), policy)

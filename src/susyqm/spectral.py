@@ -88,6 +88,8 @@ from .core import (
     _ldexp,
     _real_if_exact,
     _require_hermitian,
+    _require_int,
+    _require_numbers,
     adjoint,
     frozen_copy,
     residual_norm,
@@ -155,6 +157,8 @@ def _work_array(a) -> np.ndarray:
 
 def _diagonalize(a: np.ndarray, policy: NumericPolicy, max_sweeps: int,
                  track_vectors: bool):
+    if _require_int(max_sweeps, "max_sweeps") < 0:
+        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
     # Rotations are invariant under the scaling: no bit changes within 1e+-154.
     work, e = _scaled_hermitian_part(a)
     n = work.shape[0]
@@ -182,7 +186,8 @@ def eigh(a, policy: NumericPolicy = DEFAULT_POLICY,
 
     Raises :class:`ValidationError` on non-Hermitian input and
     :class:`ConvergenceError` if ``max_sweeps`` cyclic sweeps do not
-    reach the off-diagonal target.
+    reach the off-diagonal target; ``max_sweeps`` must be a nonnegative
+    integer.
     """
     arr = _require_hermitian(a, policy, "eigh")
     w, v = _diagonalize(arr, policy, max_sweeps, track_vectors=True)
@@ -649,7 +654,7 @@ def _kernel_input(a) -> tuple[np.ndarray, int]:
     (:func:`_work_array`), checked finite and scaled by ``2**-e`` so that
     its Gram matrix cannot overflow; the cutoff is relative, so the
     kernel does not depend on the scale."""
-    arr = np.asarray(a)
+    arr = _require_numbers(a, "kernel_basis input")
     if arr.ndim != 2:
         raise ShapeError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
     arr = _work_array(arr)

@@ -46,6 +46,7 @@ from .core import (
     _raise_failures,
     _real_if_exact,
     _require_int,
+    _require_numbers,
     _require_self_adjoint,
     adjoint,
     as_operator,
@@ -293,13 +294,13 @@ def real_from_complex(q) -> tuple[np.ndarray, np.ndarray]:
 def second_supercharge(k, q, sign: int = 1,
                        policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Build the companion charge ``Q' = sign * i K Q`` of a single-charge
-    graded system.
+    graded system; ``sign`` is the integer ``+1`` or ``-1``.
 
     ``(H = Q^2, K, [Q, Q'])`` is validated as a graded two-charge system,
     which checks the input and verifies that ``Q'`` is self-adjoint, odd
     with respect to K, squares to ``H`` and anticommutes with Q.
     """
-    if sign not in (1, -1):
+    if _require_int(sign, "sign") not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     k_arr, q_arr = _as_operators(
         (("K", k.matrix if isinstance(k, Involution) else k), ("Q", q)))
@@ -499,10 +500,10 @@ def reparametrize(system, rotation,
     if system.complex_charges or len(system.charges) != 2:
         raise ValueError("reparametrize needs a system with exactly two "
                          "real charges")
-    rot = np.asarray(rotation)
+    rot = _require_numbers(rotation, "rotation")
     if rot.shape != (2, 2):
         raise ShapeError(f"rotation must be 2x2, got shape {rot.shape}")
-    real = rot.real.astype(float)
+    real = rot.real
     _raise_failures([
         RelationCheck.judge("R real", residual_norm(rot.imag), 0.0),
         RelationCheck.judge("R^T R = 1", residual_norm(real.T @ real - np.eye(2)),

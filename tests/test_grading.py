@@ -101,6 +101,13 @@ class TestDecomposeVector:
         assert np.allclose(phi_b, [2.0, 0.0])
         assert residual_norm(phi_f.reshape(1, -1)) == 0.0
 
+    @pytest.mark.parametrize("phi", [[np.nan, 1.0], [np.inf, 0.0],
+                                     [0.0, complex(1.0, -np.inf)]])
+    def test_non_finite_vector_is_refused(self, sigma3_involution, phi):
+        # Unchecked, K phi raised a RuntimeWarning in matmul or gave NaN parts.
+        with pytest.raises(ValueError, match="^phi contains non-finite entries"):
+            decompose_vector(sigma3_involution, phi)
+
     def test_lattice_parity_point_mass(self):
         inv = validate_involution(parity_matrix(5))
         # j runs -2..2, so site j=1 is index 3 and j=-1 is index 1

@@ -285,6 +285,18 @@ class TestRandomGradedSystem:
     def test_block_form_validates(self):
         random_graded_system(4, 4, seed=42)
 
+    @pytest.mark.parametrize("args,name", [
+        ((2.0, 2, 0), "dim_b"),
+        ((True, 2, 0), "dim_b"),
+        ((2, "2", 0), "dim_f"),
+        ((2, 2, 1.5), "seed"),
+        ((2, 2, None), "seed"),
+    ])
+    def test_mistyped_arguments_are_named(self, args, name):
+        # build_model gated these; a direct call failed inside numpy or Lcg.
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            random_graded_system(*args)
+
     def test_index_lies_in_reachable_range(self):
         from susyqm import index_range
 

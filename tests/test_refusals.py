@@ -1,7 +1,10 @@
-"""Every refusal of an input at an operator boundary takes one of two
+"""Every refusal of an input at an operator boundary takes one of three
 forms: a broken relation raises ValidationError carrying a RelationCheck
-for each failure, and a wrong shape raises ShapeError naming the operand."""
+for each failure, a wrong shape raises ShapeError naming the operand, and
+a value that is not a number raises TypeError naming the argument."""
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from susyqm import (
     commutator,
     complex_from_real,
     construct_involution,
+    build_model,
+    decompose_vector,
     eigh,
     eigvalsh,
     grading_basis,
@@ -35,8 +40,10 @@ from susyqm import (
     validate_complex_system,
     validate_graded_complex_system,
     validate_graded_real_system,
+    validate_involution,
     validate_real_system,
     witten_index_report,
+    witten_model_lattice,
 )
 from susyqm import analysis
 from susyqm.grading import Involution
@@ -199,3 +206,111 @@ def test_shape_mismatch_names_the_operand(reject, name):
 def test_kernel_basis_of_a_vector_is_a_shape_error():
     with pytest.raises(ShapeError, match="expects a matrix"):
         kernel_basis(np.zeros(3))
+
+
+def _with_first(template, x):
+    """``template``, a number or nested list, with its first number
+    replaced by ``x``."""
+    if not isinstance(template, list):
+        return x
+    return [_with_first(template[0], x)] + template[1:]
+
+
+def _result_bytes(result):
+    if isinstance(result, LatticeSpec):
+        return repr(result), result.coordinates().tobytes()
+    if hasattr(result, "hamiltonian"):
+        return [np.asarray(op).tobytes()
+                for op in (result.hamiltonian, *result.charges)]
+    if isinstance(result, tuple):
+        return [np.asarray(part).tobytes() for part in result]
+    return np.asarray(result).tobytes()
+
+
+def _outcome(call, value):
+    try:
+        return _result_bytes(call(value))
+    except ValueError as exc:
+        return type(exc)
+
+
+_WITTEN3 = LatticeSpec(3, 0.5, "dirichlet")
+_PAULI3 = LatticeSpec(3, 1.0)
+_SIGMA3_INVOLUTION = validate_involution(SIGMA3)
+_ZEROS9 = [0.0] * 9
+
+# (entry point, the name its TypeError gives, whether it wants reals, a
+# valid argument as a number or nested list, the call).
+GATED = [
+    ("witten_model_lattice", "superpotential", True, [1.0, 0.0, -1.0],
+     lambda w: witten_model_lattice(_WITTEN3, w)),
+    ("pauli_lattice", "a_x", True, _ZEROS9, lambda a: pauli_lattice(_PAULI3, a, _ZEROS9)),
+    ("build_model-dx", "dx", True, 0.5,
+     lambda dx: build_model({"model": "free_particle", "sites": 3, "dx": dx})),
+    ("build_model-W", "W", True, [1.0, 0.0, -1.0],
+     lambda w: build_model({"model": "witten", "sites": 3, "dx": 0.5, "W": w})),
+    ("build_model-A_field", "A_field", True, _ZEROS9,
+     lambda a: build_model({"model": "pauli", "sites": 3, "dx": 1.0,
+                            "A_field": [a, _ZEROS9]})),
+    ("LatticeSpec", "spacing", True, 0.5, lambda h: LatticeSpec(3, h, "dirichlet")),
+    *[(f"NumericPolicy-{f.name}", f.name, True, 1e-9,
+       lambda tol, name=f.name: NumericPolicy(**{name: tol}))
+      for f in dataclasses.fields(NumericPolicy)],
+    ("validate_real_system", "H", False, [[1.0, 0.0], [0.0, 1.0]],
+     lambda h: validate_real_system(h, [SIGMA1, SIGMA2])),
+    ("eigvalsh", "A", False, [[2.0, 1.0], [1.0, 2.0]], eigvalsh),
+    ("kernel_basis", "kernel_basis input", False, [[1.0, 0.0], [0.0, 0.0]],
+     lambda a: kernel_basis(a).basis),
+    ("decompose_vector", "phi", False, [1.0, 2.0],
+     lambda phi: decompose_vector(_SIGMA3_INVOLUTION, phi)),
+    ("reparametrize", "rotation", False, [[1.0, 0.0], [0.0, 1.0]],
+     lambda r: reparametrize(_two_charge_system(), r)),
+]
+
+# (the argument made from a valid one, which entry points refuse it:
+# "all", "real" (those that want reals) or "none").  An accepted value
+# must give what its double (or complex double) gives.
+NUMBER_TABLE = [
+    pytest.param(lambda t: _with_first(t, True), "all", id="bool-entry"),
+    pytest.param(lambda t: _with_first(t, np.bool_(False)), "all", id="numpy-bool-entry"),
+    pytest.param(lambda t: np.asarray(np.asarray(t) != 0), "all", id="bool-array"),
+    pytest.param(lambda t: _with_first(t, "0.5"), "all", id="numeric-string"),
+    pytest.param(lambda t: np.asarray(t).astype(str), "all", id="string-array"),
+    pytest.param(lambda t: _with_first(t, None), "all", id="none"),
+    pytest.param(lambda t: _with_first(t, 0.5 + 0.5j), "real", id="complex-entry"),
+    pytest.param(lambda t: np.asarray(t, dtype=complex), "real", id="complex-array"),
+    pytest.param(lambda t: _with_first(t, 10**400), "all", id="too-large"),
+    pytest.param(lambda t: _with_first(t, 2**70), "none", id="int-beyond-int64"),
+    pytest.param(lambda t: _with_first(t, Fraction(1, 2)), "none", id="fraction"),
+    pytest.param(lambda t: _with_first(t, np.float32(0.5)), "none", id="float32"),
+    pytest.param(lambda t: _with_first(t, np.int64(1)), "none", id="int64"),
+]
+
+
+@pytest.mark.parametrize("make,refused_by", NUMBER_TABLE)
+@pytest.mark.parametrize("entry,name,real,template,call", GATED,
+                         ids=[g[0] for g in GATED])
+def test_every_entry_point_gives_one_verdict_on_a_number(
+        make, refused_by, entry, name, real, template, call):
+    value = make(template)
+    if refused_by == "all" or (refused_by == "real" and real):
+        with pytest.raises(TypeError, match=rf"^{name} (must be|has a number)"):
+            call(value)
+        return
+    cast = float if real else complex
+    as_double = np.vectorize(cast, otypes=[object])(
+        np.asarray(value, dtype=object)).tolist()
+    assert _outcome(call, value) == _outcome(call, as_double)
+
+
+def test_lattice_spec_and_policy_store_floats():
+    spec = LatticeSpec(5, Fraction(3, 20), "dirichlet")
+    assert type(spec.spacing) is float and spec.spacing == 0.15
+    assert spec.coordinates().dtype == np.float64
+    assert spec.coordinates().tobytes() == LatticeSpec(5, 0.15).coordinates().tobytes()
+    # Samples computed from the coordinates are float64, which the
+    # builders take; an object array of Fractions would be refused.
+    witten_model_lattice(spec, spec.coordinates())
+    policy = NumericPolicy(kernel_tol=Fraction(1, 10**9), pairing_tol=np.float32(1e-4))
+    assert type(policy.kernel_tol) is float and policy.kernel_tol == 1e-9
+    assert type(policy.pairing_tol) is float

@@ -109,6 +109,20 @@ class TestEighInvariants:
         with pytest.raises(ConvergenceError, match="off-diagonal"):
             eigh(SIGMA1, max_sweeps=0)
 
+    @pytest.mark.parametrize("solver", [eigh, eigvalsh])
+    @pytest.mark.parametrize("max_sweeps", [True, 2.5, "3", None])
+    def test_mistyped_max_sweeps_is_refused(self, solver, max_sweeps):
+        # Unchecked, True and 2.5 ran as 1 and 3 sweeps and "3" failed
+        # inside the kernel.
+        with pytest.raises(TypeError, match="^max_sweeps must be an integer"):
+            solver(SIGMA1, max_sweeps=max_sweeps)
+
+    @pytest.mark.parametrize("solver", [eigh, eigvalsh])
+    def test_negative_max_sweeps_is_refused(self, solver):
+        # Unchecked, -1 ran no sweep at all.
+        with pytest.raises(ValueError, match="^max_sweeps must be nonnegative"):
+            solver(np.eye(2), max_sweeps=-1)
+
 
 class TestExtremeScales:
     @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])

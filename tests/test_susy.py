@@ -273,6 +273,12 @@ class TestSecondSupercharge:
         with pytest.raises(ValueError, match="sign"):
             second_supercharge(SIGMA3, SIGMA1, sign=2)
 
+    @pytest.mark.parametrize("sign", [True, 1.0, "1"])
+    def test_mistyped_sign_rejected(self, sign):
+        # True == 1 and 1.0 == 1, so an unchecked sign passed the +-1 test.
+        with pytest.raises(TypeError, match="^sign must be an integer"):
+            second_supercharge(SIGMA3, SIGMA1, sign=sign)
+
 
 class TestCheckPairingRelation:
     def test_minus_sign(self):
