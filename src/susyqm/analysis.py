@@ -48,9 +48,9 @@ from .core import (
     _as_operators,
     _binary_exponent,
     _ldexp,
-    _operator_scale,
     _raise_failures,
     _readonly,
+    _relative,
     _require_int,
     _require_self_adjoint,
     adjoint,
@@ -260,9 +260,9 @@ def _disagreement_facts(system: GradedSystem, sectors: _SectorAnalysis) -> str:
     eigenvalue nearest the zero cut as a multiple of the cut."""
     rep = sectors.rep
     a_op = rep.a_operator
-    scale = residual_norm(system.hamiltonian) or 1.0
-    off_plus = residual_norm(rep.h_plus - adjoint(a_op) @ a_op) / scale
-    off_minus = residual_norm(rep.h_minus - a_op @ adjoint(a_op)) / scale
+    norm_h = residual_norm(system.hamiltonian)
+    off_plus = _relative(residual_norm(rep.h_plus - adjoint(a_op) @ a_op), norm_h)
+    off_minus = _relative(residual_norm(rep.h_minus - a_op @ adjoint(a_op)), norm_h)
     nearest = min(((float(v), sector)
                    for sector, ev in (("bosonic", sectors.ev_b),
                                       ("fermionic", sectors.ev_f))
@@ -315,11 +315,9 @@ def kernel_equality_check(q1, q2,
     e = max(_binary_exponent(a), _binary_exponent(b), 0)
     a_s, b_s = _ldexp(a, -e), _ldexp(b, -e)
     h1, h2 = a_s @ a_s, b_s @ b_s
-    # In units of 2**2e: the relative scale max(1, ||Q1^2||, ||Q2^2||)
-    # is max(2**-2e, ...), and the slack sqrt(||Q1^2 - Q2^2||) 2**e.
+    # In units of 2**2e; the slack sqrt(||Q1^2 - Q2^2||) is then 2**e.
     pre = residual_norm(h1 - h2)
-    relative = pre / max(math.ldexp(1.0, -2 * e), residual_norm(h1),
-                         residual_norm(h2))
+    relative = _relative(pre, max(residual_norm(h1), residual_norm(h2)))
     _raise_failures([RelationCheck.judge("Q1^2 = Q2^2", relative,
                                          policy.algebra_tol)],
                     "charges with Q1^2 != Q2^2 need not share a kernel")
@@ -335,7 +333,7 @@ def kernel_equality_check(q1, q2,
     residuals = []
     for name, kb, other, op, op_s in (("Q1", kb1, "Q2", b, b_s),
                                       ("Q2", kb2, "Q1", a, a_s)):
-        threshold = policy.kernel_tol * _operator_scale(op) + slack
+        threshold = policy.kernel_tol * residual_norm(op) + slack
         res = 0.0
         if kb.dim_kernel:
             res = math.ldexp(

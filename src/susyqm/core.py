@@ -15,12 +15,14 @@ of several operators whose dimension differs; the algebra helpers stay
 thin after that.  A broken relation raises :class:`ValidationError`
 carrying a :class:`RelationCheck` for each failed relation
 (``_raise_failures``).
-Hermiticity and algebra residuals are relative, scaled by
-``max(1, norm)`` of the participating operators, so validators behave
-uniformly across operator scales.  Two kinds of residual are not: the
-involution relations ``K^2 = 1`` and ``K != +-1`` divide by the
-dimension, and ``H != 0`` compares the absolute norm ``||H||`` with
-``algebra_tol``.
+Every Hermiticity and algebra residual is divided by the Frobenius
+norms of its own relation's operands, one after another (``_relative``),
+so that the ratio has degree zero in them: scaling ``Q -> 2^e Q``,
+``H -> 2^{2e} H`` leaves every ratio and every verdict bit for bit
+while no entry or product leaves the normal floating-point range.  K
+has no units and ``||K||_2 = 1``, so a relation with K is divided by the
+norm of its other operand only, and the involution relations ``K^2 = 1``
+and ``K != +-1`` divide by the dimension.
 """
 
 from __future__ import annotations
@@ -128,27 +130,31 @@ def _require_numbers(value, name: str, real: bool = False) -> np.ndarray:
 class NumericPolicy:
     """Tolerances for validators, kernel detection and the Jacobi eigensolver.
 
-    Hermiticity and algebra residuals are scaled by ``max(1, norm)`` of
-    the operands, kernel cutoffs by the largest singular value, pairing
-    windows by the larger eigenvalue of a candidate pair.  Two relations
-    use ``algebra_tol`` differently: the involution relations
-    (``K^2 = 1``, ``K != +1``, ``K != -1``) divide their residual by the
-    dimension, not by ``max(1, ||K||)``, and ``H != 0`` compares the
-    absolute norm ``||H||`` with ``algebra_tol``.  The grading basis
-    bounds each column norm of ``K U - U diag(+-1)`` by
-    ``dim * algebra_tol``, the bound the involution relations put on
-    ``||K^2 - 1||_F``.  ``eigensolver_tol`` governs the Jacobi sweeps of
-    ``eigh`` and ``eigvalsh``, the only users of Jacobi; the grading
-    basis and the pseudo-inverse take no eigensolver.  The pseudo-inverse
-    shares the kernel cut of ``kernel_basis``: ``|lambda|`` at most
+    Every field is relative.  A Hermiticity residual ``||A - A^dag||`` is
+    divided by ``||A||``, and an algebra residual by the norm of each
+    operand of its relation's products in turn: ``{X,Y} = 2 delta H``,
+    ``[X,Y] = 0`` and ``h_plus = A^dag A`` by ``||X||`` and then
+    ``||Y||``.  ``H != 0`` holds when ``||H|| / ||Q||^2`` exceeds
+    ``algebra_tol``, ``||Q||`` the largest charge norm.  A zero norm
+    divides by nothing, so the zero matrix is Hermitian.  K has no units
+    (``||K||_2 = 1``), so a relation with K is divided by its other
+    operand's norm alone; only the involution relations (``K^2 = 1``,
+    ``K != +1``, ``K != -1``) divide by the dimension instead.  Kernel
+    cutoffs are scaled by the largest singular value, pairing windows by
+    the larger eigenvalue of a candidate pair.  The grading basis bounds
+    each column norm of ``K U - U diag(+-1)`` by ``dim * algebra_tol``,
+    the bound the involution relations put on ``||K^2 - 1||_F``.
+    ``eigensolver_tol`` governs the Jacobi sweeps of ``eigh`` and
+    ``eigvalsh``, the only users of Jacobi; the grading basis and the
+    pseudo-inverse take no eigensolver.  The pseudo-inverse shares the
+    kernel cut of ``kernel_basis``: ``|lambda|`` at most
     ``max(kernel_tol, sqrt(2 * dim * eps))`` times the spectral radius is
-    zero.  Kernel dimensions, the index
-    report's zero-mode counts and the sector spectra of the pairing
-    report and the ``spectrum`` verb come from bisection down to
-    adjacent floats, which needs no tolerance.  Operators whose
-    imaginary parts are all exactly zero are checked in float64
-    (``_real_if_exact``); their residuals differ from complex arithmetic
-    only in the last bits.
+    zero.  Kernel dimensions, the index report's zero-mode counts and
+    the sector spectra of the pairing report and the ``spectrum`` verb
+    come from bisection down to adjacent floats, which needs no
+    tolerance.  Operators whose imaginary parts are all exactly zero are
+    checked in float64 (``_real_if_exact``); their residuals differ from
+    complex arithmetic only in the last bits.
     """
 
     hermiticity_tol: float = 1e-10
@@ -283,12 +289,15 @@ def _ldexp(a, e: int) -> np.ndarray:
 def residual_norm(a) -> float:
     """Frobenius norm, the scalar residual of a matrix equation.
 
-    Outside a safe range the entries are scaled by a power of two first
-    (:func:`_binary_exponent`), so entries beyond about ``1e+-154``
-    neither overflow nor underflow when squared; inside it that scaling
-    would change no bit.
+    A numpy array of a numeric dtype is used as it is, with no cast, so a
+    float64 relation keeps its arithmetic; anything else goes through
+    :func:`_require_numbers`.  Outside a safe range the entries are
+    scaled by a power of two first (:func:`_binary_exponent`), so entries
+    beyond about ``1e+-154`` neither overflow nor underflow when squared;
+    inside it that scaling would change no bit.
     """
-    arr = np.asarray(a)
+    arr = (a if isinstance(a, np.ndarray) and a.dtype.kind in "iufc"
+           else _require_numbers(a, "residual_norm input"))
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(arr))
         if _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1] or not arr.any():
@@ -297,28 +306,28 @@ def residual_norm(a) -> float:
         return float(np.ldexp(np.linalg.norm(_ldexp(arr, -e)), e))
 
 
-def _operator_scale(*operands) -> float:
-    """``max(1, ||op||_F over operands)``, the denominator of every
-    relative residual."""
-    scale = 1.0
-    for op in operands:
-        scale = max(scale, residual_norm(op))
-    return scale
+def _relative(residual: float, *norms: float) -> float:
+    """``residual`` divided by each of ``norms`` in turn, the norms of its
+    relation's own operands, so that the ratio has degree zero in them; a
+    zero norm leaves it as it is.  Dividing in turn, not by the product,
+    keeps a norm near ``1e200`` from overflowing the scale."""
+    for norm in norms:
+        if norm:
+            residual /= norm
+    return residual
 
 
 def rel_residual(x, *operands) -> float:
-    """Norm of ``x`` relative to the largest operand scale.
-
-    The scale is ``max(1, ||op||_F over operands)`` so the result is
-    comparable against a :class:`NumericPolicy` tolerance regardless of
-    operator magnitudes.
-    """
-    return residual_norm(x) / _operator_scale(*operands)
+    """``||x||_F`` divided by the largest ``||op||_F`` over ``operands``
+    (:func:`_relative`): unchanged when every operand is zero."""
+    return _relative(residual_norm(x),
+                     max((residual_norm(op) for op in operands), default=0.0))
 
 
 def _hermiticity_residual(a: np.ndarray, norm: float | None = None) -> float:
-    """``||A - A^dag|| / max(1, ||A||)``, in float64 when every imaginary
-    part of ``a`` is exactly zero (:func:`_real_if_exact`).
+    """``||A - A^dag|| / ||A||`` (:func:`_relative`, so 0 for the zero
+    matrix), in float64 when every imaginary part of ``a`` is exactly
+    zero (:func:`_real_if_exact`).
 
     ``norm``, when the caller has it, is ``||A||`` already computed on
     ``a`` as given; ``a`` is then taken in the arithmetic it has, so a
@@ -328,7 +337,7 @@ def _hermiticity_residual(a: np.ndarray, norm: float | None = None) -> float:
     if norm is None:
         [a] = _real_if_exact(a)
         norm = residual_norm(a)
-    return residual_norm(a - _dagger(a)) / max(1.0, norm)
+    return _relative(residual_norm(a - _dagger(a)), norm)
 
 
 def _require_self_adjoint(named, policy: NumericPolicy, what: str) -> None:
@@ -349,7 +358,8 @@ def _require_hermitian(a, policy: NumericPolicy, who: str,
 
 
 def is_hermitian(a, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """True iff ``||A - A^dag|| / max(1, ||A||) <= hermiticity_tol``."""
+    """True iff ``||A - A^dag|| / ||A|| <= hermiticity_tol``; the zero
+    matrix is Hermitian."""
     return _hermiticity_residual(as_operator(a)) <= policy.hermiticity_tol
 
 

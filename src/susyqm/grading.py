@@ -30,6 +30,7 @@ from .core import (
     _as_operators,
     _hermiticity_residual,
     _raise_failures,
+    _relative,
     _require_hermitian,
     _require_numbers,
     adjoint,
@@ -153,12 +154,12 @@ def classify_operator(k: Involution, m, policy: NumericPolicy = DEFAULT_POLICY) 
     The zero operator commutes with everything and classifies even.
     """
     [arr] = _as_operators((("M", m),), k.dim)
-    scale = residual_norm(arr)
+    norm = residual_norm(arr)
     km = k.matrix @ arr
     mk = arr @ k.matrix
-    if residual_norm(km - mk) <= policy.algebra_tol * scale:
+    if _relative(residual_norm(km - mk), norm) <= policy.algebra_tol:
         return Parity.EVEN
-    if residual_norm(km + mk) <= policy.algebra_tol * scale:
+    if _relative(residual_norm(km + mk), norm) <= policy.algebra_tol:
         return Parity.ODD
     return Parity.MIXED
 

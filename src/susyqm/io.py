@@ -29,6 +29,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .analysis import SpectralReport
+from .core import _require_numbers
 from .susy import GradedSystem, SuperchargeSystem
 
 __all__ = [
@@ -65,7 +66,7 @@ def matrix_to_obj(a) -> dict:
     """Serialize a matrix; square ones use the ``dim`` schema, rectangular
     blocks (a grading map between sectors of unequal size) carry explicit
     ``rows`` and ``cols``."""
-    arr = np.asarray(a, dtype=np.complex128)
+    arr = _require_numbers(a, "matrix")
     if arr.ndim != 2:
         raise FormatError(f"only matrices are serializable, got shape {arr.shape}")
     entries = (np.ascontiguousarray(arr).reshape(-1).view(np.float64)

@@ -236,8 +236,7 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
 
     flat = np.arange(n_sp)
     reflected = (n - 1 - flat // n) * n + (n - 1 - flat % n)
-    tol = policy.algebra_tol * max(
-        1.0, max(float(np.abs(f).max(initial=0.0)) for f in fields))
+    tol = policy.algebra_tol * max(float(np.abs(f).max(initial=0.0)) for f in fields)
     _raise_failures([RelationCheck.judge(f"{name}(-r) = -{name}(r)",
                                          float(np.abs(arr + arr[reflected]).max()), tol)
                      for name, arr in zip(("a_x", "a_y"), fields)],

@@ -42,9 +42,9 @@ from .core import (
     _as_operators,
     _dagger,
     _hermiticity_residual,
-    _operator_scale,
     _raise_failures,
     _real_if_exact,
+    _relative,
     _require_int,
     _require_numbers,
     _require_self_adjoint,
@@ -154,10 +154,14 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     with H.  Given an involution ``k``, the system is graded: K must also
     pass :func:`involution_checks`, anticommute with every charge and
     commute with H.  ``k`` may be a matrix or an :class:`Involution`.
-    Each algebra residual is divided by ``max(1, ||op||_F)`` over the
-    operators of its own relation: the two charges, H too when the
-    right-hand side is ``2H``, H or K with the charge they are checked
-    against, and H and K for ``[H,K] = 0``.
+    Each residual is divided by the Frobenius norms of its relation's own
+    operands in turn (:func:`core._relative`), so every ratio and every
+    verdict is the same in any units: a Hermiticity residual by the
+    operator's norm, ``{Q_i,Q_j} = 2 delta_ij H`` and its complex forms by
+    ``||Q_i||`` and ``||Q_j||``, ``[H,Q_i]`` by ``||H||`` and
+    ``||Q_i||``, ``{K,Q_i}`` by ``||Q_i||`` and ``[H,K]`` by ``||H||``
+    (K has no units).  ``H != 0`` must exceed ``algebra_tol`` as
+    ``||H||`` divided twice by the largest charge norm.
     When every imaginary part of H, the charges and K is exactly zero,
     all relations are checked in float64 (:func:`core._real_if_exact`),
     one decision for the whole system; otherwise all are complex.  The
@@ -186,18 +190,20 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     # charges the Hermiticity residual must be LARGE.
     herm_rule = ("{} not self-adjoint (a self-adjoint complex charge forces "
                  "H = 0)" if complex_charges else "{} self-adjoint")
+    norm_q = max(norms)
     checks = [
         RelationCheck.judge("H self-adjoint", _hermiticity_residual(h_arr, norm_h),
                             h_tol),
-        RelationCheck.judge("H != 0", norm_h, tol, must_exceed=True),
+        RelationCheck.judge("H != 0", _relative(norm_h, norm_q, norm_q), tol,
+                            must_exceed=True),
     ]
     checks += [RelationCheck.judge(herm_rule.format(name), _hermiticity_residual(q, nq),
                                    h_tol, must_exceed=complex_charges)
                for name, q, nq in zip(names, qs, norms)]
 
     def relation(name, x, *operand_norms):
-        scale = max(1.0, *operand_norms)
-        checks.append(RelationCheck.judge(name, residual_norm(x) / scale, tol))
+        checks.append(RelationCheck.judge(
+            name, _relative(residual_norm(x), *operand_norms), tol))
 
     # Bare products: the operands are already checked, so the algebra
     # helpers' own input checks would only repeat that work.  With one
@@ -214,18 +220,15 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     qs_dag = [_dagger(q) for q in qs] if complex_charges else qs
     for i, (qi, a, a_dag, na) in enumerate(zip(names, qs, qs_dag, norms)):
         for qj, b, b_dag, nb in zip(names[i:], qs[i:], qs_dag[i:], norms[i:]):
-            if qi == qj:
-                target, rhs, pair = 2.0 * h_arr, "2H", (na, norm_h)
-            else:
-                target, rhs, pair = 0.0, "0", (na, nb)
+            target, rhs = (2.0 * h_arr, "2H") if qi == qj else (0.0, "0")
             if complex_charges:
                 relation(f"{{{qi},{qj}^dag}} = {rhs}",
-                         anti(a, b_dag) - target, *pair)
+                         anti(a, b_dag) - target, na, nb)
                 relation(f"{{{qi},{qj}}} = 0", anti(a, b), na, nb)
                 relation(f"{{{qi}^dag,{qj}^dag}} = 0",
                          anti(a_dag, b_dag), na, nb)
             else:
-                relation(f"{{{qi},{qj}}} = {rhs}", anti(a, b) - target, *pair)
+                relation(f"{{{qi},{qj}}} = {rhs}", anti(a, b) - target, na, nb)
     for name, q, nq in zip(names, qs, norms):
         # Conservation of the charges follows from the algebra; verified
         # anyway so a failure report points at the right operator.
@@ -242,8 +245,8 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     norm_k = residual_norm(k_arr)
     checks += _involution_checks(k_arr, k_times, policy, norm_k)
     for name, q, nq in zip(names, qs, norms):
-        relation(f"{{K,{name}}} = 0", k_times(q) + times_k(q), norm_k, nq)
-    relation("[H,K] = 0", times_k(h_arr) - k_times(h_arr), norm_h, norm_k)
+        relation(f"{{K,{name}}} = 0", k_times(q) + times_k(q), nq)
+    relation("[H,K] = 0", times_k(h_arr) - k_times(h_arr), norm_h)
     _raise_failures(checks, f"not a valid graded {flavour}-supercharge system")
     return GradedSystem(frozen_copy(h_in), Involution(frozen_copy(ops[-1])),
                         charges_out, complex_charges, tuple(checks))
@@ -320,11 +323,10 @@ def check_pairing_relation(k, q1, q2,
     a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     h = a @ a
     k_arr = validate_graded_real_system(h, k, [a, b], policy).involution.matrix
-    scale = _operator_scale(h, a, b, k_arr)
     kq1 = 1j * (k_arr @ a)
-    if residual_norm(b + kq1) / scale <= policy.algebra_tol:
+    if rel_residual(b + kq1, a) <= policy.algebra_tol:
         return PairingSign.MINUS
-    if residual_norm(b - kq1) / scale <= policy.algebra_tol:
+    if rel_residual(b - kq1, a) <= policy.algebra_tol:
         return PairingSign.PLUS
     return PairingSign.FAIL
 
@@ -374,8 +376,7 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     k = 1j * (b @ q1_pinv) + (kernel_vecs * signature) @ adjoint(kernel_vecs)
 
     involution = validate_graded_real_system(h, k, [a, b], policy).involution
-    pair_res = rel_residual(b + 1j * (involution.matrix @ a),
-                            h, a, b, involution.matrix)
+    pair_res = rel_residual(b + 1j * (involution.matrix @ a), a)
     if pair_res > policy.algebra_tol:
         raise CrossCheckError(
             f"constructed involution violates Q2 = -iKQ1 "
@@ -391,13 +392,18 @@ def standard_representation(system: GradedSystem,
                             policy: NumericPolicy = DEFAULT_POLICY) -> StandardRepresentation:
     """Rotate a single-charge graded system into grading-adapted blocks.
 
-    The map A is read off the charge's off-diagonal block (for a complex
-    charge ``q = sqrt(2) [[0, A^dag], [0, 0]]``, for a real charge the
-    lower-left block of ``Q``); the sector blocks of H are then verified
-    against ``A^dag A`` and ``A A^dag``.  Every relation is checked
-    before any raises, so one :class:`ValidationError` names all that
-    fail.  A is only determined up to the unitary freedom of the grading
-    basis, so its contract is spectral, not entrywise.
+    The map A is the lower-left block of the real charge: of ``Q``
+    itself, or of ``(q + q^dag)/sqrt(2)`` for a complex charge ``q``
+    (:func:`real_from_complex`).  A complex charge odd under K and
+    nilpotent is ``[[0, B], [C, 0]]`` with ``BC = CB = 0``, so the cross
+    terms of ``A^dag A`` and ``A A^dag`` vanish; the strictly upper form
+    ``q = sqrt(2) [[0, A^dag], [0, 0]]`` is the case ``C = 0``.  The
+    charge's even blocks are checked against ``||q||``, and the sector
+    blocks of H against ``A^dag A`` and ``A A^dag``, divided by ``||A||``
+    twice.  Every relation is checked before any raises, so one
+    :class:`ValidationError` names all that fail.  A is only determined
+    up to the unitary freedom of the grading basis, so its contract is
+    spectral, not entrywise.
     """
     if len(system.charges) != 1:
         raise ValueError(
@@ -406,30 +412,28 @@ def standard_representation(system: GradedSystem,
     q = system.charges[0]
     h = system.hamiltonian
     basis = grading_basis(system.involution, policy)
-    scale = _operator_scale(h, q)
     tol = policy.algebra_tol
 
     q_bb, q_bf, q_fb, q_ff = block_extract(basis, q)
     checks = [RelationCheck.judge(
         "charge odd in the grading basis",
-        math.hypot(residual_norm(q_bb), residual_norm(q_ff)) / scale, tol)]
-    if system.complex_charges:
-        # A lower-left block keeps q from the strictly-upper standard form.
-        checks.append(RelationCheck.judge("complex charge has no lower-left block",
-                                          residual_norm(q_fb) / scale, tol))
-        a_op = adjoint(q_bf) / _SQRT2
-    else:
-        a_op = q_fb
+        _relative(math.hypot(residual_norm(q_bb), residual_norm(q_ff)),
+                  residual_norm(q)), tol)]
+    # A complex charge's A is that of its real charge (q + q^dag)/sqrt(2)
+    # (real_from_complex).  Adding q_fb^dag before the adjoint, not q_fb
+    # after it, keeps every bit of A, zero signs too, when q_fb is zero.
+    a_op = adjoint(q_bf + adjoint(q_fb)) / _SQRT2 if system.complex_charges else q_fb
 
     h_plus, _, _, h_minus = block_extract(basis, h)
     # The partner forms are checked in float64 when A and both sector
     # blocks are real; the representation keeps the complex128 blocks.
     a_w, plus_w, minus_w = _real_if_exact(a_op, h_plus, h_minus)
+    norm_a = residual_norm(a_w)
     checks += [
-        RelationCheck.judge("h_plus = A^dag A",
-                            residual_norm(plus_w - _dagger(a_w) @ a_w) / scale, tol),
-        RelationCheck.judge("h_minus = A A^dag",
-                            residual_norm(minus_w - a_w @ _dagger(a_w)) / scale, tol),
+        RelationCheck.judge("h_plus = A^dag A", _relative(
+            residual_norm(plus_w - _dagger(a_w) @ a_w), norm_a, norm_a), tol),
+        RelationCheck.judge("h_minus = A A^dag", _relative(
+            residual_norm(minus_w - a_w @ _dagger(a_w)), norm_a, norm_a), tol),
     ]
     _raise_failures(checks, "system does not reduce to the standard representation")
     return StandardRepresentation(

@@ -35,14 +35,14 @@ from susyqm.spectral import _Tridiagonal
 
 from conftest import block_system, c07_system, rank_deficient, svd_kernel_dim
 
-# Policies and a singular value that drive the pairing walk into each of
-# its exits on a hand-built system: a 1e-12 bump separates partners by
-# ten times pairing_tol.  Two singular values with sigma^2 = 4.9e-4 and a
-# bump of 4.95e-4 on a kernel mode leave {q,q^dag} = 2H off by 9.9e-4,
-# inside algebra_tol = 1e-3, and keep ||H|| = 1.1e-3 above it (H != 0).
+# Policies and bumps that drive the reports into their exits on a
+# hand-built system: a 1e-12 bump separates partners by ten times
+# pairing_tol, and a bump of 1e-4 on a kernel mode of A = 1 leaves
+# {q,q^dag} = 2H off by 5e-5 of ||q||^2, inside algebra_tol = 1e-3, with
+# the mode lifted to 1e4 times the zero cut.
 _TIGHT = NumericPolicy(kernel_tol=1e-14, pairing_tol=1e-13)
 _LOOSE = NumericPolicy(algebra_tol=1e-3)
-_SIGMA_EXHAUST = np.sqrt(4.9e-4)
+_KERNEL_BUMP = 1e-4
 
 
 def _bumped_block_system(a, mode, bump, policy):
@@ -110,24 +110,34 @@ class TestSpectralPairingReport:
         with pytest.raises(PairingError):
             spectral_pairing_report(system, policy)
 
-    @pytest.mark.parametrize("a,mode,bump,policy,message,orphan,sector", [
-        (np.diag([1.0, 2.0]), 2, 1e-12, _TIGHT,
+    @pytest.mark.parametrize("a,mode,bump,policy,spectra,message,orphan,sector", [
+        (np.diag([1.0, 2.0]), 2, 1e-12, _TIGHT, None,
          "bosonic eigenvalue 1.0 has no fermionic partner "
          "(nearest gap 1.000e-12)", 1.0, "bosonic"),
-        (np.diag([1.0, 2.0]), 2, -1e-12, _TIGHT,
+        (np.diag([1.0, 2.0]), 2, -1e-12, _TIGHT, None,
          "fermionic eigenvalue 0.999999999999 has no bosonic partner "
          "(nearest gap 1.000e-12)", 0.999999999999, "fermionic"),
-        (_SIGMA_EXHAUST * np.eye(2, 3), 2, 4.95e-4, _LOOSE,
-         "bosonic eigenvalue 0.000495 has no fermionic partner "
-         "(fermionic sector exhausted)", 0.000495, "bosonic"),
-        (_SIGMA_EXHAUST * np.eye(3, 2), 4, 4.95e-4, _LOOSE,
-         "fermionic eigenvalue 0.000495 has no bosonic partner "
-         "(bosonic sector exhausted)", 0.000495, "fermionic"),
+        (np.eye(2, 3), 2, _KERNEL_BUMP, _LOOSE, ((1.0, 1.0, 2.0), (1.0, 1.0)),
+         "bosonic eigenvalue 2.0 has no fermionic partner "
+         "(fermionic sector exhausted)", 2.0, "bosonic"),
+        (np.eye(3, 2), 4, _KERNEL_BUMP, _LOOSE, ((1.0, 1.0), (1.0, 1.0, 2.0)),
+         "fermionic eigenvalue 2.0 has no bosonic partner "
+         "(bosonic sector exhausted)", 2.0, "fermionic"),
     ], ids=["gap-bosonic", "gap-fermionic", "exhausted-fermionic",
             "exhausted-bosonic"])
-    def test_orphan_names_value_and_sector(self, a, mode, bump, policy,
-                                           message, orphan, sector):
+    def test_orphan_names_value_and_sector(self, monkeypatch, a, mode, bump, policy,
+                                           spectra, message, orphan, sector):
         system = _bumped_block_system(a, mode, bump, policy)
+        if spectra is not None:
+            # A sector runs out only when its largest eigenvalue is left
+            # over.  On a system that validates, that takes a kernel mode
+            # lifted to about the largest eigenvalue, a change of about
+            # 1/rank(A) of ||A||^2: far outside algebra_tol below rank
+            # 1000.  The walk is given such spectra directly.
+            found = dataclasses.replace(
+                analysis._sector_analysis(system, policy),
+                ev_b=np.array(spectra[0]), ev_f=np.array(spectra[1]))
+            monkeypatch.setattr(analysis, "_sector_analysis", lambda s, p: found)
         with pytest.raises(PairingError) as info:
             spectral_pairing_report(system, policy)
         assert str(info.value) == message
@@ -213,18 +223,17 @@ class TestWittenIndex:
     def test_disagreement_message_gives_block_residuals_and_cut_margin(self):
         # The bump keeps the kernel mode of A out of h_plus, far from any
         # cut: the blocks, not the threshold, make the formulas differ.
-        system = _bumped_block_system(_SIGMA_EXHAUST * np.eye(2, 3), 2,
-                                      4.95e-4, _LOOSE)
+        system = _bumped_block_system(np.eye(2, 3), 2, _KERNEL_BUMP, _LOOSE)
         with pytest.raises(CrossCheckError) as info:
             witten_index_report(system, _LOOSE)
         message = str(info.value)
         assert message.startswith(
             "index formulas disagree: dim ker A - dim ker A^dag = 1 - 0 = 1, "
             "but sector zero-mode counts give 0 - 0 = 0; "
-            "||h_plus - A^dag A|| = 4.5e-01 ||H||, ||h_minus - A A^dag|| = ")
+            "||h_plus - A^dag A|| = 5.0e-05 ||H||, ||h_minus - A A^dag|| = ")
         assert message.endswith(
-            " ||H||; the sector eigenvalue nearest the zero cut 4.950e-12 is "
-            "bosonic 4.900e-04, 9.9e+07 times the cut")
+            " ||H||; the sector eigenvalue nearest the zero cut 1.000e-08 is "
+            "bosonic 1.000e-04, 1e+04 times the cut")
         assert "cluster" not in message
 
 

@@ -8,6 +8,8 @@ The reference here is plain numpy in complex128, independent of the
 library's relation code.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,9 +62,12 @@ def real_graded_system(rng, db, df, nilpotent, rotate):
 
 def reference_checks(h, charges, k, complex_charges, policy=DEFAULT_POLICY):
     """``name -> (residual, error scale, passed)`` of every relation that
-    the validators check, in complex128.  The error scale bounds the
-    size of the terms that the residual's rounding comes from, over the
-    residual's denominator."""
+    the validators check, in complex128.  Each residual is divided by the
+    norms of its relation's own operands, a zero norm by nothing; K has
+    no units, so only the charge's or H's norm divides a relation with
+    K, and the involution relations divide by the dimension.  The error
+    scale bounds the size of the terms that the residual's rounding comes
+    from, over the residual's denominator."""
     h = np.asarray(h, dtype=complex)
     k = np.asarray(k, dtype=complex)
     qs = [np.asarray(q, dtype=complex) for q in charges]
@@ -71,6 +76,9 @@ def reference_checks(h, charges, k, complex_charges, policy=DEFAULT_POLICY):
 
     def norm(x):
         return float(np.linalg.norm(x))
+
+    def over(*norms):
+        return math.prod(x for x in norms if x)
 
     out = {}
 
@@ -87,42 +95,41 @@ def reference_checks(h, charges, k, complex_charges, policy=DEFAULT_POLICY):
     ns = [norm(q) for q in qs]
     label = "q" if complex_charges else "Q"
     names = [f"{label}{i + 1}" for i in range(len(qs))]
-    check("H self-adjoint", h - dag(h), 0.0, max(1.0, nh), h_tol)
-    check("H != 0", h, 0.0, 1.0, tol, must_exceed=True)
+    check("H self-adjoint", h - dag(h), 0.0, over(nh), h_tol)
+    check("H != 0", h, 0.0, over(max(ns), max(ns)), tol, must_exceed=True)
     for name, q, nq in zip(names, qs, ns):
         if complex_charges:
             check(f"{name} not self-adjoint (a self-adjoint complex charge "
-                  f"forces H = 0)", q - dag(q), 0.0, max(1.0, nq), h_tol,
+                  f"forces H = 0)", q - dag(q), 0.0, over(nq), h_tol,
                   must_exceed=True)
         else:
-            check(f"{name} self-adjoint", q - dag(q), 0.0, max(1.0, nq), h_tol)
+            check(f"{name} self-adjoint", q - dag(q), 0.0, over(nq), h_tol)
     for i in range(len(qs)):
         for j in range(i, len(qs)):
             a, b, na, nb = qs[i], qs[j], ns[i], ns[j]
             same = i == j
             target = 2.0 * h if same else 0.0
             rhs = "2H" if same else "0"
-            scale = max(1.0, na, nh) if same else max(1.0, na, nb)
+            scale = over(na, nb)
             terms = 2.0 * na * nb + (2.0 * nh if same else 0.0)
             qi, qj = names[i], names[j]
             if complex_charges:
                 check(f"{{{qi},{qj}^dag}} = {rhs}", a @ dag(b) + dag(b) @ a - target,
                       terms, scale, tol)
-                check(f"{{{qi},{qj}}} = 0", a @ b + b @ a, 2.0 * na * nb,
-                      max(1.0, na, nb), tol)
+                check(f"{{{qi},{qj}}} = 0", a @ b + b @ a, 2.0 * na * nb, scale, tol)
                 check(f"{{{qi}^dag,{qj}^dag}} = 0", dag(a) @ dag(b) + dag(b) @ dag(a),
-                      2.0 * na * nb, max(1.0, na, nb), tol)
+                      2.0 * na * nb, scale, tol)
             else:
                 check(f"{{{qi},{qj}}} = {rhs}", a @ b + b @ a - target, terms, scale, tol)
     for name, q, nq in zip(names, qs, ns):
-        check(f"[H,{name}] = 0", h @ q - q @ h, 2.0 * nh * nq, max(1.0, nh, nq), tol)
-    check("K self-adjoint", k - dag(k), 0.0, max(1.0, nk), h_tol)
+        check(f"[H,{name}] = 0", h @ q - q @ h, 2.0 * nh * nq, over(nh, nq), tol)
+    check("K self-adjoint", k - dag(k), 0.0, over(nk), h_tol)
     check("K^2 = 1", k @ k - eye, nk * nk + n**0.5, n, tol)
     check("K != +1", k - eye, 0.0, n, tol, must_exceed=True)
     check("K != -1", k + eye, 0.0, n, tol, must_exceed=True)
     for name, q, nq in zip(names, qs, ns):
-        check(f"{{K,{name}}} = 0", k @ q + q @ k, 2.0 * nk * nq, max(1.0, nk, nq), tol)
-    check("[H,K] = 0", h @ k - k @ h, 2.0 * nh * nk, max(1.0, nh, nk), tol)
+        check(f"{{K,{name}}} = 0", k @ q + q @ k, 2.0 * nk * nq, over(nq), tol)
+    check("[H,K] = 0", h @ k - k @ h, 2.0 * nh * nk, over(nh), tol)
     return out
 
 

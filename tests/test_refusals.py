@@ -33,7 +33,9 @@ from susyqm import (
     inverse_on_complement,
     kernel_basis,
     kernel_equality_check,
+    rel_residual,
     reparametrize,
+    residual_norm,
     second_supercharge,
     spectral_pairing_report,
     standard_representation,
@@ -45,7 +47,7 @@ from susyqm import (
     witten_index_report,
     witten_model_lattice,
 )
-from susyqm import analysis
+from susyqm import analysis, io
 from susyqm.grading import Involution
 from susyqm.models import LatticeSpec, pauli_lattice
 
@@ -62,16 +64,6 @@ def _nearly_odd_charge():
     q = SIGMA1 + 1e-6 * SIGMA3
     return standard_representation(
         validate_graded_real_system(q @ q, SIGMA3, [q], LOOSE))
-
-
-def _lower_left_block():
-    b = np.zeros((2, 2))
-    b[0, 0] = 1.0
-    c = np.zeros((2, 2))
-    c[1, 1] = 1.0
-    q = np.block([[np.zeros((2, 2)), b], [c, np.zeros((2, 2))]])
-    h = 0.5 * (q @ q.T + q.T @ q)
-    return standard_representation(validate_graded_complex_system(h, K4, [q]))
 
 
 def _h_plus_off_partner_form():
@@ -111,9 +103,6 @@ RESIDUAL_REJECTIONS = [
                  ["K U = U diag(+-1)"], id="grading_basis-involution"),
     pytest.param(_nearly_odd_charge, ["charge odd in the grading basis"],
                  id="standard_representation-odd"),
-    pytest.param(_lower_left_block, ["complex charge has no lower-left block",
-                                     "h_plus = A^dag A", "h_minus = A A^dag"],
-                 id="standard_representation-lower-left"),
     pytest.param(_h_plus_off_partner_form, ["h_plus = A^dag A"],
                  id="standard_representation-partner-form"),
     pytest.param(lambda: reparametrize(_two_charge_system(), [[1.0, 1e-3j], [0.0, 1.0]]),
@@ -265,6 +254,14 @@ GATED = [
      lambda phi: decompose_vector(_SIGMA3_INVOLUTION, phi)),
     ("reparametrize", "rotation", False, [[1.0, 0.0], [0.0, 1.0]],
      lambda r: reparametrize(_two_charge_system(), r)),
+    ("residual_norm", "residual_norm input", False, [[1.0, 2.0], [0.0, 1.0]],
+     residual_norm),
+    ("rel_residual", "residual_norm input", False, [[1.0, 2.0], [0.0, 1.0]],
+     lambda x: rel_residual(x, I2)),
+    ("rel_residual-operand", "residual_norm input", False, [[1.0, 2.0], [0.0, 1.0]],
+     lambda op: rel_residual(I2, op)),
+    ("matrix_to_obj", "matrix", False, [[1.0, 2.0], [0.0, 1.0]],
+     lambda m: io.dump_json(io.matrix_to_obj(m))),
 ]
 
 # (the argument made from a valid one, which entry points refuse it:

@@ -25,6 +25,7 @@ from susyqm import (
     reparametrize,
     residual_norm,
     second_supercharge,
+    spectral_pairing_report,
     standard_representation,
     tensor_supercharge,
     validate_complex_system,
@@ -33,6 +34,7 @@ from susyqm import (
     validate_real_system,
     validate_involution,
     witten_index,
+    witten_index_report,
     witten_model_lattice,
 )
 
@@ -374,12 +376,13 @@ class TestConstructInvolution:
     @pytest.mark.parametrize("e", np.arange(3.0, 12.25, 0.5))
     def test_near_cut_singular_value(self, e):
         # One singular value of A at 10^-e of the largest.  For e <= 6
-        # the pseudo-inverse resolves it; for e >= 10 it falls under the
+        # the pseudo-inverse resolves it; for e >= 10.5 it falls under the
         # Gram cut (about 8e-8 at dim 16) and the kernel extension is
         # within algebra_tol.  In between either i Q2 Q1^+ amplifies
         # rounding past algebra_tol or the kernel extension breaks
-        # {K, Q1} = 0 by about 10^-e; the construction must then refuse,
-        # never return an involution it did not validate.
+        # {K, Q1} = 0 by about 10^-e relative to ||Q1|| (1.04e-10 at
+        # e = 10); the construction must then refuse, never return an
+        # involution it did not validate.
         rng = np.random.default_rng(8)
         u, v = haar_unitary(rng, 8), haar_unitary(rng, 8)
         s = np.linspace(1.0, 0.3, 8)
@@ -387,7 +390,7 @@ class TestConstructInvolution:
         system = tensor_supercharge((u * s) @ adjoint(v))
         q1 = system.charges[0]
         q2 = second_supercharge(system.involution, q1)
-        if e <= 6 or e >= 10:
+        if e <= 6 or e >= 10.5:
             k = construct_involution(q1, q2).matrix
             validate_graded_real_system(q1 @ q1, k, [q1, q2])
         else:
@@ -450,9 +453,9 @@ class TestStandardRepresentation:
         with pytest.raises(ValueError, match="exactly one charge"):
             standard_representation(system)
 
-    def test_rejects_non_reducible_complex_charge(self):
-        # Valid graded complex system whose charge has a lower-left block:
-        # q = [[0, B], [C, 0]] with BC = CB = 0 and both nonzero.
+    def test_complex_charge_with_a_lower_left_block_reduces(self):
+        # q = [[0, B], [C, 0]] with BC = CB = 0 and both nonzero: A is the
+        # lower-left block of the real charge (q + q^dag)/sqrt(2).
         b = np.zeros((2, 2), dtype=complex)
         b[0, 0] = 1.0
         c = np.zeros((2, 2), dtype=complex)
@@ -461,8 +464,28 @@ class TestStandardRepresentation:
         k = np.diag([1, 1, -1, -1]).astype(complex)
         h = 0.5 * (q @ adjoint(q) + adjoint(q) @ q)
         system = validate_graded_complex_system(h, k, [q])
-        with pytest.raises(ValidationError, match="lower-left"):
-            standard_representation(system)
+        rep = standard_representation(system)
+        assert np.array_equal(rep.a_operator, np.eye(2) / np.sqrt(2.0))
+        assert witten_index(system) == 0
+
+    def test_graded_tensor_product_of_complex_systems_reduces(self):
+        # H = H1 (x) 1 + 1 (x) H2, q = q1 (x) 1 + K1 (x) q2, K = K1 (x) K2:
+        # a valid complex system whose charge is not strictly upper in the
+        # grading basis.  Its index is the product of the factors'.
+        s1 = random_graded_system(3, 1, 1)
+        s2 = random_graded_system(2, 4, 2)
+        (h1, k1, [q1]), (h2, k2, [q2]) = [
+            (s.hamiltonian, s.involution.matrix, s.charges) for s in (s1, s2)]
+        e1, e2 = np.eye(4), np.eye(6)
+        system = validate_graded_complex_system(
+            np.kron(h1, e2) + np.kron(e1, h2), np.kron(k1, k2),
+            [np.kron(q1, e2) + np.kron(k1, q2)])
+        report = witten_index_report(system)
+        assert report.index == witten_index(s1) * witten_index(s2) == -4
+        assert (report.dim_kernel_a, report.dim_kernel_a_dagger,
+                report.bosonic_zero_modes, report.fermionic_zero_modes) == (0, 4, 0, 4)
+        pairing = spectral_pairing_report(system)
+        assert pairing.witten_index == -4
 
 
 class TestHermitianParts:
