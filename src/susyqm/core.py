@@ -17,7 +17,8 @@ carrying a :class:`RelationCheck` for each failed relation
 (``_raise_failures``).
 Every Hermiticity and algebra residual is divided by the Frobenius
 norms of its own relation's operands, one after another (``_relative``),
-so that the ratio has degree zero in them: scaling ``Q -> 2^e Q``,
+so that the ratio has degree zero in them (over a zero norm, a nonzero
+residual is infinite and a zero one zero): scaling ``Q -> 2^e Q``,
 ``H -> 2^{2e} H`` leaves every ratio and every verdict bit for bit
 while no entry or product leaves the normal floating-point range.  K
 has no units and ``||K||_2 = 1``, so a relation with K is divided by the
@@ -135,10 +136,12 @@ class NumericPolicy:
     operand of its relation's products in turn: ``{X,Y} = 2 delta H``,
     ``[X,Y] = 0`` and ``h_plus = A^dag A`` by ``||X||`` and then
     ``||Y||``.  ``H != 0`` holds when ``||H|| / ||Q||^2`` exceeds
-    ``algebra_tol``, ``||Q||`` the largest charge norm.  A zero norm
-    divides by nothing, so the zero matrix is Hermitian.  K has no units
-    (``||K||_2 = 1``), so a relation with K is divided by its other
-    operand's norm alone; only the involution relations (``K^2 = 1``,
+    ``algebra_tol``, ``||Q||`` the largest charge norm.  Over a zero norm
+    a nonzero residual is infinite and a zero one is zero: the zero
+    matrix is Hermitian, and a zero operand that breaks its relation is
+    refused at every scale.  K has no units (``||K||_2 = 1``), so a
+    relation with K is divided by its other operand's norm alone; only
+    the involution relations (``K^2 = 1``,
     ``K != +1``, ``K != -1``) divide by the dimension instead.  Kernel
     cutoffs are scaled by the largest singular value, pairing windows by
     the larger eigenvalue of a candidate pair.  The grading basis bounds
@@ -308,18 +311,22 @@ def residual_norm(a) -> float:
 
 def _relative(residual: float, *norms: float) -> float:
     """``residual`` divided by each of ``norms`` in turn, the norms of its
-    relation's own operands, so that the ratio has degree zero in them; a
-    zero norm leaves it as it is.  Dividing in turn, not by the product,
-    keeps a norm near ``1e200`` from overflowing the scale."""
+    relation's own operands, so that the ratio has degree zero in them.
+    Over a zero norm, a nonzero residual is infinite and a zero one stays
+    zero, at every scale.  Dividing in turn, not by the product, keeps a
+    norm near ``1e200`` from overflowing the scale."""
     for norm in norms:
         if norm:
             residual /= norm
+        elif residual > 0:
+            return math.inf
     return residual
 
 
 def rel_residual(x, *operands) -> float:
     """``||x||_F`` divided by the largest ``||op||_F`` over ``operands``
-    (:func:`_relative`): unchanged when every operand is zero."""
+    (:func:`_relative`): infinite when every operand is zero and ``x``
+    is not."""
     return _relative(residual_norm(x),
                      max((residual_norm(op) for op in operands), default=0.0))
 

@@ -133,7 +133,10 @@ class TestSpectralPairingReport:
             # over.  On a system that validates, that takes a kernel mode
             # lifted to about the largest eigenvalue, a change of about
             # 1/rank(A) of ||A||^2: far outside algebra_tol below rank
-            # 1000.  The walk is given such spectra directly.
+            # 1000, so on validated systems these exits need a rank of
+            # about 1/algebra_tol.  The walk is given such spectra
+            # directly, through a mocked seam: a change to the signature
+            # of analysis._sector_analysis touches this test.
             found = dataclasses.replace(
                 analysis._sector_analysis(system, policy),
                 ev_b=np.array(spectra[0]), ev_f=np.array(spectra[1]))

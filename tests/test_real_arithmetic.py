@@ -63,7 +63,8 @@ def real_graded_system(rng, db, df, nilpotent, rotate):
 def reference_checks(h, charges, k, complex_charges, policy=DEFAULT_POLICY):
     """``name -> (residual, error scale, passed)`` of every relation that
     the validators check, in complex128.  Each residual is divided by the
-    norms of its relation's own operands, a zero norm by nothing; K has
+    product of the norms of its relation's own operands; over a zero
+    product a nonzero residual is infinite and a zero one zero.  K has
     no units, so only the charge's or H's norm divides a relation with
     K, and the involution relations divide by the dimension.  The error
     scale bounds the size of the terms that the residual's rounding comes
@@ -78,13 +79,16 @@ def reference_checks(h, charges, k, complex_charges, policy=DEFAULT_POLICY):
         return float(np.linalg.norm(x))
 
     def over(*norms):
-        return math.prod(x for x in norms if x)
+        return math.prod(norms)
+
+    def ratio(x, scale):
+        return x / scale if scale else (math.inf if x else 0.0)
 
     out = {}
 
     def check(name, x, terms, scale, tol, must_exceed=False):
-        r = norm(x) / scale
-        out[name] = (r, (norm(x) + terms) / scale,
+        r = ratio(norm(x), scale)
+        out[name] = (r, ratio(norm(x) + terms, scale),
                      r > tol if must_exceed else r <= tol)
 
     def dag(x):
@@ -134,7 +138,7 @@ def reference_checks(h, charges, k, complex_charges, policy=DEFAULT_POLICY):
 
 
 CORRUPTIONS = ("none", "H entry", "H symmetric pair", "charge entry",
-               "K entry", "repeated charge")
+               "K entry", "repeated charge", "zero charge")
 
 
 def _bumped(m, rng, size, symmetric=False):
@@ -170,6 +174,8 @@ def test_real_verdicts_and_residuals_match_complex_reference(
         k = _bumped(k, rng, size)
     elif corruption == "repeated charge":
         charges = [q, q]
+    elif corruption == "zero charge":
+        charges = [q, np.zeros_like(q)]
     validate = validate_graded_complex_system if nilpotent else validate_graded_real_system
     ref = reference_checks(h, charges, k, nilpotent)
     failed_ref = [name for name, (_, _, passed) in ref.items() if not passed]
@@ -184,7 +190,9 @@ def test_real_verdicts_and_residuals_match_complex_reference(
     for c in got:
         residual, scale, passed = ref[c.name]
         assert c.passed == passed, c.name
-        assert abs(c.residual - residual) <= bound * scale, (c.name, c.residual, residual)
+        # Over a zero norm the ratio is exactly 0 or infinite.
+        assert (abs(c.residual - residual) <= bound * scale if math.isfinite(scale)
+                else c.residual == residual), (c.name, c.residual, residual)
 
 
 def _checks(system_or_exc):

@@ -130,6 +130,27 @@ def test_bumped_system_exits_one_from_every_verb(tmp_path, verb):
     assert main([verb, str(path)]) == 1
 
 
+@pytest.mark.parametrize("e", [-40, -20, -17, 0, 8, 20])
+def test_zero_charge_beside_a_valid_one_is_refused_at_every_scale(e):
+    """``{Q2,Q2} = 2H`` with ``Q2 = 0`` leaves ``2||H||`` over a zero norm:
+    infinite at every scale, never an absolute residual that a small
+    enough H would pass."""
+    q1, _ = real_from_complex(random_graded_system(5, 3, 1).charges[0])
+    q1_e = _scaled(q1, e)
+    zero = np.zeros_like(q1_e)
+    with pytest.raises(ValidationError) as excinfo:
+        validate_real_system(q1_e @ q1_e, [q1_e, zero])
+    assert [(c.name, c.residual) for c in excinfo.value.failures] == [
+        ("{Q2,Q2} = 2H", np.inf)]
+    s = random_graded_system(5, 3, 1)
+    q = _scaled(s.charges[0], e)
+    with pytest.raises(ValidationError) as excinfo:
+        validate_complex_system(_scaled(s.hamiltonian, 2 * e), [q, np.zeros_like(q)])
+    assert [(c.name, c.residual) for c in excinfo.value.failures] == [
+        ("q2 not self-adjoint (a self-adjoint complex charge forces H = 0)", 0.0),
+        ("{q2,q2^dag} = 2H", np.inf)]
+
+
 def test_zero_hamiltonian_with_zero_charges_is_refused():
     zero = np.zeros((2, 2))
     with pytest.raises(ValidationError) as excinfo:
