@@ -5,9 +5,9 @@ share every nonzero eigenvalue, so the positive spectra of a valid
 graded system must match one-to-one.  :func:`spectral_pairing_report`
 performs that matching (zero modes stay unpaired, they have no partner
 guarantee), :func:`witten_index` counts unpaired zero modes by two
-independent formulas and cross-checks them, and :func:`index_range`
-enumerates the indices reachable through the kernel-extension freedom of
-the involution construction.
+independent formulas and checks both against ``Tr K``, and
+:func:`index_range` enumerates the indices reachable through the
+kernel-extension freedom of the involution construction.
 
 Both reports and the ``index``, ``pair`` and ``spectrum`` verbs read one
 sector analysis per system and policy, built on first use: the standard
@@ -56,7 +56,16 @@ from .core import (
     adjoint,
     residual_norm,
 )
-from .spectral import _floats_apart, _gram_floor, _kernel_dim, _Tridiagonal, kernel_basis
+from .spectral import (
+    _floats_apart,
+    _gram_floor,
+    _gram_split,
+    _kernel_dim,
+    _kernel_input,
+    _Tridiagonal,
+    _zero_cut,
+    kernel_basis,
+)
 # Not called here; ``analysis.eigvalsh`` stays bound because the
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401
@@ -90,7 +99,9 @@ class SpectralReport:
 
     ``pairs`` holds ``(bosonic index, fermionic index, relative gap)``
     triples indexing into the stored ascending eigenvalue lists.  Gaps
-    are recorded so near-tolerance matches remain visible to callers.
+    are recorded so near-tolerance matches remain visible to callers; a
+    gap exceeds ``pairing_tol`` only for partners within the zero cut of
+    each other (see :func:`spectral_pairing_report`).
     """
 
     bosonic_eigenvalues: tuple[float, ...]
@@ -103,13 +114,15 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class WittenIndexReport:
-    """Both index formulas with their ingredients, already cross-checked."""
+    """Both index formulas with their ingredients, each already checked
+    against ``trace_k``, the exact index ``Tr K = dim_b - dim_f``."""
 
     dim_kernel_a: int
     dim_kernel_a_dagger: int
     bosonic_zero_modes: int
     fermionic_zero_modes: int
     index: int
+    trace_k: int
 
 
 @dataclass(frozen=True)
@@ -130,8 +143,10 @@ def _relative_gap(x: float, y: float) -> float:
 class _SectorAnalysis:
     """A graded system's standard representation, the ascending spectra
     of ``h_plus`` and ``h_minus``, the spectral radius ``radius`` of H
-    and the zero cut: sector eigenvalues at or below ``cut = kernel_tol *
-    radius`` are zero modes, ``zeros_b`` and ``zeros_f`` of them."""
+    and the zero cut in H's units, ``cut = _zero_cut(policy,
+    max(A.shape)) * radius`` (the rule of the :class:`NumericPolicy`
+    docstring): sector eigenvalues at or below it are zero modes,
+    ``zeros_b`` and ``zeros_f`` of them."""
 
     rep: StandardRepresentation
     ev_b: np.ndarray
@@ -168,7 +183,7 @@ def _sector_analysis(system: GradedSystem, policy: NumericPolicy) -> _SectorAnal
         spectra = [_readonly(ev) for ev in ((lead, seeded) if first == 0
                                             else (seeded, lead))]
         radius = max(abs(float(ev[k])) for ev in spectra for k in (0, -1))
-        cut = policy.kernel_tol * radius
+        cut = _zero_cut(policy, tris[first].n) * radius
         found = _SectorAnalysis(rep, *spectra, radius, cut, *(
             int(np.count_nonzero(ev <= cut)) for ev in spectra))
         system._sector_analyses[policy] = found
@@ -182,13 +197,17 @@ def spectral_pairing_report(system: GradedSystem,
     Both sectors come from the sector analysis this report shares with
     :func:`witten_index_report`; all eigenvalues of each are bisected
     together, down to adjacent floats (no Jacobi sweeps and no
-    eigenvectors).  Eigenvalues at or below ``kernel_tol`` times the
-    spectral radius of H count as zero modes and are never paired.  The
-    k-th positive eigenvalues of the two sectors pair when their
-    relative gap is within ``pairing_tol``; degenerate clusters match by
-    count.  An unmatched positive eigenvalue raises :class:`PairingError`
-    naming the first orphan and its sector, which signals either a
-    broken system or a too-tight pairing tolerance.
+    eigenvectors).  Eigenvalues at or below the zero cut (the rule of
+    the :class:`NumericPolicy` docstring, relative to the spectral radius
+    of H) count as zero modes and are never paired.  The k-th positive
+    eigenvalues ``x`` and ``y`` of the two sectors pair when ``|x - y|``
+    is at most ``pairing_tol * max(x, y)`` plus the cut, since no
+    eigenvalue is resolved below it; degenerate clusters match by count.
+    The recorded gap stays relative, so it exceeds ``pairing_tol`` only
+    when ``|x - y|`` is within the cut.  An unmatched positive eigenvalue
+    raises :class:`PairingError` naming the first orphan and its sector,
+    which signals either a broken system or a too-tight pairing
+    tolerance.
     """
     sectors = _sector_analysis(system, policy)
     ev_b, ev_f = sectors.ev_b.tolist(), sectors.ev_f.tolist()
@@ -199,7 +218,7 @@ def spectral_pairing_report(system: GradedSystem,
     pairs = []
     for (i, vb), (j, vf) in zip(pos_b, pos_f):
         gap = _relative_gap(vb, vf)
-        if gap > policy.pairing_tol:
+        if abs(vb - vf) > policy.pairing_tol * max(vb, vf) + sectors.cut:
             orphan, sector, other = ((vb, "bosonic", "fermionic") if vb < vf
                                      else (vf, "fermionic", "bosonic"))
             raise PairingError(
@@ -221,20 +240,28 @@ def spectral_pairing_report(system: GradedSystem,
 
 def witten_index_report(system: GradedSystem,
                         policy: NumericPolicy = DEFAULT_POLICY) -> WittenIndexReport:
-    """Compute the index by both formulas and insist they agree.
+    """Compute the index by both formulas and anchor both on ``Tr K``.
 
     Formula one counts kernel dimensions of the extracted map A and of
     its adjoint, each by its own Gram reduction, so it stays independent
     of the sector spectra; it counts, and builds no kernel vectors.
     Formula two reads the zero-mode counts of the sector analysis shared
-    with :func:`spectral_pairing_report`, the sector eigenvalues at or
-    below its zero cut.
-    Disagreement raises :class:`CrossCheckError`, never averaged away;
-    its message gives how far each sector block of H is from ``A^dag A``
-    or ``A A^dag`` and the sector eigenvalue nearest the zero cut.
+    with :func:`spectral_pairing_report`.  Both count at the one zero cut
+    (the rule of the :class:`NumericPolicy` docstring).  ``Tr K = dim_b -
+    dim_f``, read off A's shape, is the exact, threshold-free index: a
+    formula that differs from it raises :class:`CrossCheckError`, never
+    averaged away.
+    The message names the formula that left ``Tr K`` (the Gram ranks of
+    A and ``A^dag`` disagree, or the sectors hold different numbers of
+    positive eigenvalues), gives its cut margins (the largest value
+    counted as zero and the smallest counted as nonzero, each as a
+    multiple of the cut) and how far each sector block of H is from
+    ``A^dag A`` or ``A A^dag``.
     """
     sectors = _sector_analysis(system, policy)
     a_op = sectors.rep.a_operator
+    dim_f, dim_b = a_op.shape
+    trace_k = dim_b - dim_f
     # The Gram matrices' largest eigenvalue is that of the sectors, the
     # spectral radius of H, up to rounding: seeds within the Gram floor.
     floor = _gram_floor(max(a_op.shape)) * sectors.radius
@@ -244,35 +271,64 @@ def witten_index_report(system: GradedSystem,
     zeros_b, zeros_f = sectors.zeros_b, sectors.zeros_f
     via_a = dim_ker_a - dim_ker_ad
     via_blocks = zeros_b - zeros_f
-    if via_a != via_blocks:
+    left = []
+    if via_a != trace_k:
+        left += [f"the Gram ranks of A and A^dag disagree ({dim_b - dim_ker_a} "
+                 f"and {dim_f - dim_ker_ad})",
+                 _gram_margins(a_op, "A^dag A", policy),
+                 _gram_margins(adjoint(a_op), "A A^dag", policy)]
+    if via_blocks != trace_k:
+        left += [f"the sectors hold different numbers of positive "
+                 f"eigenvalues ({dim_b - zeros_b} and {dim_f - zeros_f})",
+                 _cut_margins("sector", (("bosonic", sectors.ev_b),
+                                         ("fermionic", sectors.ev_f)),
+                              sectors.cut)]
+    if left:
         raise CrossCheckError(
-            f"index formulas disagree: dim ker A - dim ker A^dag = "
-            f"{dim_ker_a} - {dim_ker_ad} = {via_a}, but sector zero-mode "
-            f"counts give {zeros_b} - {zeros_f} = {via_blocks}; "
-            f"{_disagreement_facts(system, sectors)}")
-    return WittenIndexReport(dim_ker_a, dim_ker_ad, zeros_b, zeros_f, via_a)
+            f"index formulas disagree with Tr K = dim_b - dim_f = {dim_b} - "
+            f"{dim_f} = {trace_k}: dim ker A - dim ker A^dag = {dim_ker_a} - "
+            f"{dim_ker_ad} = {via_a}, sector zero-mode counts give {zeros_b} "
+            f"- {zeros_f} = {via_blocks}; {'; '.join(left)}; "
+            f"{_block_residuals(system, sectors.rep)}")
+    return WittenIndexReport(dim_ker_a, dim_ker_ad, zeros_b, zeros_f, via_a, trace_k)
 
 
-def _disagreement_facts(system: GradedSystem, sectors: _SectorAnalysis) -> str:
-    """What the two index formulas rest on, measured: how far each sector
-    block of H is from ``A^dag A`` or ``A A^dag`` relative to ``||H||``
-    (formula one reads A, formula two the blocks), and the sector
-    eigenvalue nearest the zero cut as a multiple of the cut."""
-    rep = sectors.rep
+def _cut_margins(name: str, spectra, cut: float) -> str:
+    """The margins of a zero cut over ``spectra``, ``(label, values)``
+    pairs: the largest value counted as zero and the smallest counted as
+    nonzero, each with its label and its ratio to the cut."""
+    values = [(float(v), label) for label, ev in spectra for v in ev]
+    zero = max((item for item in values if item[0] <= cut), default=None)
+    nonzero = min((item for item in values if item[0] > cut), default=None)
+
+    def margin(item) -> str:
+        if item is None:
+            return "none"
+        return f"{item[1]} {item[0]:.3e}, {_relative(item[0], cut):.3g} times the cut"
+
+    return (f"{name} zero cut {cut:.3e}: largest counted as zero "
+            f"{margin(zero)}, smallest counted as nonzero {margin(nonzero)}")
+
+
+def _gram_margins(a: np.ndarray, name: str, policy: NumericPolicy) -> str:
+    """:func:`_cut_margins` of the Gram matrix ``a^dag a`` that formula
+    one counts, at its zero cut, in the units of ``a^dag a``."""
+    arr, e = _kernel_input(a)
+    gram, lam_max, _ = _gram_split(arr, policy)
+    cut = _zero_cut(policy, max(arr.shape)) * lam_max
+    return _cut_margins(name, ((name, np.ldexp(gram.eigenvalues(), 2 * e)),),
+                        math.ldexp(cut, 2 * e))
+
+
+def _block_residuals(system: GradedSystem, rep: StandardRepresentation) -> str:
+    """How far each sector block of H is from ``A^dag A`` or ``A A^dag``
+    relative to ``||H||``: formula one reads A, formula two the blocks."""
     a_op = rep.a_operator
     norm_h = residual_norm(system.hamiltonian)
     off_plus = _relative(residual_norm(rep.h_plus - adjoint(a_op) @ a_op), norm_h)
     off_minus = _relative(residual_norm(rep.h_minus - a_op @ adjoint(a_op)), norm_h)
-    nearest = min(((float(v), sector)
-                   for sector, ev in (("bosonic", sectors.ev_b),
-                                      ("fermionic", sectors.ev_f))
-                   for v in ev),
-                  key=lambda item: abs(item[0] - sectors.cut))
-    ratio = nearest[0] / sectors.cut if sectors.cut > 0.0 else math.inf
     return (f"||h_plus - A^dag A|| = {off_plus:.1e} ||H||, "
-            f"||h_minus - A A^dag|| = {off_minus:.1e} ||H||; the sector "
-            f"eigenvalue nearest the zero cut {sectors.cut:.3e} is "
-            f"{nearest[1]} {nearest[0]:.3e}, {ratio:.3g} times the cut")
+            f"||h_minus - A A^dag|| = {off_minus:.1e} ||H||")
 
 
 def witten_index(system: GradedSystem,
@@ -299,10 +355,14 @@ def kernel_equality_check(q1, q2,
     For self-adjoint charges ``||Q1 phi||^2 = ||Q2 phi||^2`` whenever
     ``Q1^2 = Q2^2``, so each numerical kernel vector of one charge must
     be annihilated by the other; charges that are not self-adjoint
-    within ``hermiticity_tol`` raise :class:`ValidationError`.  The
-    annihilation threshold carries a slack term ``sqrt(||Q1^2 - Q2^2||)``
-    accounting for the precondition residual, exactly as the norm
-    identity dictates.
+    within ``hermiticity_tol`` raise :class:`ValidationError`.  Each
+    kernel is :func:`kernel_basis`'s, at the zero cut ``c`` (the rule of
+    the :class:`NumericPolicy` docstring), so a kernel vector of one
+    charge is annihilated by it only to ``sqrt(c)`` times its largest
+    singular value.  The annihilation threshold is therefore ``sqrt(c)``
+    times the other charge's Frobenius norm, plus a slack term
+    ``sqrt(||Q1^2 - Q2^2||)`` accounting for the precondition residual,
+    exactly as the norm identity dictates.
 
     Both charges are squared scaled by one power of two ``2**-e``, ``e >=
     0`` putting their largest entry below one, so entries beyond about
@@ -330,10 +390,11 @@ def kernel_equality_check(q1, q2,
             f"dim ker Q2 = {kb2.dim_kernel}")
 
     slack = math.ldexp(math.sqrt(pre), e)
+    root_cut = math.sqrt(_zero_cut(policy, len(a)))
     residuals = []
     for name, kb, other, op, op_s in (("Q1", kb1, "Q2", b, b_s),
                                       ("Q2", kb2, "Q1", a, a_s)):
-        threshold = policy.kernel_tol * residual_norm(op) + slack
+        threshold = root_cut * residual_norm(op) + slack
         res = 0.0
         if kb.dim_kernel:
             res = math.ldexp(

@@ -129,6 +129,7 @@ def _cmd_index(args, policy) -> int:
             "dim_kernel_a_dagger": report.dim_kernel_a_dagger,
             "bosonic_zero_modes": report.bosonic_zero_modes,
             "fermionic_zero_modes": report.fermionic_zero_modes,
+            "trace_k": report.trace_k,
         }))
     else:
         _emit(args,

@@ -79,7 +79,8 @@ class ConvergenceError(RuntimeError):
 
 
 class CrossCheckError(RuntimeError):
-    """Two independent formulas for the same quantity disagree."""
+    """Independent formulas for the same quantity disagree, with each
+    other or with an exact reference (``Tr K`` for the Witten index)."""
 
 
 @dataclass(frozen=True)
@@ -142,17 +143,33 @@ class NumericPolicy:
     refused at every scale.  K has no units (``||K||_2 = 1``), so a
     relation with K is divided by its other operand's norm alone; only
     the involution relations (``K^2 = 1``,
-    ``K != +1``, ``K != -1``) divide by the dimension instead.  Kernel
-    cutoffs are scaled by the largest singular value, pairing windows by
-    the larger eigenvalue of a candidate pair.  The grading basis bounds
-    each column norm of ``K U - U diag(+-1)`` by ``dim * algebra_tol``,
-    the bound the involution relations put on ``||K^2 - 1||_F``.
-    ``eigensolver_tol`` governs the Jacobi sweeps of ``eigh`` and
-    ``eigvalsh``, the only users of Jacobi; the grading basis and the
-    pseudo-inverse take no eigensolver.  The pseudo-inverse shares the
-    kernel cut of ``kernel_basis``: ``|lambda|`` at most
-    ``max(kernel_tol, sqrt(2 * dim * eps))`` times the spectral radius is
-    zero.  Kernel dimensions, the index report's zero-mode counts and
+    ``K != +1``, ``K != -1``) divide by the dimension instead.  The
+    grading basis bounds each column norm of ``K U - U diag(+-1)`` by
+    ``dim * algebra_tol``, the bound the involution relations put on
+    ``||K^2 - 1||_F``.  ``eigensolver_tol`` governs the Jacobi sweeps of
+    ``eigh`` and ``eigvalsh``, the only users of Jacobi; the grading
+    basis and the pseudo-inverse take no eigensolver.
+
+    One rule decides what counts as zero, the zero cut: an eigenvalue of
+    a Gram product ``A^dag A`` is zero when it is at most
+    ``max(kernel_tol**2, 2 * dim * eps)`` times the largest, ``dim =
+    max(A.shape)``; so is a singular value of A at most ``max(kernel_tol,
+    sqrt(2 * dim * eps))`` times the largest.  ``2 * dim * eps`` is the
+    Gram floor, the rounding of the product, below which no eigenvalue
+    is resolved.  With the default ``kernel_tol = 1e-8``, ``kernel_tol**2
+    = 1e-16`` lies below the floor at every ``dim``, so the default cut
+    is always the floor.  Every zero decision reads this cut: kernel
+    dimensions and bases (``kernel_basis`` and both Gram ranks of the
+    index report); the pseudo-inverse, for which a Hermitian Q is its
+    own A; the sector zero modes of both reports, since the sector
+    blocks of H are ``A^dag A`` and ``A A^dag`` (relative to the spectral
+    radius of H); the pairing window; and ``kernel_equality_check``'s
+    annihilation bound, the square root of the cut times the other
+    charge's norm.  Partners pair when ``|x - y|`` is at most
+    ``pairing_tol * max(x, y)`` plus the zero cut, because below the cut
+    no eigenvalue is resolved; a pair records a relative gap above
+    ``pairing_tol`` only when its partners lie within the cut of each
+    other.  Kernel dimensions, the index report's zero-mode counts and
     the sector spectra of the pairing report and the ``spectrum`` verb
     come from bisection down to adjacent floats, which needs no
     tolerance.  Operators whose imaginary parts are all exactly zero are

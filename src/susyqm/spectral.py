@@ -61,11 +61,12 @@ recombines rows and mirrors columns with numpy; ``jacobi_backend()``
 names it.  It is looked up as ``_kernel.jacobi_sweeps`` at every call,
 so ``perfbench/tracer.py`` can wrap it.
 
-Kernel detection is threshold based and relative: a singular value
-counts as zero when it is at most ``max(kernel_tol, sqrt(2 * dim *
-eps))`` times the largest one, so refining a lattice does not silently
-reclassify near-zero modes.  :func:`kernel_basis` and the pseudo-inverse
-share that one cut.
+What counts as zero is decided by one relative cut, :func:`_zero_cut`,
+the rule the :class:`~susyqm.core.NumericPolicy` docstring states: an
+eigenvalue of ``A^dag A`` at most ``max(kernel_tol**2, 2 * dim * eps)``
+times the largest (the Gram floor ``2 * dim * eps`` with the default
+policy).  :func:`kernel_basis`, the pseudo-inverse and every count of
+:mod:`susyqm.analysis` read it.
 """
 
 from __future__ import annotations
@@ -613,14 +614,13 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     """Orthonormal basis of the numerical kernel of ``a``.
 
     Accepts rectangular input; works on the Hermitian Gram matrix
-    ``a^dag a``.  A direction counts as kernel when its singular value
-    is at most ``kernel_tol`` times the largest singular value (for the
-    zero matrix the kernel is the whole domain).
-
-    Forming the Gram matrix cannot resolve singular values below roughly
-    ``sqrt(dim * eps)`` times the largest one, so the cutoff never drops
-    below that floor; otherwise rounding in the matrix product would
-    randomly evict exact kernel directions.
+    ``a^dag a``.  A direction counts as kernel when its eigenvalue of
+    ``a^dag a`` is at or below the zero cut (:func:`_zero_cut`, the rule
+    of the :class:`~susyqm.core.NumericPolicy` docstring) times the
+    largest one (for the zero matrix the kernel is the whole domain).
+    The cut never drops below the Gram floor ``2 * dim * eps``, which the
+    product's rounding cannot resolve; otherwise rounding would randomly
+    evict exact kernel directions.
 
     The Gram matrix goes down the tridiagonal path, not through
     :func:`eigh`: its largest eigenvalue is bisected, the eigenvalues at
@@ -673,8 +673,7 @@ def _gram_split(arr: np.ndarray, policy: NumericPolicy, seeds=()):
     the kernel dimension."""
     gram = _Tridiagonal(_dagger(arr) @ arr)
     lam_max = max(gram.eigenvalue(gram.n - 1, seeds), 0.0)
-    cutoff = max(policy.kernel_tol**2, _gram_floor(max(arr.shape))) * lam_max
-    return gram, lam_max, gram.count(cutoff)
+    return gram, lam_max, gram.count(_zero_cut(policy, max(arr.shape)) * lam_max)
 
 
 def _gram_floor(dim: int) -> float:
@@ -682,6 +681,18 @@ def _gram_floor(dim: int) -> float:
     eigenvalue of a ``dim``-dimensional Gram product, the rounding below
     which none of its eigenvalues is resolved."""
     return 2.0 * dim * _EPS
+
+
+def _zero_cut(policy: NumericPolicy, dim: int) -> float:
+    """The zero cut, ``max(kernel_tol**2, 2 * dim * eps)``, the one rule
+    for what counts as zero (see the :class:`NumericPolicy` docstring):
+    relative to the largest eigenvalue of a Gram product ``A^dag A``,
+    ``dim = max(A.shape)``, an eigenvalue at or below it is zero.  With
+    the default policy ``kernel_tol**2 = 1e-16`` lies below the Gram
+    floor (:func:`_gram_floor`) at every ``dim``, so the default cut is
+    always the floor.  Nothing else in the package reads
+    ``kernel_tol``."""
+    return max(policy.kernel_tol**2, _gram_floor(dim))
 
 
 def _pivoted_inverse(a: np.ndarray) -> np.ndarray:
@@ -711,16 +722,16 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
     """Pseudo-inverse of a Hermitian matrix and the orthonormal columns
     ``N`` spanning its numerical kernel, with no eigendecomposition.
 
-    The kernel is :func:`kernel_basis`'s: ``|lambda|`` at most
-    ``max(kernel_tol, sqrt(2 * dim * eps))`` times the spectral radius
-    ``r`` counts as zero (the Gram cut; with the default policy always
-    the ``sqrt(2 * dim * eps)`` floor).  Sharing that split keeps
-    borderline eigenvalues from being classified differently by the two
-    results.  Shifting the kernel to ``r`` makes the matrix invertible,
-    ``Q^+ = (Q + r N N^dag)^-1 - N N^dag / r``, and the inverse comes from
-    Gaussian elimination with partial pivoting; its condition is at most
-    the reciprocal of the cut.  The zero matrix gives zeros and an
-    identity kernel.  Real input is worked in float64 throughout; both
+    The kernel is :func:`kernel_basis`'s, at the zero cut
+    (:func:`_zero_cut`): ``|lambda|`` at most ``max(kernel_tol, sqrt(2 *
+    dim * eps))`` times the spectral radius ``r`` counts as zero, with
+    the default policy always ``sqrt(2 * dim * eps)``.  Sharing that
+    split keeps borderline eigenvalues from being classified differently
+    by the two results.  Shifting the kernel to ``r`` makes the matrix
+    invertible, ``Q^+ = (Q + r N N^dag)^-1 - N N^dag / r``, and the
+    inverse comes from Gaussian elimination with partial pivoting; its
+    condition is at most the reciprocal of the cut.  The zero matrix
+    gives zeros and an identity kernel.  Real input is worked in float64 throughout; both
     results are complex128 either way.
     """
     work, e = _scaled_hermitian_part(a)
@@ -740,10 +751,10 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
 def inverse_on_complement(q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Pseudo-inverse of a Hermitian matrix, zero on its numerical kernel.
 
-    Eigenvalues with ``|lambda|`` above ``max(kernel_tol, sqrt(2 * dim *
-    eps))`` times the spectral radius (:func:`kernel_basis`'s cut) are
-    reciprocated, the rest are dropped, so ``Q^+ Q`` is the orthogonal
-    projector onto the complement of the kernel.
+    Eigenvalues above the zero cut (:func:`kernel_basis`'s; ``|lambda|``
+    above ``max(kernel_tol, sqrt(2 * dim * eps))`` times the spectral
+    radius) are reciprocated, the rest are dropped, so ``Q^+ Q`` is the
+    orthogonal projector onto the complement of the kernel.
     """
     arr = _require_hermitian(q, policy, "inverse_on_complement")
     return _pinv_and_kernel(arr, policy)[0]

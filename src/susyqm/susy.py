@@ -350,12 +350,13 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     sign is reachable by swapping the charge order.
 
     The pseudo-inverse and the kernel basis are taken from one kernel
-    split of Q1, :func:`~susyqm.spectral.kernel_basis`'s Gram cut, so
-    borderline eigenvalues cannot be classified inconsistently between
-    the two ingredients: ``|lambda|`` at most ``max(kernel_tol,
-    sqrt(2 * dim * eps))`` times the spectral radius counts as zero,
-    which with the default policy is always the ``sqrt(2 * dim * eps)``
-    floor.  No eigendecomposition is formed.
+    split of Q1 at the zero cut (the rule of the
+    :class:`~susyqm.core.NumericPolicy` docstring), so borderline
+    eigenvalues cannot be classified inconsistently between the two
+    ingredients: ``|lambda|`` at most ``max(kernel_tol, sqrt(2 * dim *
+    eps))`` times the spectral radius counts as zero, which with the
+    default policy is always ``sqrt(2 * dim * eps)``.  No
+    eigendecomposition is formed.
     """
     a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     if d_plus is not None:

@@ -92,12 +92,17 @@ def c07_system(w_sign):
     return witten_model_lattice(spec, w_sign * spec.coordinates())
 
 
+def zero_cut(policy, shape):
+    """The zero cut relative to the largest eigenvalue of ``A^dag A``, A
+    of the given shape: ``max(kernel_tol^2, 2 max(shape) eps)``."""
+    return max(policy.kernel_tol**2, 2.0 * max(shape) * np.finfo(np.float64).eps)
+
+
 def gram_cutoff(a, policy=NumericPolicy()):
     """kernel_basis's cut on the squared singular values of ``a``:
-    ``max(kernel_tol^2, 2 max(shape) eps) sigma_max^2``."""
-    floor = 2.0 * max(a.shape) * np.finfo(np.float64).eps
+    :func:`zero_cut` times ``sigma_max^2``."""
     sigma_max = float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
-    return max(policy.kernel_tol**2, floor) * sigma_max**2
+    return zero_cut(policy, a.shape) * sigma_max**2
 
 
 def svd_kernel_dim(a, policy=NumericPolicy()):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from susyqm import (
 from susyqm import analysis
 from susyqm.spectral import _Tridiagonal
 
-from conftest import block_system, c07_system, rank_deficient, svd_kernel_dim
+from conftest import block_system, c07_system, rank_deficient, svd_kernel_dim, zero_cut
 
 # Policies and bumps that drive the reports into their exits on a
 # hand-built system: a 1e-12 bump separates partners by ten times
@@ -105,10 +106,20 @@ class TestSpectralPairingReport:
             assert i >= zb and j >= zf
 
     def test_too_tight_pairing_tolerance_raises(self):
+        # No eigenvalue is resolved below the zero cut, so the partners of
+        # a valid system pair at any pairing_tol, within the cut; a
+        # partner bumped by 1e-12, 280 times the cut, still raises.
         system = random_graded_system(4, 4, seed=9)
         policy = NumericPolicy(pairing_tol=1e-300)
-        with pytest.raises(PairingError):
-            spectral_pairing_report(system, policy)
+        report = spectral_pairing_report(system, policy)
+        assert len(report.pairs) == 4 - report.unpaired_bosonic_zero_modes > 0
+        cut = analysis._sector_analysis(system, policy).cut
+        for i, j, _ in report.pairs:
+            assert abs(report.bosonic_eigenvalues[i]
+                       - report.fermionic_eigenvalues[j]) <= cut
+        bumped = _bumped_block_system(np.diag([1.0, 2.0]), 2, 1e-12, policy)
+        with pytest.raises(PairingError, match="nearest gap 1.000e-12"):
+            spectral_pairing_report(bumped, policy)
 
     @pytest.mark.parametrize("a,mode,bump,policy,spectra,message,orphan,sector", [
         (np.diag([1.0, 2.0]), 2, 1e-12, _TIGHT, None,
@@ -223,6 +234,28 @@ class TestWittenIndex:
         with pytest.raises(CrossCheckError, match="disagree"):
             witten_index_report(system)
 
+    def test_disagreement_message_names_the_gram_ranks(self, monkeypatch):
+        # Tr K = 4 - 3 = 1; a patched count moves formula one off it while
+        # the sectors stay on it.  Each Gram matrix's margins are given:
+        # A^dag A holds one zero mode, far under its cut.
+        system = random_graded_system(4, 3, seed=2)
+        dims = iter([2, 0])
+        monkeypatch.setattr(analysis, "_kernel_dim",
+                            lambda a, policy, seeds: next(dims))
+        with pytest.raises(CrossCheckError) as info:
+            witten_index_report(system)
+        message = str(info.value)
+        assert message.startswith(
+            "index formulas disagree with Tr K = dim_b - dim_f = 4 - 3 = 1: "
+            "dim ker A - dim ker A^dag = 2 - 0 = 2, sector zero-mode counts "
+            "give 1 - 0 = 1; the Gram ranks of A and A^dag disagree (2 and 3); "
+            "A^dag A zero cut ")
+        assert re.search(r"A\^dag A zero cut [-+.e\d]+: largest counted as "
+                         r"zero A\^dag A [-+.e\d]+, [-+.e\d]+ times the cut, "
+                         r"smallest counted as nonzero A\^dag A ", message)
+        assert "; A A^dag zero cut " in message
+        assert "the sectors hold" not in message
+
     def test_disagreement_message_gives_block_residuals_and_cut_margin(self):
         # The bump keeps the kernel mode of A out of h_plus, far from any
         # cut: the blocks, not the threshold, make the formulas differ.
@@ -230,13 +263,18 @@ class TestWittenIndex:
         with pytest.raises(CrossCheckError) as info:
             witten_index_report(system, _LOOSE)
         message = str(info.value)
+        # Tr K = 3 - 2 = 1; formula two leaves it, and the cut (6 eps,
+        # the Gram floor at dim 3) counts no sector eigenvalue as zero.
         assert message.startswith(
-            "index formulas disagree: dim ker A - dim ker A^dag = 1 - 0 = 1, "
-            "but sector zero-mode counts give 0 - 0 = 0; "
+            "index formulas disagree with Tr K = dim_b - dim_f = 3 - 2 = 1: "
+            "dim ker A - dim ker A^dag = 1 - 0 = 1, sector zero-mode counts "
+            "give 0 - 0 = 0; the sectors hold different numbers of positive "
+            "eigenvalues (3 and 2); sector zero cut 1.332e-15: largest "
+            "counted as zero none, smallest counted as nonzero bosonic "
+            "1.000e-04, 7.51e+10 times the cut; "
             "||h_plus - A^dag A|| = 5.0e-05 ||H||, ||h_minus - A A^dag|| = ")
-        assert message.endswith(
-            " ||H||; the sector eigenvalue nearest the zero cut 1.000e-08 is "
-            "bosonic 1.000e-04, 1e+04 times the cut")
+        assert message.endswith(" ||H||")
+        assert "Gram ranks" not in message
         assert "cluster" not in message
 
 
@@ -412,13 +450,13 @@ def test_reports_do_not_depend_on_the_basis(db, df, seed):
 ])
 def test_zero_cut_is_shared_by_both_reports(build):
     # Both reports read the cut and the zero-mode counts of one sector
-    # analysis; the cut must be the float kernel_tol times the largest
+    # analysis; the cut must be the float zero_cut times the largest
     # magnitude of its stored spectra, and each count the number of
     # stored eigenvalues at or below the cut, as a Python int.
     policy = NumericPolicy()
     sectors = analysis._sector_analysis(build(), policy)
     largest = max(float(np.abs(ev).max()) for ev in (sectors.ev_b, sectors.ev_f))
-    assert sectors.cut == policy.kernel_tol * largest
+    assert sectors.cut == zero_cut(policy, sectors.rep.a_operator.shape) * largest
     for ev, zeros in ((sectors.ev_b, sectors.zeros_b),
                       (sectors.ev_f, sectors.zeros_f)):
         assert not ev.flags.writeable

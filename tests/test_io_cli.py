@@ -517,6 +517,23 @@ class TestCliPipeline:
         assert main(["index", str(system_path)]) == 0
         assert "witten index: -2" in capsys.readouterr().out
 
+    def test_index_json_gives_trace_k_and_consistent_counts(self, tmp_path, capsys):
+        # W = x^3 on 101 sites, dx 0.15: the lowest partner pair sits a
+        # few times above the zero cut in both sectors, so no sector
+        # holds a zero mode, A has none either, and every mode pairs.
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(
+            {"model": "witten", "sites": 101, "dx": 0.15,
+             "W": [(0.15 * (j - 50)) ** 3 for j in range(101)]}))
+        system_path = tmp_path / "sys.json"
+        assert main(["model", str(spec_path), "--output", str(system_path)]) == 0
+        assert main(["pair", str(system_path)]) == 0
+        capsys.readouterr()
+        assert main(["index", "--json", str(system_path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "witten_index": 0, "dim_kernel_a": 0, "dim_kernel_a_dagger": 0,
+            "bosonic_zero_modes": 0, "fermionic_zero_modes": 0, "trace_k": 0}
+
     def test_model_output_is_byte_stable(self, tmp_path):
         spec_path = tmp_path / "model.json"
         spec_path.write_text(json.dumps(
