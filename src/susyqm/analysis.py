@@ -100,8 +100,8 @@ class SpectralReport:
     ``pairs`` holds ``(bosonic index, fermionic index, relative gap)``
     triples indexing into the stored ascending eigenvalue lists.  Gaps
     are recorded so near-tolerance matches remain visible to callers; a
-    gap exceeds ``pairing_tol`` only for partners within the zero cut of
-    each other (see :func:`spectral_pairing_report`).
+    gap exceeds ``pairing_tol`` only for partners within the unwidened
+    zero cut of each other (see :func:`spectral_pairing_report`).
     """
 
     bosonic_eigenvalues: tuple[float, ...]
@@ -142,16 +142,22 @@ def _relative_gap(x: float, y: float) -> float:
 @dataclass(frozen=True)
 class _SectorAnalysis:
     """A graded system's standard representation, the ascending spectra
-    of ``h_plus`` and ``h_minus``, the spectral radius ``radius`` of H
-    and the zero cut in H's units, ``cut = _zero_cut(policy,
-    max(A.shape)) * radius`` (the rule of the :class:`NumericPolicy`
-    docstring): sector eigenvalues at or below it are zero modes,
-    ``zeros_b`` and ``zeros_f`` of them."""
+    of ``h_plus`` and ``h_minus`` and the spectral radius ``radius`` of
+    H.  ``resolution = _zero_cut(policy, max(A.shape)) * radius`` is the
+    zero cut of the :class:`NumericPolicy` docstring in H's units, below
+    which no eigenvalue is resolved.  The sector blocks are the user's,
+    not products formed here: each lies within its block residual of
+    ``A^dag A`` or ``A A^dag`` (:class:`StandardRepresentation`), so by
+    Weyl's bound a zero mode of A sits at most that far above the
+    resolution.  Sector eigenvalues at or below ``cut = resolution +
+    max(block_residuals)`` are zero modes, ``zeros_b`` and ``zeros_f``
+    of them; for an exact product the residuals are rounding."""
 
     rep: StandardRepresentation
     ev_b: np.ndarray
     ev_f: np.ndarray
     radius: float
+    resolution: float
     cut: float
     zeros_b: int
     zeros_f: int
@@ -183,8 +189,9 @@ def _sector_analysis(system: GradedSystem, policy: NumericPolicy) -> _SectorAnal
         spectra = [_readonly(ev) for ev in ((lead, seeded) if first == 0
                                             else (seeded, lead))]
         radius = max(abs(float(ev[k])) for ev in spectra for k in (0, -1))
-        cut = _zero_cut(policy, tris[first].n) * radius
-        found = _SectorAnalysis(rep, *spectra, radius, cut, *(
+        resolution = _zero_cut(policy, tris[first].n) * radius
+        cut = resolution + max(rep.block_residuals)
+        found = _SectorAnalysis(rep, *spectra, radius, resolution, cut, *(
             int(np.count_nonzero(ev <= cut)) for ev in spectra))
         system._sector_analyses[policy] = found
     return found
@@ -197,14 +204,18 @@ def spectral_pairing_report(system: GradedSystem,
     Both sectors come from the sector analysis this report shares with
     :func:`witten_index_report`; all eigenvalues of each are bisected
     together, down to adjacent floats (no Jacobi sweeps and no
-    eigenvectors).  Eigenvalues at or below the zero cut (the rule of
-    the :class:`NumericPolicy` docstring, relative to the spectral radius
-    of H) count as zero modes and are never paired.  The k-th positive
-    eigenvalues ``x`` and ``y`` of the two sectors pair when ``|x - y|``
-    is at most ``pairing_tol * max(x, y)`` plus the cut, since no
-    eigenvalue is resolved below it; degenerate clusters match by count.
-    The recorded gap stays relative, so it exceeds ``pairing_tol`` only
-    when ``|x - y|`` is within the cut.  An unmatched positive eigenvalue
+    eigenvectors).  Eigenvalues at or below the sector zero cut (the
+    rule of the :class:`NumericPolicy` docstring, relative to the
+    spectral radius of H and widened by the block residuals, see
+    :class:`_SectorAnalysis`) count as zero modes and are never paired.
+    The k-th positive eigenvalues ``x`` and ``y`` of the two sectors
+    pair when ``|x - y|`` is at most ``pairing_tol * max(x, y)`` plus
+    the unwidened cut, ``resolution``, since no eigenvalue is resolved
+    below it; degenerate clusters match by count.  The block residuals
+    do not widen the window: they are a partner mismatch of the input,
+    which ``pairing_tol`` judges.  The recorded gap stays relative, so it
+    exceeds ``pairing_tol`` only when ``|x - y|`` is within the
+    resolution.  An unmatched positive eigenvalue
     raises :class:`PairingError` naming the first orphan and its sector,
     which signals either a broken system or a too-tight pairing
     tolerance.
@@ -218,7 +229,7 @@ def spectral_pairing_report(system: GradedSystem,
     pairs = []
     for (i, vb), (j, vf) in zip(pos_b, pos_f):
         gap = _relative_gap(vb, vf)
-        if abs(vb - vf) > policy.pairing_tol * max(vb, vf) + sectors.cut:
+        if abs(vb - vf) > policy.pairing_tol * max(vb, vf) + sectors.resolution:
             orphan, sector, other = ((vb, "bosonic", "fermionic") if vb < vf
                                      else (vf, "fermionic", "bosonic"))
             raise PairingError(
@@ -247,7 +258,9 @@ def witten_index_report(system: GradedSystem,
     of the sector spectra; it counts, and builds no kernel vectors.
     Formula two reads the zero-mode counts of the sector analysis shared
     with :func:`spectral_pairing_report`.  Both count at the one zero cut
-    (the rule of the :class:`NumericPolicy` docstring).  ``Tr K = dim_b -
+    (the rule of the :class:`NumericPolicy` docstring); the sector count
+    widens it by the block residuals, since a zero mode of A sits that
+    far up in the user's blocks (:class:`_SectorAnalysis`).  ``Tr K = dim_b -
     dim_f``, read off A's shape, is the exact, threshold-free index: a
     formula that differs from it raises :class:`CrossCheckError`, never
     averaged away.
@@ -314,8 +327,7 @@ def _gram_margins(a: np.ndarray, name: str, policy: NumericPolicy) -> str:
     """:func:`_cut_margins` of the Gram matrix ``a^dag a`` that formula
     one counts, at its zero cut, in the units of ``a^dag a``."""
     arr, e = _kernel_input(a)
-    gram, lam_max, _ = _gram_split(arr, policy)
-    cut = _zero_cut(policy, max(arr.shape)) * lam_max
+    gram, _, cut, _ = _gram_split(arr, policy)
     return _cut_margins(name, ((name, np.ldexp(gram.eigenvalues(), 2 * e)),),
                         math.ldexp(cut, 2 * e))
 
@@ -323,10 +335,8 @@ def _gram_margins(a: np.ndarray, name: str, policy: NumericPolicy) -> str:
 def _block_residuals(system: GradedSystem, rep: StandardRepresentation) -> str:
     """How far each sector block of H is from ``A^dag A`` or ``A A^dag``
     relative to ``||H||``: formula one reads A, formula two the blocks."""
-    a_op = rep.a_operator
     norm_h = residual_norm(system.hamiltonian)
-    off_plus = _relative(residual_norm(rep.h_plus - adjoint(a_op) @ a_op), norm_h)
-    off_minus = _relative(residual_norm(rep.h_minus - a_op @ adjoint(a_op)), norm_h)
+    off_plus, off_minus = (_relative(r, norm_h) for r in rep.block_residuals)
     return (f"||h_plus - A^dag A|| = {off_plus:.1e} ||H||, "
             f"||h_minus - A A^dag|| = {off_minus:.1e} ||H||")
 

@@ -165,11 +165,18 @@ class NumericPolicy:
     blocks of H are ``A^dag A`` and ``A A^dag`` (relative to the spectral
     radius of H); the pairing window; and ``kernel_equality_check``'s
     annihilation bound, the square root of the cut times the other
-    charge's norm.  Partners pair when ``|x - y|`` is at most
-    ``pairing_tol * max(x, y)`` plus the zero cut, because below the cut
-    no eigenvalue is resolved; a pair records a relative gap above
-    ``pairing_tol`` only when its partners lie within the cut of each
-    other.  Kernel dimensions, the index report's zero-mode counts and
+    charge's norm.  The sector blocks are the user's, so the sector cut
+    adds the larger of ``||h_plus - A^dag A||`` and ``||h_minus - A
+    A^dag||``, the distances the standard representation accepted: by
+    Weyl's bound a zero mode of A lies at most that far above the cut in
+    its block.  For an exact product those residuals are rounding.  A
+    squared singular value of A within twice that widening above the cut
+    is not resolved from zero by the input, and there formula one and
+    the sector counts can differ.  Partners pair when ``|x - y|`` is at
+    most ``pairing_tol * max(x, y)`` plus the unwidened cut, because
+    below it no eigenvalue is resolved; a pair records a relative gap
+    above ``pairing_tol`` only when its partners lie within that cut of
+    each other.  Kernel dimensions, the index report's zero-mode counts and
     the sector spectra of the pairing report and the ``spectrum`` verb
     come from bisection down to adjacent floats, which needs no
     tolerance.  Operators whose imaginary parts are all exactly zero are

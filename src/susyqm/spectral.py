@@ -62,10 +62,8 @@ names it.  It is looked up as ``_kernel.jacobi_sweeps`` at every call,
 so ``perfbench/tracer.py`` can wrap it.
 
 What counts as zero is decided by one relative cut, :func:`_zero_cut`,
-the rule the :class:`~susyqm.core.NumericPolicy` docstring states: an
-eigenvalue of ``A^dag A`` at most ``max(kernel_tol**2, 2 * dim * eps)``
-times the largest (the Gram floor ``2 * dim * eps`` with the default
-policy).  :func:`kernel_basis`, the pseudo-inverse and every count of
+the rule the :class:`~susyqm.core.NumericPolicy` docstring states.
+:func:`kernel_basis`, the pseudo-inverse and every count of
 :mod:`susyqm.analysis` read it.
 """
 
@@ -632,7 +630,7 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     by their projectors.  Real input is reduced in float64; the basis
     is complex128 either way.
     """
-    gram, lam_max, dim = _gram_split(_kernel_input(a)[0], policy)
+    gram, lam_max, _, dim = _gram_split(_kernel_input(a)[0], policy)
     return KernelBasis(dim, frozen_copy(
         gram.lowest_vectors(dim, lam_max).astype(np.complex128, copy=False)))
 
@@ -646,7 +644,7 @@ def _kernel_dim(a, policy: NumericPolicy, seeds=()) -> int:
     arr, e = _kernel_input(a)
     with np.errstate(over="ignore", under="ignore"):
         seeds = np.ldexp(np.asarray(seeds, dtype=np.float64), -2 * e)
-    return _gram_split(arr, policy, seeds)[2]
+    return _gram_split(arr, policy, seeds)[3]
 
 
 def _kernel_input(a) -> tuple[np.ndarray, int]:
@@ -669,11 +667,13 @@ def _gram_split(arr: np.ndarray, policy: NumericPolicy, seeds=()):
     scaled so that its Gram matrix cannot overflow: the tridiagonal of
     the Gram matrix ``arr^dag arr``, its largest eigenvalue ``lam_max``
     (the square of the largest singular value, bisected from the
-    ``seeds``) and the number of its eigenvalues at or below the cut,
-    the kernel dimension."""
+    ``seeds``), the zero cut in its units, ``_zero_cut(policy,
+    max(arr.shape)) * lam_max``, and the number of its eigenvalues at
+    or below that cut, the kernel dimension."""
     gram = _Tridiagonal(_dagger(arr) @ arr)
     lam_max = max(gram.eigenvalue(gram.n - 1, seeds), 0.0)
-    return gram, lam_max, gram.count(_zero_cut(policy, max(arr.shape)) * lam_max)
+    cut = _zero_cut(policy, max(arr.shape)) * lam_max
+    return gram, lam_max, cut, gram.count(cut)
 
 
 def _gram_floor(dim: int) -> float:
@@ -723,9 +723,8 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
     ``N`` spanning its numerical kernel, with no eigendecomposition.
 
     The kernel is :func:`kernel_basis`'s, at the zero cut
-    (:func:`_zero_cut`): ``|lambda|`` at most ``max(kernel_tol, sqrt(2 *
-    dim * eps))`` times the spectral radius ``r`` counts as zero, with
-    the default policy always ``sqrt(2 * dim * eps)``.  Sharing that
+    (:func:`_zero_cut`, the rule of the :class:`~susyqm.core.NumericPolicy`
+    docstring) relative to the spectral radius ``r``.  Sharing that
     split keeps borderline eigenvalues from being classified differently
     by the two results.  Shifting the kernel to ``r`` makes the matrix
     invertible, ``Q^+ = (Q + r N N^dag)^-1 - N N^dag / r``, and the
@@ -735,7 +734,7 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
     results are complex128 either way.
     """
     work, e = _scaled_hermitian_part(a)
-    gram, lam_max, dim = _gram_split(work, policy)
+    gram, lam_max, _, dim = _gram_split(work, policy)
     kernel = gram.lowest_vectors(dim, lam_max)
     n = work.shape[0]
     if kernel.shape[1] == n:
@@ -751,10 +750,10 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
 def inverse_on_complement(q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Pseudo-inverse of a Hermitian matrix, zero on its numerical kernel.
 
-    Eigenvalues above the zero cut (:func:`kernel_basis`'s; ``|lambda|``
-    above ``max(kernel_tol, sqrt(2 * dim * eps))`` times the spectral
-    radius) are reciprocated, the rest are dropped, so ``Q^+ Q`` is the
-    orthogonal projector onto the complement of the kernel.
+    Eigenvalues above the zero cut (:func:`kernel_basis`'s, the rule of
+    the :class:`~susyqm.core.NumericPolicy` docstring) are reciprocated,
+    the rest are dropped, so ``Q^+ Q`` is the orthogonal projector onto
+    the complement of the kernel.
     """
     arr = _require_hermitian(q, policy, "inverse_on_complement")
     return _pinv_and_kernel(arr, policy)[0]

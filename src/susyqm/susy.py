@@ -125,12 +125,15 @@ class GradedSystem:
 @dataclass(frozen=True)
 class StandardRepresentation:
     """Grading-adapted block data: A maps the bosonic to the fermionic
-    sector, ``h_plus``/``h_minus`` are the sector restrictions of H."""
+    sector, ``h_plus``/``h_minus`` are the sector restrictions of H, and
+    ``block_residuals`` are ``||h_plus - A^dag A||`` and ``||h_minus - A
+    A^dag||`` in H's units, the distances the validation accepted."""
 
     basis: GradingBasis
     a_operator: np.ndarray
     h_plus: np.ndarray
     h_minus: np.ndarray
+    block_residuals: tuple[float, float]
 
 
 class PairingSign(enum.Enum):
@@ -353,10 +356,7 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     split of Q1 at the zero cut (the rule of the
     :class:`~susyqm.core.NumericPolicy` docstring), so borderline
     eigenvalues cannot be classified inconsistently between the two
-    ingredients: ``|lambda|`` at most ``max(kernel_tol, sqrt(2 * dim *
-    eps))`` times the spectral radius counts as zero, which with the
-    default policy is always ``sqrt(2 * dim * eps)``.  No
-    eigendecomposition is formed.
+    ingredients.  No eigendecomposition is formed.
     """
     a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     if d_plus is not None:
@@ -430,15 +430,18 @@ def standard_representation(system: GradedSystem,
     # blocks are real; the representation keeps the complex128 blocks.
     a_w, plus_w, minus_w = _real_if_exact(a_op, h_plus, h_minus)
     norm_a = residual_norm(a_w)
+    off_plus = residual_norm(plus_w - _dagger(a_w) @ a_w)
+    off_minus = residual_norm(minus_w - a_w @ _dagger(a_w))
     checks += [
-        RelationCheck.judge("h_plus = A^dag A", _relative(
-            residual_norm(plus_w - _dagger(a_w) @ a_w), norm_a, norm_a), tol),
-        RelationCheck.judge("h_minus = A A^dag", _relative(
-            residual_norm(minus_w - a_w @ _dagger(a_w)), norm_a, norm_a), tol),
+        RelationCheck.judge("h_plus = A^dag A",
+                            _relative(off_plus, norm_a, norm_a), tol),
+        RelationCheck.judge("h_minus = A A^dag",
+                            _relative(off_minus, norm_a, norm_a), tol),
     ]
     _raise_failures(checks, "system does not reduce to the standard representation")
     return StandardRepresentation(
-        basis, frozen_copy(a_op), frozen_copy(h_plus), frozen_copy(h_minus))
+        basis, frozen_copy(a_op), frozen_copy(h_plus), frozen_copy(h_minus),
+        (off_plus, off_minus))
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,12 @@ from susyqm.spectral import _Tridiagonal
 
 from conftest import block_system, c07_system, rank_deficient, svd_kernel_dim, zero_cut
 
-# Policies and bumps that drive the reports into their exits on a
-# hand-built system: a 1e-12 bump separates partners by ten times
-# pairing_tol, and a bump of 1e-4 on a kernel mode of A = 1 leaves
-# {q,q^dag} = 2H off by 5e-5 of ||q||^2, inside algebra_tol = 1e-3, with
-# the mode lifted to 1e4 times the zero cut.
+# Policies that drive the reports into their exits on a hand-built
+# system: under _TIGHT a 1e-12 bump separates partners by ten times
+# pairing_tol, and _LOOSE accepts a bump of 1e-4 of ||q||^2 in
+# {q,q^dag} = 2H.
 _TIGHT = NumericPolicy(kernel_tol=1e-14, pairing_tol=1e-13)
 _LOOSE = NumericPolicy(algebra_tol=1e-3)
-_KERNEL_BUMP = 1e-4
 
 
 def _bumped_block_system(a, mode, bump, policy):
@@ -128,10 +126,10 @@ class TestSpectralPairingReport:
         (np.diag([1.0, 2.0]), 2, -1e-12, _TIGHT, None,
          "fermionic eigenvalue 0.999999999999 has no bosonic partner "
          "(nearest gap 1.000e-12)", 0.999999999999, "fermionic"),
-        (np.eye(2, 3), 2, _KERNEL_BUMP, _LOOSE, ((1.0, 1.0, 2.0), (1.0, 1.0)),
+        (np.eye(2, 3), 2, 0.0, _LOOSE, ((1.0, 1.0, 2.0), (1.0, 1.0)),
          "bosonic eigenvalue 2.0 has no fermionic partner "
          "(fermionic sector exhausted)", 2.0, "bosonic"),
-        (np.eye(3, 2), 4, _KERNEL_BUMP, _LOOSE, ((1.0, 1.0), (1.0, 1.0, 2.0)),
+        (np.eye(3, 2), 4, 0.0, _LOOSE, ((1.0, 1.0), (1.0, 1.0, 2.0)),
          "fermionic eigenvalue 2.0 has no bosonic partner "
          "(bosonic sector exhausted)", 2.0, "fermionic"),
     ], ids=["gap-bosonic", "gap-fermionic", "exhausted-fermionic",
@@ -144,13 +142,15 @@ class TestSpectralPairingReport:
             # over.  On a system that validates, that takes a kernel mode
             # lifted to about the largest eigenvalue, a change of about
             # 1/rank(A) of ||A||^2: far outside algebra_tol below rank
-            # 1000, so on validated systems these exits need a rank of
-            # about 1/algebra_tol.  The walk is given such spectra
-            # directly, through a mocked seam: a change to the signature
-            # of analysis._sector_analysis touches this test.
+            # 1000, and a lift the validation accepts stays under the
+            # sector cut, which the block residual widens.  The walk is
+            # given such spectra, with no zero modes, directly, through
+            # a mocked seam: a change to the signature of
+            # analysis._sector_analysis touches this test.
             found = dataclasses.replace(
                 analysis._sector_analysis(system, policy),
-                ev_b=np.array(spectra[0]), ev_f=np.array(spectra[1]))
+                ev_b=np.array(spectra[0]), ev_f=np.array(spectra[1]),
+                zeros_b=0, zeros_f=0)
             monkeypatch.setattr(analysis, "_sector_analysis", lambda s, p: found)
         with pytest.raises(PairingError) as info:
             spectral_pairing_report(system, policy)
@@ -257,23 +257,24 @@ class TestWittenIndex:
         assert "the sectors hold" not in message
 
     def test_disagreement_message_gives_block_residuals_and_cut_margin(self):
-        # The bump keeps the kernel mode of A out of h_plus, far from any
-        # cut: the blocks, not the threshold, make the formulas differ.
-        system = _bumped_block_system(np.eye(2, 3), 2, _KERNEL_BUMP, _LOOSE)
+        # sigma^2 = 1e-4 lies inside the band the accepted block residual
+        # leaves unresolved: the bump of 1e-4 on its h_plus entry widens
+        # the sector cut to just above 1e-4, so the fermionic copy counts
+        # as zero and the bosonic one, at 2e-4, does not.  Formula one
+        # reads A, where 1e-4 is far above the Gram floor.
+        system = _bumped_block_system(np.diag([1.0, 1e-2]), 1, 1e-4, _LOOSE)
         with pytest.raises(CrossCheckError) as info:
             witten_index_report(system, _LOOSE)
         message = str(info.value)
-        # Tr K = 3 - 2 = 1; formula two leaves it, and the cut (6 eps,
-        # the Gram floor at dim 3) counts no sector eigenvalue as zero.
-        assert message.startswith(
-            "index formulas disagree with Tr K = dim_b - dim_f = 3 - 2 = 1: "
-            "dim ker A - dim ker A^dag = 1 - 0 = 1, sector zero-mode counts "
-            "give 0 - 0 = 0; the sectors hold different numbers of positive "
-            "eigenvalues (3 and 2); sector zero cut 1.332e-15: largest "
-            "counted as zero none, smallest counted as nonzero bosonic "
-            "1.000e-04, 7.51e+10 times the cut; "
-            "||h_plus - A^dag A|| = 5.0e-05 ||H||, ||h_minus - A A^dag|| = ")
-        assert message.endswith(" ||H||")
+        assert message == (
+            "index formulas disagree with Tr K = dim_b - dim_f = 2 - 2 = 0: "
+            "dim ker A - dim ker A^dag = 0 - 0 = 0, sector zero-mode counts "
+            "give 0 - 1 = -1; the sectors hold different numbers of positive "
+            "eigenvalues (2 and 1); sector zero cut 1.000e-04: largest "
+            "counted as zero fermionic 1.000e-04, 1 times the cut, smallest "
+            "counted as nonzero bosonic 2.000e-04, 2 times the cut; "
+            "||h_plus - A^dag A|| = 7.1e-05 ||H||, "
+            "||h_minus - A A^dag|| = 0.0e+00 ||H||")
         assert "Gram ranks" not in message
         assert "cluster" not in message
 
@@ -450,13 +451,19 @@ def test_reports_do_not_depend_on_the_basis(db, df, seed):
 ])
 def test_zero_cut_is_shared_by_both_reports(build):
     # Both reports read the cut and the zero-mode counts of one sector
-    # analysis; the cut must be the float zero_cut times the largest
-    # magnitude of its stored spectra, and each count the number of
-    # stored eigenvalues at or below the cut, as a Python int.
+    # analysis; the resolution must be the float zero_cut times the
+    # largest magnitude of its stored spectra, the cut that widened by
+    # the larger block residual, and each count the number of stored
+    # eigenvalues at or below the cut, as a Python int.
     policy = NumericPolicy()
     sectors = analysis._sector_analysis(build(), policy)
     largest = max(float(np.abs(ev).max()) for ev in (sectors.ev_b, sectors.ev_f))
-    assert sectors.cut == zero_cut(policy, sectors.rep.a_operator.shape) * largest
+    resolution = zero_cut(policy, sectors.rep.a_operator.shape) * largest
+    assert sectors.resolution == resolution
+    # Each of these H is an exact product, so its block residuals are
+    # rounding, under the resolution; they widen the cut.
+    assert all(0.0 <= r <= resolution for r in sectors.rep.block_residuals)
+    assert sectors.cut == resolution + max(sectors.rep.block_residuals)
     for ev, zeros in ((sectors.ev_b, sectors.zeros_b),
                       (sectors.ev_f, sectors.zeros_f)):
         assert not ev.flags.writeable

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from susyqm import (
+    DEFAULT_POLICY,
     Boundary,
     LatticeSpec,
+    NumericPolicy,
     adjoint,
     kernel_equality_check,
     second_supercharge,
@@ -62,11 +64,11 @@ _FAMILIES = [pytest.param(_tensor_system, id="tensor-8x8")] + [
     for shape in ((8, 8), (8, 6), (6, 8)) for rotated in (False, True)]
 
 
-def _assert_consistent(system):
+def _assert_consistent(system, policy=DEFAULT_POLICY):
     """The four zero counts agree pairwise, the index is ``Tr K`` and
     every mode that is not a zero mode pairs."""
-    index = witten_index_report(system)
-    pair = spectral_pairing_report(system)
+    index = witten_index_report(system, policy)
+    pair = spectral_pairing_report(system, policy)
     dim_b, dim_f = len(pair.bosonic_eigenvalues), len(pair.fermionic_eigenvalues)
     trace_k = round(float(np.trace(system.involution.matrix).real))
     assert index.trace_k == dim_b - dim_f == trace_k == index.index
@@ -97,6 +99,31 @@ def test_lattice_partner_pair_above_the_cut_pairs(sites, dx, w):
     assert (index.dim_kernel_a, index.dim_kernel_a_dagger,
             index.bosonic_zero_modes, index.fermionic_zero_modes) == (0, 0, 0, 0)
     assert len(pair.pairs) == sites
+
+
+@pytest.mark.parametrize("shape,mode,bump,policy", [
+    ((2, 3), 2, 1e-11, DEFAULT_POLICY),
+    ((2, 3), 2, -1e-11, DEFAULT_POLICY),
+    ((3, 2), 4, 1e-11, DEFAULT_POLICY),
+    ((2, 3), 2, 1e-4, NumericPolicy(algebra_tol=1e-3)),
+], ids=["bosonic", "bosonic-down", "fermionic", "bosonic-loose"])
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+def test_kernel_mode_lifted_within_the_accepted_residual_stays_zero(
+        shape, mode, bump, policy, rotated):
+    # H = diag(A^dag A, A A^dag) for A = 1 of the given shape, with the
+    # kernel mode of A (entry ``mode`` of H) moved by ``bump``: the
+    # sector block is off A^dag A or A A^dag by |bump|, which the
+    # validation accepts, so the mode must count as zero in both reports
+    # (Tr K = +-1), with the two positive partners paired.
+    h, k, q = block_system(np.eye(*shape))
+    h[mode, mode] += bump
+    if rotated:
+        w = haar_unitary(np.random.default_rng(4), sum(shape))
+        h, k, q = (w @ m @ adjoint(w) for m in (h, k, q))
+    system = validate_graded_complex_system(h, k, [q], policy)
+    index, pair = _assert_consistent(system, policy)
+    assert index.index == shape[1] - shape[0]
+    assert len(pair.pairs) == 2
 
 
 @pytest.mark.parametrize("e", [7.25, 7.5])
