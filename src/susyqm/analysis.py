@@ -47,13 +47,13 @@ from .core import (
     RelationCheck,
     _as_operators,
     _binary_exponent,
+    _dagger,
     _ldexp,
     _raise_failures,
     _readonly,
     _relative,
     _require_int,
     _require_self_adjoint,
-    adjoint,
     residual_norm,
 )
 from .spectral import (
@@ -280,7 +280,7 @@ def witten_index_report(system: GradedSystem,
     floor = _gram_floor(max(a_op.shape)) * sectors.radius
     seeds = (sectors.radius - floor, sectors.radius + floor)
     dim_ker_a = _kernel_dim(a_op, policy, seeds)
-    dim_ker_ad = _kernel_dim(adjoint(a_op), policy, seeds)
+    dim_ker_ad = _kernel_dim(_dagger(a_op), policy, seeds)
     zeros_b, zeros_f = sectors.zeros_b, sectors.zeros_f
     via_a = dim_ker_a - dim_ker_ad
     via_blocks = zeros_b - zeros_f
@@ -289,7 +289,7 @@ def witten_index_report(system: GradedSystem,
         left += [f"the Gram ranks of A and A^dag disagree ({dim_b - dim_ker_a} "
                  f"and {dim_f - dim_ker_ad})",
                  _gram_margins(a_op, "A^dag A", policy),
-                 _gram_margins(adjoint(a_op), "A A^dag", policy)]
+                 _gram_margins(_dagger(a_op), "A A^dag", policy)]
     if via_blocks != trace_k:
         left += [f"the sectors hold different numbers of positive "
                  f"eigenvalues ({dim_b - zeros_b} and {dim_f - zeros_f})",

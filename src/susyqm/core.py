@@ -8,13 +8,15 @@ at the boundary in one of three ways.  Every value a caller passes, an
 operator, a vector, a sample array or a tolerance, goes through one
 gate, ``_require_numbers``: a boolean, a string, ``None`` or a number
 too large for a double raises :class:`TypeError` naming the argument,
-so :func:`as_operator` refuses non-numbers rather than parsing them.  A
-wrong shape raises :class:`ShapeError`: :func:`as_operator` checks
-squareness and finiteness, and ``_as_operators`` also names the first
-of several operators whose dimension differs; the algebra helpers stay
-thin after that.  A broken relation raises :class:`ValidationError`
-carrying a :class:`RelationCheck` for each failed relation
-(``_raise_failures``).
+so :func:`as_operator` refuses non-numbers rather than parsing them,
+and a NaN or an infinity raises :class:`ValueError` naming it, the one
+finiteness rule (only :func:`residual_norm` measures a numeric numpy
+array as it is).  A wrong shape raises :class:`ShapeError`:
+:func:`as_operator` checks squareness, and ``_as_operators`` also names
+the first of several operators whose dimension differs; the algebra
+helpers stay thin after that.  A broken relation raises
+:class:`ValidationError` carrying a :class:`RelationCheck` for each
+failed relation (``_raise_failures``).
 Every Hermiticity and algebra residual is divided by the Frobenius
 norms of its own relation's operands, one after another (``_relative``),
 so that the ratio has degree zero in them (over a zero norm, a nonzero
@@ -111,21 +113,31 @@ def _require_numbers(value, name: str, real: bool = False) -> np.ndarray:
     already has the target dtype.  Anything else is checked entry by
     entry: each must be a number (a real one, if ``real``) that fits in
     a double, never a boolean, a string or ``None``; otherwise
-    :class:`TypeError` names ``name``.
+    :class:`TypeError` names ``name``.  After the cast every entry must
+    be finite: a NaN or an infinity (in either part of a complex entry)
+    raises ``ValueError("<name> contains non-finite entries")``.  This
+    is the package's one finiteness rule for what a caller passes; only
+    :func:`residual_norm` skips the gate, for a numpy array of a numeric
+    dtype, which it measures as it is, so an infinite residual array
+    measures infinite.
     """
     dtype, kinds, number = ((np.float64, "iuf", numbers.Real) if real
                             else (np.complex128, "iufc", numbers.Complex))
     if isinstance(value, float) or (isinstance(value, np.ndarray)
                                     and value.dtype.kind in kinds):
-        return np.asarray(value, dtype=dtype)
-    entries = np.asarray(value, dtype=object)
-    for x in entries.flat:
-        if isinstance(x, (bool, np.bool_)) or not isinstance(x, number):
-            raise TypeError(f"{name} must be {'real' if real else 'numeric'}, got {x!r}")
-    try:
-        return entries.astype(dtype)
-    except OverflowError:
-        raise TypeError(f"{name} has a number too large for a double") from None
+        arr = np.asarray(value, dtype=dtype)
+    else:
+        entries = np.asarray(value, dtype=object)
+        for x in entries.flat:
+            if isinstance(x, (bool, np.bool_)) or not isinstance(x, number):
+                raise TypeError(f"{name} must be {'real' if real else 'numeric'}, got {x!r}")
+        try:
+            arr = entries.astype(dtype)
+        except OverflowError:
+            raise TypeError(f"{name} has a number too large for a double") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -213,13 +225,11 @@ SIGMA3 = _readonly(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
 
 def as_operator(a, name: str = "operator") -> np.ndarray:
-    """Coerce ``a`` to a square, finite complex matrix; a non-number
-    raises :class:`TypeError` naming ``name``."""
+    """Coerce ``a`` to a square, finite complex matrix; what is not a
+    finite number is refused by :func:`_require_numbers`, naming ``name``."""
     arr = _require_numbers(a, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -316,12 +326,14 @@ def _ldexp(a, e: int) -> np.ndarray:
 def residual_norm(a) -> float:
     """Frobenius norm, the scalar residual of a matrix equation.
 
-    A numpy array of a numeric dtype is used as it is, with no cast, so a
-    float64 relation keeps its arithmetic; anything else goes through
-    :func:`_require_numbers`.  Outside a safe range the entries are
-    scaled by a power of two first (:func:`_binary_exponent`), so entries
-    beyond about ``1e+-154`` neither overflow nor underflow when squared;
-    inside it that scaling would change no bit.
+    A numpy array of a numeric dtype is used as it is, with no cast and
+    no finiteness check, so a float64 relation keeps its arithmetic and a
+    computed residual that overflowed measures infinite; anything else
+    goes through :func:`_require_numbers`, which refuses a NaN or an
+    infinity.  Outside a safe range the entries are scaled by a power of
+    two first (:func:`_binary_exponent`), so entries beyond about
+    ``1e+-154`` neither overflow nor underflow when squared; inside it
+    that scaling would change no bit.
     """
     arr = (a if isinstance(a, np.ndarray) and a.dtype.kind in "iufc"
            else _require_numbers(a, "residual_norm input"))

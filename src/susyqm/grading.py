@@ -28,12 +28,12 @@ from .core import (
     ShapeError,
     ValidationError,
     _as_operators,
+    _dagger,
     _hermiticity_residual,
     _raise_failures,
     _relative,
     _require_hermitian,
     _require_numbers,
-    adjoint,
     as_operator,
     frozen_copy,
     residual_norm,
@@ -86,7 +86,9 @@ class Parity(enum.Enum):
 
 
 def involution_checks(k, policy: NumericPolicy = DEFAULT_POLICY) -> list[RelationCheck]:
-    """Residuals of the involution relations; shared with system validators.
+    """Residuals of the involution relations (K self-adjoint,
+    ``K^2 = 1``, ``K != +1``, ``K != -1``); the system validators read
+    the same checks through :func:`_involution_checks`.
 
     ``K^2`` is formed by :func:`_grading_products`, so a signed-permutation
     K squares by a gather, with the dense product's residual bit for bit.
@@ -139,8 +141,6 @@ def decompose_vector(k: Involution, phi) -> tuple[np.ndarray, np.ndarray]:
     vec = _require_numbers(phi, "phi")
     if vec.shape != (k.dim,):
         raise ShapeError(f"vector of length {k.dim} expected, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise ValueError("phi contains non-finite entries")
     phi_b = 0.5 * (vec + k.matrix @ vec)
     # Complement instead of (phi - K phi)/2: the sum then reproduces phi
     # whenever the subtraction is exact, and to one ulp otherwise.
@@ -271,9 +271,8 @@ def _signed_permutation_basis(k: np.ndarray):
         u[second[pair], slots[pair]] = sign * z[first[pair]] * _SQRT_HALF
         start += len(first)
     # u holds the conjugate basis (z[first] is K_ij = conj(K_ji)).
-    # Conjugating it gives every zero a negative imaginary part, as in the
-    # Jacobi eigenvectors this replaces, so a diagonal K keeps its basis
-    # bit for bit.
+    # Conjugating it gives the basis, with every imaginary zero negative:
+    # a diagonal K gives exactly the conjugated identity columns.
     return u.conj()
 
 
@@ -296,13 +295,13 @@ def _projector_basis(k: np.ndarray, dim_b: int) -> np.ndarray:
     least ``1/n``, far above the rounding of about ``n * eps`` that the
     downdates can accumulate in norms that start at most one."""
     n = k.shape[0]
-    herm = 0.5 * (k + adjoint(k))
+    herm = 0.5 * (k + _dagger(k))
     eye = np.eye(n)
     u = np.empty((n, n), dtype=np.complex128)
     done = 0
     for sign, count in ((1.0, dim_b), (-1.0, n - dim_b)):
         w = 0.5 * (eye + sign * herm)
-        w -= u[:, :done] @ (adjoint(u[:, :done]) @ w)
+        w -= u[:, :done] @ (_dagger(u[:, :done]) @ w)
         norms = (w.real * w.real + w.imag * w.imag).sum(axis=0)
         for _ in range(count):
             pick = norms.argmax()
@@ -335,7 +334,7 @@ def block_extract(basis: GradingBasis, m):
     [arr] = _as_operators((("M", m),), basis.dim)
     u = basis.unitary
     p = _permutation_rows(u)
-    conj = adjoint(u) @ arr @ u if p is None else arr[p][:, p] + 0.0
+    conj = _dagger(u) @ arr @ u if p is None else arr[p][:, p] + 0.0
     nb = basis.dim_bosonic
     return conj[:nb, :nb], conj[:nb, nb:], conj[nb:, :nb], conj[nb:, nb:]
 

@@ -258,8 +258,11 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, a) -> None:
+    # Serialized before the file is opened, so a value that
+    # matrix_to_obj refuses leaves an existing file as it was.
+    text = dump_json(matrix_to_obj(a))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_json(matrix_to_obj(a)))
+        handle.write(text)
 
 
 def load_system(path) -> SystemFile:
@@ -267,8 +270,9 @@ def load_system(path) -> SystemFile:
 
 
 def save_system(path, system) -> None:
+    text = dump_json(system_to_obj(system))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_json(system_to_obj(system)))
+        handle.write(text)
 
 
 def load_model_spec(path) -> dict:

@@ -36,10 +36,11 @@ from .core import (
     SIGMA1,
     SIGMA2,
     RelationCheck,
+    ShapeError,
+    _dagger,
     _raise_failures,
     _require_int,
     _require_numbers,
-    adjoint,
     as_operator,
 )
 from .susy import (
@@ -96,7 +97,7 @@ class LatticeSpec:
         """``value`` as a ``float`` if it is a positive finite real; errors
         name the field ``name`` that holds it."""
         spacing = _require_numbers(value, name, real=True)
-        if spacing.ndim or not 0 < float(spacing) < math.inf:
+        if spacing.ndim or not float(spacing) > 0:
             raise ValueError(f"{name} must be positive and finite, got {value}")
         return float(spacing)
 
@@ -109,7 +110,7 @@ def fermionic_ladder() -> tuple[np.ndarray, np.ndarray]:
     """The 2x2 ladder pair ``f, f^dag`` with ``{f, f^dag} = 1`` and
     ``f^2 = 0``; note ``[f, f^dag] = sigma_3``."""
     f = np.array([[0, 1], [0, 0]], dtype=np.complex128)
-    return f, adjoint(f)
+    return f, _dagger(f)
 
 
 def _parity_permutation(sites: int) -> np.ndarray:
@@ -138,7 +139,7 @@ def tensor_supercharge(a, policy: NumericPolicy = DEFAULT_POLICY) -> GradedSyste
     n = arr.shape[0]
     q = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     q[n:, :n] = arr
-    q[:n, n:] = adjoint(arr)
+    q[:n, n:] = _dagger(arr)
     k, h = _block_graded(arr)
     return validate_graded_real_system(h, k, [q], policy)
 
@@ -151,8 +152,8 @@ def _block_graded(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = np.diag(np.concatenate(
         [np.ones(dim_b), -np.ones(dim_f)])).astype(np.complex128)
     h = np.zeros((dim_b + dim_f, dim_b + dim_f), dtype=np.complex128)
-    h[:dim_b, :dim_b] = adjoint(a) @ a
-    h[dim_b:, dim_b:] = a @ adjoint(a)
+    h[:dim_b, :dim_b] = _dagger(a) @ a
+    h[dim_b:, dim_b:] = a @ _dagger(a)
     return k, h
 
 
@@ -174,6 +175,21 @@ def free_particle_lattice(spec: LatticeSpec,
     return validate_graded_real_system(h, k, [q], policy)
 
 
+def _samples(value, name: str, sites: int, planar: bool = False) -> np.ndarray:
+    """``value`` as real samples, one per site of a lattice of ``sites``
+    sites, or, if ``planar``, of ``sites x sites`` sites, flat or shaped
+    ``(sites, sites)`` (returned flat); a wrong shape raises
+    :class:`ShapeError` naming ``name``, so a model spec names its field."""
+    arr = _require_numbers(value, name, real=True)
+    count = sites * sites if planar else sites
+    if planar and arr.shape == (sites, sites):
+        arr = arr.reshape(count)
+    if arr.shape != (count,):
+        grid = f" (flat or {sites}x{sites})" if planar else ""
+        raise ShapeError(f"{name} needs {count} samples{grid}, got shape {arr.shape}")
+    return arr
+
+
 def witten_model_lattice(spec: LatticeSpec, superpotential,
                          policy: NumericPolicy = DEFAULT_POLICY) -> GradedSystem:
     """One-dimensional superpotential model ``A = D + diag(W)``.
@@ -187,12 +203,7 @@ def witten_model_lattice(spec: LatticeSpec, superpotential,
     """
     if spec.boundary is not Boundary.DIRICHLET:
         raise ValueError("the superpotential lattice needs Dirichlet boundary")
-    w = _require_numbers(superpotential, "superpotential", real=True)
-    if w.shape != (spec.sites,):
-        raise ValueError(
-            f"superpotential needs {spec.sites} samples, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("superpotential contains non-finite samples")
+    w = _samples(superpotential, "superpotential", spec.sites)
     n = spec.sites
     d = np.zeros((n, n), dtype=np.complex128)
     d[np.arange(n), np.arange(n)] = -1.0 / spec.spacing
@@ -220,19 +231,7 @@ def pauli_lattice(spec: LatticeSpec, a_x, a_y,
         raise ValueError("the planar spin lattice needs periodic boundary")
     n = spec.sites
     n_sp = n * n
-
-    fields = []
-    for name, samples in (("a_x", a_x), ("a_y", a_y)):
-        arr = _require_numbers(samples, name, real=True)
-        if arr.shape == (n, n):
-            arr = arr.reshape(n_sp)
-        if arr.shape != (n_sp,):
-            raise ValueError(
-                f"{name} needs {n_sp} samples (flat or {n}x{n}), "
-                f"got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite samples")
-        fields.append(arr)
+    fields = [_samples(a_x, "a_x", n, planar=True), _samples(a_y, "a_y", n, planar=True)]
 
     flat = np.arange(n_sp)
     reflected = (n - 1 - flat // n) * n + (n - 1 - flat % n)
@@ -344,13 +343,13 @@ def random_graded_system(dim_b: int, dim_f: int, seed: int,
     a = stream.complex_matrix(dim_f, dim_b)
     n = dim_b + dim_f
     q = np.zeros((n, n), dtype=np.complex128)
-    q[:dim_b, dim_b:] = _SQRT2 * adjoint(a)
+    q[:dim_b, dim_b:] = _SQRT2 * _dagger(a)
     k, h = _block_graded(a)
     if conjugate:
         u = _lcg_unitary(stream, n)
-        q = u @ q @ adjoint(u)
-        k = u @ k @ adjoint(u)
-        h = u @ h @ adjoint(u)
+        q = u @ q @ _dagger(u)
+        k = u @ k @ _dagger(u)
+        h = u @ h @ _dagger(u)
     return validate_graded_complex_system(h, k, [q], policy)
 
 
@@ -387,8 +386,8 @@ def build_model(spec: Mapping, policy: NumericPolicy = DEFAULT_POLICY) -> Graded
     if kind == "free_particle":
         return free_particle_lattice(lattice, policy)
     if kind == "witten":
-        return witten_model_lattice(
-            lattice, _require_numbers(spec["W"], "W", real=True), policy)
+        return witten_model_lattice(lattice, _samples(spec["W"], "W", lattice.sites),
+                                    policy)
     field = _spec_pair(spec["A_field"], "A_field must hold two sample arrays")
-    return pauli_lattice(lattice, _require_numbers(field[0], "A_field", real=True),
-                         _require_numbers(field[1], "A_field", real=True), policy)
+    return pauli_lattice(lattice, *[_samples(a, "A_field", lattice.sites, planar=True)
+                                    for a in field], policy)

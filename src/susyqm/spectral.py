@@ -649,15 +649,13 @@ def _kernel_dim(a, policy: NumericPolicy, seeds=()) -> int:
 
 def _kernel_input(a) -> tuple[np.ndarray, int]:
     """``(arr, e)``: ``a`` as a float64 or complex matrix
-    (:func:`_work_array`), checked finite and scaled by ``2**-e`` so that
-    its Gram matrix cannot overflow; the cutoff is relative, so the
-    kernel does not depend on the scale."""
+    (:func:`_work_array`), finite (:func:`_require_numbers`) and scaled
+    by ``2**-e`` so that its Gram matrix cannot overflow; the cutoff is
+    relative, so the kernel does not depend on the scale."""
     arr = _require_numbers(a, "kernel_basis input")
     if arr.ndim != 2:
         raise ShapeError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
     arr = _work_array(arr)
-    if not np.isfinite(arr).all():
-        raise ValueError("kernel_basis input contains non-finite entries")
     e = _binary_exponent(arr)
     return _ldexp(arr, -e), e
 

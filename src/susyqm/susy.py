@@ -48,7 +48,6 @@ from .core import (
     _require_int,
     _require_numbers,
     _require_self_adjoint,
-    adjoint,
     as_operator,
     frozen_copy,
     rel_residual,
@@ -155,8 +154,9 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
     and satisfy ``{q_i,q_j^dag} = 2 delta_ij H`` and
     ``{q_i,q_j} = {q_i^dag,q_j^dag} = 0``.  Every charge must commute
     with H.  Given an involution ``k``, the system is graded: K must also
-    pass :func:`involution_checks`, anticommute with every charge and
-    commute with H.  ``k`` may be a matrix or an :class:`Involution`.
+    pass the involution checks (:func:`grading._involution_checks`),
+    anticommute with every charge and commute with H.  ``k`` may be a
+    matrix or an :class:`Involution`.
     Each residual is divided by the Frobenius norms of its relation's own
     operands in turn (:func:`core._relative`), so every ratio and every
     verdict is the same in any units: a Hermiticity residual by the
@@ -293,7 +293,7 @@ def real_from_complex(q) -> tuple[np.ndarray, np.ndarray]:
     """Split a complex charge into its two real charges (inverse of
     :func:`complex_from_real`)."""
     arr = as_operator(q, "q")
-    qd = adjoint(arr)
+    qd = _dagger(arr)
     return (arr + qd) / _SQRT2, -1j * (arr - qd) / _SQRT2
 
 
@@ -374,7 +374,7 @@ def construct_involution(q1, q2, d_plus: int | None = None,
 
     signature = np.concatenate(
         [np.ones(d_plus), -np.ones(d - d_plus)]).astype(np.complex128)
-    k = 1j * (b @ q1_pinv) + (kernel_vecs * signature) @ adjoint(kernel_vecs)
+    k = 1j * (b @ q1_pinv) + (kernel_vecs * signature) @ _dagger(kernel_vecs)
 
     involution = validate_graded_real_system(h, k, [a, b], policy).involution
     pair_res = rel_residual(b + 1j * (involution.matrix @ a), a)
@@ -423,7 +423,7 @@ def standard_representation(system: GradedSystem,
     # A complex charge's A is that of its real charge (q + q^dag)/sqrt(2)
     # (real_from_complex).  Adding q_fb^dag before the adjoint, not q_fb
     # after it, keeps every bit of A, zero signs too, when q_fb is zero.
-    a_op = adjoint(q_bf + adjoint(q_fb)) / _SQRT2 if system.complex_charges else q_fb
+    a_op = _dagger(q_bf + _dagger(q_fb)) / _SQRT2 if system.complex_charges else q_fb
 
     h_plus, _, _, h_minus = block_extract(basis, h)
     # The partner forms are checked in float64 when A and both sector
@@ -456,7 +456,7 @@ def hermitian_parts(a1) -> tuple[np.ndarray, np.ndarray]:
     per entry (exactly, whenever the complementary subtraction is exact).
     """
     arr = as_operator(a1, "A1")
-    part1 = 0.5 * (arr + adjoint(arr))
+    part1 = 0.5 * (arr + _dagger(arr))
     part2 = -1j * (arr - part1)
     return part1, part2
 

@@ -332,6 +332,13 @@ class TestKernelEqualityCheck:
         with pytest.raises(ValidationError, match="Q1\\^2 != Q2\\^2"):
             kernel_equality_check(SIGMA1, 2.0 * SIGMA3)
 
+    def test_kernel_dimensions_that_differ_raise(self):
+        # Q1^2 and Q2^2 differ by 1.6e-15, inside algebra_tol, but Q1's
+        # 4e-8 lies above the zero cut: kernels of dimension 0 and 1.
+        with pytest.raises(CrossCheckError, match=(
+                "^kernel dimensions differ: dim ker Q1 = 0, dim ker Q2 = 1$")):
+            kernel_equality_check(np.diag([1.0, 4e-8]), np.diag([1.0, 0.0]))
+
     def test_charges_at_two_to_the_540(self):
         # Squared bare, entries of 2**540 overflow; squared scaled, the
         # kernels match and the residuals are rescaled exactly.

@@ -12,6 +12,7 @@ from susyqm import (
     LatticeSpec,
     NumericPolicy,
     Parity,
+    ShapeError,
     SIGMA1,
     SIGMA3,
     ValidationError,
@@ -100,6 +101,11 @@ class TestDecomposeVector:
         phi_b, phi_f = decompose_vector(sigma3_involution, np.array([2.0, 0.0]))
         assert np.allclose(phi_b, [2.0, 0.0])
         assert residual_norm(phi_f.reshape(1, -1)) == 0.0
+
+    def test_wrong_length_vector_is_a_shape_error(self, sigma3_involution):
+        with pytest.raises(ShapeError,
+                           match=r"^vector of length 2 expected, got shape \(3,\)$"):
+            decompose_vector(sigma3_involution, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("phi", [[np.nan, 1.0], [np.inf, 0.0],
                                      [0.0, complex(1.0, -np.inf)]])
@@ -615,6 +621,21 @@ class TestStructuredGradingFallback:
         _assert_dense_identity(monkeypatch, h, k, [q], True)
         basis = grading_basis(system.involution)
         assert grading._permutation_rows(basis.unitary) is None
+        _assert_blocks_identity(basis, h, q)
+
+    def test_permutation_basis_with_a_minus_one_takes_the_dense_product(
+            self, monkeypatch, rng):
+        # A permutation whose ones are not all +1 is not gathered: the
+        # blocks are the dense product's, bit for bit.
+        h, q = self._block_system(rng)
+        u = np.eye(6, dtype=complex)[:, [0, 2, 4, 1, 3, 5]]
+        u[2, 1] = -1.0
+        basis = GradingBasis(u, 3, 3)
+        assert grading._permutation_rows(u) is None
+        for x in (h, q):
+            got = block_extract(basis, x)
+            want = _dense(monkeypatch, block_extract, basis, x)
+            assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
         _assert_blocks_identity(basis, h, q)
 
     def test_writable_matrices_changed_in_place(self, monkeypatch, rng):

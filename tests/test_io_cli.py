@@ -78,6 +78,9 @@ class TestMatrixFormat:
             io.matrix_from_obj({"dim": 1, "entries": [[float("inf"), 0.0]]})
 
     @pytest.mark.parametrize("obj,match", [
+        ([[1.0, 0.0]], "^matrix object must be a mapping, got list$"),
+        ({"dim": 1}, "^matrix object needs 'dim' .* and 'entries'"),
+        ({"rows": 0, "cols": 2, "entries": []}, "^matrix shape must be positive, got 0x2$"),
         ({"dim": 1, "entries": [[True, False]]}, "pair"),
         ({"dim": 1.9, "entries": [[1.0, 0.0]]}, "integers"),
         ({"dim": True, "entries": [[1.0, 0.0]]}, "integers"),
@@ -249,6 +252,30 @@ class TestMatrixSave:
                           np.asarray(a, dtype=np.complex128))
 
 
+class TestSaveRefusals:
+    @pytest.mark.parametrize("bad,error,match", [
+        ([["1", 0.0], [0.0, 1.0]], TypeError, "^matrix must be numeric"),
+        (np.zeros((2, 2, 2)), io.FormatError, "^only matrices are serializable"),
+        ([[np.inf, 0.0], [0.0, 1.0]], ValueError, "^matrix contains non-finite entries$"),
+    ], ids=["string-entry", "3-d-array", "non-finite-entry"])
+    def test_refused_save_leaves_the_previous_file(self, tmp_path, bad, error, match):
+        # The text is built before the file is opened, so a refused value
+        # never truncates what was there.
+        matrix_path, system_path = tmp_path / "m.json", tmp_path / "s.json"
+        io.save_matrix(matrix_path, np.eye(2))
+        io.save_system(system_path, io.SystemFile(np.eye(2), SIGMA3, (SIGMA1,), False))
+        before = matrix_path.read_bytes(), system_path.read_bytes()
+        with pytest.raises(error, match=match):
+            io.save_matrix(matrix_path, bad)
+        with pytest.raises(error, match=match):
+            io.save_system(system_path, io.SystemFile(np.eye(2), SIGMA3, (bad,), False))
+        assert (matrix_path.read_bytes(), system_path.read_bytes()) == before
+
+    def test_only_a_system_serializes_as_a_system(self):
+        with pytest.raises(io.FormatError, match="^cannot serialize dict as a system$"):
+            io.system_to_obj({"H": np.eye(2)})
+
+
 class TestSystemFormat:
     def test_round_trip_with_involution(self, rng, tmp_path):
         h, k, q1, q2 = real_pair_from_block(random_complex(rng, 3, 3))
@@ -274,6 +301,15 @@ class TestSystemFormat:
         path.write_text(json.dumps({"H": io.matrix_to_obj(np.eye(2))}))
         with pytest.raises(io.FormatError, match="missing"):
             io.load_system(path)
+
+    def test_rejects_a_non_mapping_and_empty_charges(self):
+        with pytest.raises(io.FormatError,
+                           match="^system object must be a mapping, got list$"):
+            io.system_from_obj([])
+        obj = io.system_to_obj(io.SystemFile(np.eye(2), SIGMA3, (SIGMA1,), False))
+        obj["charges"] = []
+        with pytest.raises(io.FormatError, match="non-empty 'charges' list"):
+            io.system_from_obj(obj)
 
     @pytest.mark.parametrize("flag", ["no", 0, None])
     def test_rejects_non_boolean_complex_flag(self, flag):
@@ -568,13 +604,41 @@ class TestCliPipeline:
         spec_path.write_text(json.dumps(spec))
         assert main(["model", str(spec_path)]) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "model spec must be a JSON object"),
+        ('{"sites": 5}', "model spec is missing the 'model' field"),
+        ('{"model": "witten", "sites": 3, "dx": 0.5, "W": [1.0, 2.0]}',
+         "W needs 3 samples, got shape (2,)"),
+        ('{"model": "witten", "sites": 3, "dx": 0.5, "W": [1e999, 0.0, -1.0]}',
+         "W contains non-finite entries"),
+    ], ids=["not-an-object", "no-model-field", "short-W", "infinite-W"])
+    def test_model_refused_spec_exits_two_naming_it(self, tmp_path, capsys, text,
+                                                    message):
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(text)
+        assert main(["model", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize("value,message", [
+        ("0", "kernel_tol must lie in (0, 1e-3], got 0.0"),
+        ("2", "kernel_tol must lie in (0, 1e-3], got 2.0"),
+        ("nan", "kernel_tol contains non-finite entries"),
+    ], ids=["0", "2", "nan"])
+    def test_out_of_range_tolerance_exits_two_naming_it(
+            self, minimal_system_file, capsys, value, message):
+        assert main(["index", str(minimal_system_file), "--tol-kernel", value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("dx", ["0", "1e400"])
     def test_model_out_of_range_dx_exits_two_naming_dx(self, tmp_path, capsys, dx):
         spec_path = tmp_path / "model.json"
         spec_path.write_text(f'{{"model": "free_particle", "sites": 5, "dx": {dx}}}')
         assert main(["model", str(spec_path)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: dx must be positive and finite")
+        # JSON reads 1e400 as infinity, which the number gate refuses.
+        refusal = {"0": "must be positive and finite",
+                   "1e400": "contains non-finite entries"}[dx]
+        assert capsys.readouterr().err.startswith(f"error: dx {refusal}")
 
 
 class TestCliSpectrumPairRepr:
@@ -583,6 +647,11 @@ class TestCliSpectrumPairRepr:
         payload = json.loads(capsys.readouterr().out)
         assert payload["bosonic"] == [1.0]
         assert payload["fermionic"] == [1.0]
+
+    def test_spectrum_text(self, minimal_system_file, capsys):
+        assert main(["spectrum", str(minimal_system_file)]) == 0
+        assert capsys.readouterr().out == (
+            "bosonic sector:\n  1.0\nfermionic sector:\n  1.0\n")
 
     def test_pair_report(self, tmp_path, capsys):
         spec_path = tmp_path / "model.json"

@@ -7,6 +7,7 @@ from susyqm import (
     Lcg,
     Parity,
     SIGMA3,
+    ShapeError,
     ValidationError,
     adjoint,
     build_model,
@@ -52,8 +53,8 @@ class TestLatticeSpec:
         (True, 0.5, TypeError, "sites must be an integer"),
         (5, True, TypeError, "spacing must be real"),
         (5, np.bool_(True), TypeError, "spacing must be real"),
-        (5, np.inf, ValueError, "spacing must be positive and finite"),
-        (5, np.nan, ValueError, "spacing must be positive and finite"),
+        (5, np.inf, ValueError, "spacing contains non-finite entries"),
+        (5, np.nan, ValueError, "spacing contains non-finite entries"),
     ])
     def test_rejects_mistyped_and_non_finite_fields(self, sites, spacing, error,
                                                      message):
@@ -248,6 +249,11 @@ class TestPauliLattice:
         with pytest.raises(TypeError, match=f"^{name} must be real"):
             pauli_lattice(spec, **fields)
 
+    def test_requires_periodic_boundary(self):
+        with pytest.raises(ValueError, match="^the planar spin lattice needs periodic"):
+            pauli_lattice(LatticeSpec(5, 1.0, Boundary.DIRICHLET), np.zeros(25),
+                          np.zeros(25))
+
     def test_accepts_square_sample_layout(self):
         spec = LatticeSpec(5, 1.0)
         ax, ay = symmetric_gauge(spec, 0.1)
@@ -284,6 +290,10 @@ class TestRandomGradedSystem:
 
     def test_block_form_validates(self):
         random_graded_system(4, 4, seed=42)
+
+    def test_rejects_an_empty_sector(self):
+        with pytest.raises(ValueError, match="^sector dimensions must be positive$"):
+            random_graded_system(0, 2, 1)
 
     @pytest.mark.parametrize("args,name", [
         ((2.0, 2, 0), "dim_b"),
@@ -432,9 +442,31 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("dx", [0, -0.5, float("inf"), float("nan")])
     def test_out_of_range_dx_is_named_dx(self, dx):
-        # The spec has no field called spacing, so the error names dx.
-        with pytest.raises(ValueError, match="^dx must be positive and finite"):
+        # The spec has no field called spacing, so the error names dx.  A
+        # NaN or an infinity is refused by the number gate before the range.
+        refusal = ("must be positive and finite" if np.isfinite(dx)
+                   else "contains non-finite entries")
+        with pytest.raises(ValueError, match=f"^dx {refusal}"):
             build_model({"model": "free_particle", "sites": 5, "dx": dx})
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: build_model({"model": "witten", "sites": 3, "dx": 0.5,
+                              "W": [1.0, 2.0]}),
+         r"W needs 3 samples, got shape \(2,\)"),
+        (lambda: build_model({"model": "pauli", "sites": 3, "dx": 1.0,
+                              "A_field": [[0.0] * 9, [0.0] * 3]}),
+         r"A_field needs 9 samples \(flat or 3x3\), got shape \(3,\)"),
+        (lambda: witten_model_lattice(LatticeSpec(3, 0.5, "dirichlet"), [1.0, 2.0]),
+         r"superpotential needs 3 samples, got shape \(2,\)"),
+        (lambda: pauli_lattice(LatticeSpec(3, 1.0), [0.0] * 3, [0.0] * 9),
+         r"a_x needs 9 samples \(flat or 3x3\), got shape \(3,\)"),
+        (lambda: pauli_lattice(LatticeSpec(3, 1.0), [0.0] * 9, [0.0] * 3),
+         r"a_y needs 9 samples \(flat or 3x3\), got shape \(3,\)"),
+    ], ids=["spec-W", "spec-A_field", "superpotential", "a_x", "a_y"])
+    def test_wrong_sample_count_names_the_field(self, build, message):
+        # A spec names its own field, a direct call the builder's parameter.
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            build()
 
     def test_accepts_numpy_arrays(self):
         random_spec = {"model": "random", "dims": [2, 3], "seed": 4}

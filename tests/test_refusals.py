@@ -1,7 +1,8 @@
 """Every refusal of an input at an operator boundary takes one of three
 forms: a broken relation raises ValidationError carrying a RelationCheck
 for each failure, a wrong shape raises ShapeError naming the operand, and
-a value that is not a number raises TypeError naming the argument."""
+a value that is not a finite number raises TypeError (not a number) or
+ValueError (a NaN or an infinity) naming the argument."""
 import dataclasses
 import math
 from fractions import Fraction
@@ -298,6 +299,25 @@ def test_every_entry_point_gives_one_verdict_on_a_number(
     as_double = np.vectorize(cast, otypes=[object])(
         np.asarray(value, dtype=object)).tolist()
     assert _outcome(call, value) == _outcome(call, as_double)
+
+
+# NaN and both infinities as the first entry of each entry point's valid
+# argument, and an infinite imaginary part where complex values are
+# allowed (a real entry point refuses any complex entry as not real).
+NON_FINITE = [
+    pytest.param(_with_first(template, x), name, call, id=f"{entry}-{label}")
+    for entry, name, real, template, call in GATED
+    for label, x in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                     ("complex-inf", complex(0.0, math.inf)))
+    if not (real and isinstance(x, complex))
+]
+
+
+@pytest.mark.parametrize("value,name,call", NON_FINITE)
+def test_every_entry_point_refuses_a_non_finite_number(value, name, call):
+    # One rule, the number gate's, for every value a caller passes.
+    with pytest.raises(ValueError, match=rf"^{name} contains non-finite entries$"):
+        call(value)
 
 
 def test_lattice_spec_and_policy_store_floats():

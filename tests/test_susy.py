@@ -599,6 +599,11 @@ class TestReparametrize:
         with pytest.raises(ValueError, match="two real charges"):
             reparametrize(system, np.eye(2))
 
+    def test_rejects_a_rotation_of_the_wrong_shape(self):
+        system = validate_real_system(np.eye(2), [SIGMA1, SIGMA2])
+        with pytest.raises(ShapeError, match=r"^rotation must be 2x2, got shape \(3, 3\)$"):
+            reparametrize(system, np.eye(3))
+
 
 class TestNonnegativity:
     def test_valid_system_spectrum_is_nonnegative(self, rng):
