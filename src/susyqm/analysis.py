@@ -13,18 +13,12 @@ Both reports and the ``index``, ``pair`` and ``spectrum`` verbs read one
 sector analysis per system and policy, built on first use: the standard
 representation, the two sector spectra, the zero cut and the zero-mode
 count of each sector.  The larger sector (bosonic on ties) is bisected
-from scratch, and each of its eigenvalues seeds the bisection of the
-other four times: ``K / 2`` floats on either side, ``K`` the fewest
-parts a multisection round cuts a bracket into, and the Gram floor
-``2 dim eps lambda_max`` on either side.  A partner within ``K / 2``
-floats (98 of the 100 on a C07 lattice sit within one) closes in the
-first round after the seeds; one further out but inside the Gram
-floor starts from a bracket of that width.  It is the
-larger sector that goes first because it holds at least ``|dim_b -
-dim_f|`` zero modes with no partner, which need full-width brackets
-either way.  The index report seeds the largest eigenvalue of each
-Gram matrix of formula one in the same way, with the spectral radius
-of H widened by the Gram floor.  Seeds decide only where the brackets
+from scratch, and its spectrum seeds the bisection of the other (the
+seed rule of :mod:`susyqm.spectral`).  It is the larger sector that
+goes first because it holds at least ``|dim_b - dim_f|`` zero modes
+with no partner, which need full-width brackets either way.  The index
+report seeds the largest eigenvalue of each Gram matrix of formula one
+with the spectral radius of H.  Seeds decide only where the brackets
 start, never the floats they close on, so the pairing check and
 formula one stay independent: on a broken system wrong seeds only cost
 counts.
@@ -56,16 +50,7 @@ from .core import (
     _require_self_adjoint,
     residual_norm,
 )
-from .spectral import (
-    _floats_apart,
-    _gram_floor,
-    _gram_split,
-    _kernel_dim,
-    _kernel_input,
-    _Tridiagonal,
-    _zero_cut,
-    kernel_basis,
-)
+from .spectral import _gram_split, _Tridiagonal, _zero_cut, kernel_basis
 # Not called here; ``analysis.eigvalsh`` stays bound because the
 # benchmark's tracer test patches and restores it.
 from .spectral import eigvalsh  # noqa: F401
@@ -180,12 +165,7 @@ def _sector_analysis(system: GradedSystem, policy: NumericPolicy) -> _SectorAnal
         # module docstring); dim is that sector's, max(A.shape).
         first = 0 if tris[0].n >= tris[1].n else 1
         lead = tris[first].eigenvalues()
-        pad = _gram_floor(tris[first].n) * max(abs(float(lead[0])),
-                                               abs(float(lead[-1])))
-        half = tris[1 - first].parts // 2
-        seeded = tris[1 - first].eigenvalues(np.concatenate([
-            lead - pad, _floats_apart(lead, -half),
-            _floats_apart(lead, half), lead + pad]))
+        seeded = tris[1 - first].eigenvalues(near=lead)
         spectra = [_readonly(ev) for ev in ((lead, seeded) if first == 0
                                             else (seeded, lead))]
         radius = max(abs(float(ev[k])) for ev in spectra for k in (0, -1))
@@ -218,7 +198,12 @@ def spectral_pairing_report(system: GradedSystem,
     resolution.  An unmatched positive eigenvalue
     raises :class:`PairingError` naming the first orphan and its sector,
     which signals either a broken system or a too-tight pairing
-    tolerance.
+    tolerance.  A validated system can raise it too: its sector blocks
+    may sit up to ``algebra_tol * ||A||^2`` from ``A^dag A`` and ``A
+    A^dag``, which moves a small eigenvalue further from its partner
+    than ``pairing_tol`` allows.  That is a verdict on the input; every
+    partner mismatch a validated system can carry is such a residual,
+    so a window widened by them would never raise.
     """
     sectors = _sector_analysis(system, policy)
     ev_b, ev_f = sectors.ev_b.tolist(), sectors.ev_f.tolist()
@@ -276,11 +261,10 @@ def witten_index_report(system: GradedSystem,
     dim_f, dim_b = a_op.shape
     trace_k = dim_b - dim_f
     # The Gram matrices' largest eigenvalue is that of the sectors, the
-    # spectral radius of H, up to rounding: seeds within the Gram floor.
-    floor = _gram_floor(max(a_op.shape)) * sectors.radius
-    seeds = (sectors.radius - floor, sectors.radius + floor)
-    dim_ker_a = _kernel_dim(a_op, policy, seeds)
-    dim_ker_ad = _kernel_dim(_dagger(a_op), policy, seeds)
+    # spectral radius of H, up to rounding.
+    grams = [(name, _gram_split(op, policy, near=(sectors.radius,)))
+             for name, op in (("A^dag A", a_op), ("A A^dag", _dagger(a_op)))]
+    dim_ker_a, dim_ker_ad = (split[3] for _, split in grams)
     zeros_b, zeros_f = sectors.zeros_b, sectors.zeros_f
     via_a = dim_ker_a - dim_ker_ad
     via_blocks = zeros_b - zeros_f
@@ -288,8 +272,7 @@ def witten_index_report(system: GradedSystem,
     if via_a != trace_k:
         left += [f"the Gram ranks of A and A^dag disagree ({dim_b - dim_ker_a} "
                  f"and {dim_f - dim_ker_ad})",
-                 _gram_margins(a_op, "A^dag A", policy),
-                 _gram_margins(_dagger(a_op), "A A^dag", policy)]
+                 *(_gram_margins(name, split) for name, split in grams)]
     if via_blocks != trace_k:
         left += [f"the sectors hold different numbers of positive "
                  f"eigenvalues ({dim_b - zeros_b} and {dim_f - zeros_f})",
@@ -323,11 +306,11 @@ def _cut_margins(name: str, spectra, cut: float) -> str:
             f"{margin(zero)}, smallest counted as nonzero {margin(nonzero)}")
 
 
-def _gram_margins(a: np.ndarray, name: str, policy: NumericPolicy) -> str:
+def _gram_margins(name: str, split) -> str:
     """:func:`_cut_margins` of the Gram matrix ``a^dag a`` that formula
-    one counts, at its zero cut, in the units of ``a^dag a``."""
-    arr, e = _kernel_input(a)
-    gram, _, cut, _ = _gram_split(arr, policy)
+    one counted, from its split (:func:`spectral._gram_split`), at its
+    zero cut, in the units of ``a^dag a``."""
+    gram, _, cut, _, e = split
     return _cut_margins(name, ((name, np.ldexp(gram.eigenvalues(), 2 * e)),),
                         math.ldexp(cut, 2 * e))
 

@@ -2,12 +2,24 @@
 
 Exit codes: 0 success, 1 validation failure, 2 unreadable or malformed
 input, 3 internal cross-check failure.  The verbs mirror the library
-API; ``susyqm <verb> --help`` lists the verb-specific flags.
+API; ``susyqm <verb> --help`` lists the verb-specific flags.  Every verb
+that reads a system validates the whole file, every charge against the
+file's own H, before it acts; ``index``, ``pair``, ``spectrum`` and
+``repr`` then read its first charge only.
+
+Exit 3 from ``pair`` on a validated file is a verdict on the input, not
+a fault of the package: the validation accepts each sector block of H
+within ``algebra_tol`` of ``A^dag A`` or ``A A^dag``, but partners must
+match within ``pairing_tol`` (see
+:func:`~susyqm.analysis.spectral_pairing_report`), so a small
+eigenvalue whose block residual moves it further from its partner is
+an orphan.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -67,9 +79,10 @@ def _graded_single_charge(path, policy: NumericPolicy):
     if sf.involution is None:
         raise io.FormatError("this verb needs a grading operator: the "
                              "system file has \"K\": null")
+    system = _validate(sf.hamiltonian, sf.charges, sf.involution,
+                       sf.complex_charges, policy)
     # Spectral verbs act on a single charge; the first one is used.
-    return _validate(sf.hamiltonian, sf.charges[:1], sf.involution,
-                     sf.complex_charges, policy)
+    return dataclasses.replace(system, charges=system.charges[:1])
 
 
 def _cmd_validate(args, policy) -> int:
@@ -111,6 +124,8 @@ def _cmd_involution(args, policy) -> int:
     if sf.complex_charges or len(sf.charges) != 2:
         raise io.FormatError("involution construction needs exactly two "
                              "real charges")
+    # The file's own H, which construct_involution (reading Q1^2) never sees.
+    _validate(sf.hamiltonian, sf.charges, policy=policy)
     involution = construct_involution(
         sf.charges[0], sf.charges[1], d_plus=args.d_plus, policy=policy)
     augmented = io.SystemFile(sf.hamiltonian, involution.matrix,

@@ -36,16 +36,27 @@ Two paths, neither of which calls LAPACK:
   no bracket gets fewer than ``K`` parts and at most ``ceil(64 / log2
   K)`` rounds run; a lone bracket holding one eigenvalue is finished by
   scalar bisection.  Brackets start from the Gershgorin bracket,
-  narrowed by one count at any seed floats given (the sector analysis
-  seeds one sector with the other's spectrum, the index report each
-  Gram matrix's largest eigenvalue with the spectral radius of H).  The
-  count is monotone in the shift in floating point, so both return the
-  same floats bit for bit, seeded or not.  Kernel vectors come from a
-  few steps of inverse iteration on the tridiagonal from a fixed-seed
-  start block, so the output is byte-deterministic; each step solves with
-  the unpivoted ``T = L D L^T`` factorization, which needs positive
-  semidefinite input (a Gram matrix).  No eigenvector matrix is formed,
-  and no tolerance is involved.
+  narrowed by one count at the seeds of any reference values given
+  (below).  The count is monotone in the shift in floating point, so
+  both return the same floats bit for bit, seeded or not.  Kernel
+  vectors come from a few steps of inverse iteration on the tridiagonal
+  from a fixed-seed start block, so the output is byte-deterministic;
+  each step solves with the unpivoted ``T = L D L^T`` factorization,
+  which needs positive semidefinite input (a Gram matrix).  No
+  eigenvector matrix is formed, and no tolerance is involved.
+
+A caller of the tridiagonal path passes reference values ``near`` in
+its own units, and one rule turns each finite value into four seeds:
+the value moved ``K / 2`` floats to either side, and moved to either
+side by the Gram floor ``2 m eps`` times the largest magnitude in
+``near``, ``m = max(dim, len(near))``.  The sector analysis of
+:mod:`susyqm.analysis` passes the spectrum of one sector for the other.
+A partner within ``K / 2`` floats (98 of the 100 on a C07 lattice sit
+within one) closes in the first round after the seeds; one further out
+but inside the Gram floor starts from a bracket of that width.  The
+index report passes the spectral radius of H for the largest eigenvalue
+of each Gram matrix, which equals it up to rounding.  Seeds decide
+only where the brackets start, never the floats they close on.
 
 The pseudo-inverse (:func:`inverse_on_complement`) takes its kernel
 columns ``N`` and the spectral radius ``r`` from :func:`kernel_basis`'s
@@ -405,18 +416,18 @@ class _Tridiagonal:
         returned as ``0.0``."""
         return np.ldexp(np.where(np.abs(x) <= self._pivmin, 0.0, x), self._exp)
 
-    def eigenvalue(self, k: int, seeds=()) -> float:
+    def eigenvalue(self, k: int, near=()) -> float:
         """The ``k``-th smallest eigenvalue (from 0): the smallest float
         ``x`` with more than ``k`` eigenvalues at or below it, bisected
         over the float ordering until the bracket holds two adjacent
         floats.  The bracket starts as the Gershgorin bracket, narrowed
-        by one count at each of the ``seeds`` strictly inside it (floats
-        in the units of ``a``, as for :meth:`eigenvalues`; the
-        non-finite ones are dropped), ascending, up to the first that
-        counts more than ``k``.  The count is monotone in the shift, so
-        the seeds change only the number of counts, never the float."""
+        by one count at each seed of ``near`` strictly inside it
+        (reference values in the units of ``a``, as for
+        :meth:`eigenvalues`), ascending, up to the first that counts more
+        than ``k``.  The count is monotone in the shift, so the seeds
+        change only the number of counts, never the float."""
         lo, hi = (_float_key(b) for b in self._bracket)
-        for key in self._seed_keys(seeds, lo, hi).tolist():
+        for key in self._seed_keys(near, lo, hi).tolist():
             if self._below(_key_float(key)) > k:
                 hi = key
                 break
@@ -435,19 +446,19 @@ class _Tridiagonal:
                 lo = mid
         return hi
 
-    def eigenvalues(self, seeds=()) -> np.ndarray:
+    def eigenvalues(self, near=()) -> np.ndarray:
         """All eigenvalues, ascending: :meth:`eigenvalue` for every ``k``,
-        bit for bit, whatever the ``seeds``.
+        bit for bit, whatever ``near``.
 
         The unit of work is a bracket: two float keys with their Sturm
         counts, holding the ``k`` from the low count up to below the high
         one.  It starts as the Gershgorin bracket, with counts ``0`` and
-        ``n``.  ``seeds`` (floats in the units of ``a``, any number, in
-        any order; the non-finite ones are dropped) only narrow that
-        start: one count at the seeds strictly inside it splits it at
-        every seed.  Seeds near the eigenvalues (the partner sector's
-        spectrum, in :mod:`susyqm.analysis`) save rounds; any others
-        cost one pass.
+        ``n``.  The seeds of ``near`` (reference values in the units of
+        ``a``, any number, in any order; see :meth:`_seed_keys`) only
+        narrow that start: one count at the seeds strictly inside it
+        splits it at every seed.  Reference values near the eigenvalues
+        (the partner sector's spectrum, in :mod:`susyqm.analysis`) save
+        rounds; any others cost one pass.
 
         Then every round cuts each open bracket into ``budget // u + 1``
         near-equal parts over the float ordering, ``u`` the number of
@@ -476,7 +487,7 @@ class _Tridiagonal:
         budget = n * (self.parts - 1)
         keys = np.array([[_float_key(b)] for b in self._bracket], dtype=np.uint64)
         counts = np.array([[0], [n]])
-        inside = self._seed_keys(seeds, keys[0], keys[1])
+        inside = self._seed_keys(near, keys[0], keys[1])
         if inside.size:
             keys, counts = self._split(
                 np.concatenate([keys[:1], inside[:, None], keys[1:]]), counts)
@@ -508,13 +519,26 @@ class _Tridiagonal:
         # high end of the one with the largest low count at or below k.
         return self._unscale(_key_floats(high_end[np.maximum.accumulate(starts)]))
 
-    def _seed_keys(self, seeds, bottom, top) -> np.ndarray:
-        """The float keys of the finite ``seeds``, scaled to the units of
+    def _seed_keys(self, near, bottom, top) -> np.ndarray:
+        """The float keys of the seeds of ``near``, scaled to the units of
         ``T``, that lie strictly between the keys ``bottom`` and ``top``,
-        ascending.  Duplicates stay: the part between two equal keys
-        holds no eigenvalue, so :meth:`_split` drops it."""
-        with np.errstate(over="ignore"):
-            x = np.ldexp(np.asarray(seeds, dtype=np.float64).ravel(), -self._exp)
+        ascending.  Each finite reference value ``x`` (in the units of
+        ``a``; the non-finite ones are dropped) gives four seeds: ``x``
+        moved ``K / 2`` floats to either side, and ``x`` moved to either
+        side by the Gram floor of ``max(n, len(near))`` times the largest
+        magnitude in ``near`` (see the module docstring).  Duplicates
+        stay: the part between two equal keys holds no eigenvalue, so
+        :meth:`_split` drops it."""
+        near = np.asarray(near, dtype=np.float64).ravel()
+        near = near[np.isfinite(near)]
+        half = self.parts // 2
+        # Past the largest float lie inf and NaN: dropped below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pad = _gram_floor(max(self.n, len(near))) * float(
+                np.abs(near).max(initial=0.0))
+            x = np.ldexp(np.concatenate([
+                near - pad, _floats_apart(near, -half),
+                _floats_apart(near, half), near + pad]), -self._exp)
         keys = np.sort(_float_keys(x[np.isfinite(x)]))
         return keys[(keys > bottom) & (keys < top)]
 
@@ -630,48 +654,38 @@ def kernel_basis(a, policy: NumericPolicy = DEFAULT_POLICY) -> KernelBasis:
     by their projectors.  Real input is reduced in float64; the basis
     is complex128 either way.
     """
-    gram, lam_max, _, dim = _gram_split(_kernel_input(a)[0], policy)
+    arr = _require_numbers(a, "kernel_basis input")
+    if arr.ndim != 2:
+        raise ShapeError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
+    gram, lam_max, _, dim, _ = _gram_split(arr, policy)
     return KernelBasis(dim, frozen_copy(
         gram.lowest_vectors(dim, lam_max).astype(np.complex128, copy=False)))
 
 
-def _kernel_dim(a, policy: NumericPolicy, seeds=()) -> int:
-    """``kernel_basis(a, policy).dim_kernel``, with the same input checks
-    and the same count, but no kernel vectors.  ``seeds`` (guesses of
-    the largest eigenvalue of ``a^dag a``, in its units) narrow the
-    bracket of that eigenvalue (:meth:`_Tridiagonal.eigenvalue`), never
-    its float."""
-    arr, e = _kernel_input(a)
-    with np.errstate(over="ignore", under="ignore"):
-        seeds = np.ldexp(np.asarray(seeds, dtype=np.float64), -2 * e)
-    return _gram_split(arr, policy, seeds)[3]
-
-
-def _kernel_input(a) -> tuple[np.ndarray, int]:
-    """``(arr, e)``: ``a`` as a float64 or complex matrix
-    (:func:`_work_array`), finite (:func:`_require_numbers`) and scaled
-    by ``2**-e`` so that its Gram matrix cannot overflow; the cutoff is
-    relative, so the kernel does not depend on the scale."""
-    arr = _require_numbers(a, "kernel_basis input")
-    if arr.ndim != 2:
-        raise ShapeError(f"kernel_basis expects a matrix, got ndim={arr.ndim}")
-    arr = _work_array(arr)
+def _gram_split(a: np.ndarray, policy: NumericPolicy, near=()):
+    """:func:`kernel_basis`'s split of the matrix ``a``, ``(gram, lam_max,
+    cut, dim, e)``.  ``a`` is cast to float64 or complex128
+    (:func:`_work_array`) and scaled by ``2**-e``, ``e`` its
+    :func:`_binary_exponent`, so that its Gram matrix cannot overflow;
+    the cut is relative, so the split does not depend on the scale.
+    ``gram`` is the tridiagonal of the Gram matrix of the scaled ``a``,
+    ``lam_max`` its largest eigenvalue (the square of the largest
+    singular value), ``cut = _zero_cut(policy, max(a.shape)) * lam_max``
+    the zero cut and ``dim`` the number of its eigenvalues at or below
+    the cut, the kernel dimension; ``lam_max`` and ``cut`` are in the
+    units of ``gram``, ``2**-2e`` times those of ``a^dag a``.  ``near``
+    holds reference values for the largest eigenvalue of ``a^dag a``, in
+    its units, which seed its bisection (:meth:`_Tridiagonal.eigenvalue`)
+    and never change its float."""
+    arr = _work_array(a)
     e = _binary_exponent(arr)
-    return _ldexp(arr, -e), e
-
-
-def _gram_split(arr: np.ndarray, policy: NumericPolicy, seeds=()):
-    """:func:`kernel_basis`'s split of ``arr``, which must already be
-    scaled so that its Gram matrix cannot overflow: the tridiagonal of
-    the Gram matrix ``arr^dag arr``, its largest eigenvalue ``lam_max``
-    (the square of the largest singular value, bisected from the
-    ``seeds``), the zero cut in its units, ``_zero_cut(policy,
-    max(arr.shape)) * lam_max``, and the number of its eigenvalues at
-    or below that cut, the kernel dimension."""
+    arr = _ldexp(arr, -e)
     gram = _Tridiagonal(_dagger(arr) @ arr)
-    lam_max = max(gram.eigenvalue(gram.n - 1, seeds), 0.0)
+    with np.errstate(over="ignore", under="ignore"):
+        near = np.ldexp(np.asarray(near, dtype=np.float64), -2 * e)
+    lam_max = max(gram.eigenvalue(gram.n - 1, near), 0.0)
     cut = _zero_cut(policy, max(arr.shape)) * lam_max
-    return gram, lam_max, cut, gram.count(cut)
+    return gram, lam_max, cut, gram.count(cut), e
 
 
 def _gram_floor(dim: int) -> float:
@@ -732,13 +746,13 @@ def _pinv_and_kernel(a: np.ndarray, policy: NumericPolicy):
     results are complex128 either way.
     """
     work, e = _scaled_hermitian_part(a)
-    gram, lam_max, _, dim = _gram_split(work, policy)
+    gram, lam_max, _, dim, e_work = _gram_split(work, policy)
     kernel = gram.lowest_vectors(dim, lam_max)
     n = work.shape[0]
     if kernel.shape[1] == n:
         pinv = np.zeros((n, n))
     else:
-        r = math.sqrt(lam_max)
+        r = math.ldexp(math.sqrt(lam_max), e_work)
         proj = kernel @ _dagger(kernel)
         pinv = _pivoted_inverse(work + r * proj) - proj / r
         pinv = _ldexp(0.5 * (pinv + _dagger(pinv)), -e)

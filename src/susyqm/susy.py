@@ -356,13 +356,15 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     split of Q1 at the zero cut (the rule of the
     :class:`~susyqm.core.NumericPolicy` docstring), so borderline
     eigenvalues cannot be classified inconsistently between the two
-    ingredients.  No eigendecomposition is formed.
+    ingredients.  No eigendecomposition is formed.  The result is
+    validated as a graded system with ``H = Q1^2`` and both charges,
+    which checks every relation of the pair as well: an invalid pair
+    raises one :class:`ValidationError` naming each relation that fails.
     """
     a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     if d_plus is not None:
         d_plus = _require_int(d_plus, "d_plus")
     h = a @ a
-    validate_real_system(h, [a, b], policy)
 
     q1_pinv, kernel_vecs = _pinv_and_kernel(a, policy)
     d = kernel_vecs.shape[1]

@@ -52,6 +52,19 @@ def _bumped_block_system(a, mode, bump, policy):
     return validate_graded_complex_system(h, k, [q], policy)
 
 
+def _patch_gram_counts(monkeypatch, dims):
+    """Make formula one's Gram splits count ``dims`` in turn, keeping the
+    rest of each real split, so the cut margins still come from it."""
+    split = analysis._gram_split
+    counts = iter(dims)
+
+    def counted(*args, **kwargs):
+        gram, lam_max, cut, _, e = split(*args, **kwargs)
+        return gram, lam_max, cut, next(counts), e
+
+    monkeypatch.setattr(analysis, "_gram_split", counted)
+
+
 class TestSpectralPairingReport:
     def test_minimal_system(self):
         system = validate_graded_real_system(np.eye(2), SIGMA3, [SIGMA1])
@@ -228,9 +241,7 @@ class TestWittenIndex:
 
     def test_formula_disagreement_raises(self, monkeypatch):
         system = random_graded_system(3, 3, seed=2)
-        dims = iter([7, 0])
-        monkeypatch.setattr(analysis, "_kernel_dim",
-                            lambda a, policy, seeds: next(dims))
+        _patch_gram_counts(monkeypatch, [7, 0])
         with pytest.raises(CrossCheckError, match="disagree"):
             witten_index_report(system)
 
@@ -239,9 +250,7 @@ class TestWittenIndex:
         # the sectors stay on it.  Each Gram matrix's margins are given:
         # A^dag A holds one zero mode, far under its cut.
         system = random_graded_system(4, 3, seed=2)
-        dims = iter([2, 0])
-        monkeypatch.setattr(analysis, "_kernel_dim",
-                            lambda a, policy, seeds: next(dims))
+        _patch_gram_counts(monkeypatch, [2, 0])
         with pytest.raises(CrossCheckError) as info:
             witten_index_report(system)
         message = str(info.value)
@@ -512,8 +521,8 @@ def test_each_sector_is_bisected_once_per_analysis(monkeypatch):
     calls = []
     eigenvalues = _Tridiagonal.eigenvalues
     monkeypatch.setattr(_Tridiagonal, "eigenvalues",
-                        lambda self, *seeds: calls.append(self.n)
-                        or eigenvalues(self, *seeds))
+                        lambda self, *args, **kwargs: calls.append(self.n)
+                        or eigenvalues(self, *args, **kwargs))
     system = random_graded_system(5, 3, seed=1)
     spectral_pairing_report(system)
     spectral_pairing_report(system)
@@ -523,26 +532,27 @@ def test_each_sector_is_bisected_once_per_analysis(monkeypatch):
 
 
 @pytest.mark.parametrize("system,sectors,passes", [
-    (lambda: c07_system(1.0), [(101, 0), (101, 404)], 4),
-    (lambda: c07_system(-1.0), [(101, 0), (101, 404)], 4),
+    (lambda: c07_system(1.0), [(101, 0), (101, 101)], 4),
+    (lambda: c07_system(-1.0), [(101, 0), (101, 101)], 4),
     (lambda: random_graded_system(64, 48, seed=1, conjugate=True),
-     [(64, 0), (48, 256)], 4),
+     [(64, 0), (48, 64)], 4),
     (lambda: random_graded_system(20, 31, seed=1, conjugate=True),
-     [(31, 0), (20, 124)], 2),
+     [(31, 0), (20, 31)], 2),
 ], ids=["c07-up", "c07-down", "scrambled-64-48", "scrambled-20-31"])
 def test_larger_sector_seeds_the_other(monkeypatch, system, sectors, passes):
     # The larger sector (bosonic on ties) is bisected from the Gershgorin
-    # bracket; its spectrum seeds the other, four seeds per eigenvalue
-    # (K / 2 floats and the Gram floor on both sides).  The seeded
-    # sector's Sturm passes are pinned: one over the seeds, then the
-    # rounds; C07's one near-zero mode is finished by scalar bisection.
+    # bracket; its spectrum is the other's reference values, four seeds
+    # per eigenvalue (K / 2 floats and the Gram floor on both sides).
+    # The seeded sector's Sturm passes are pinned: one over the seeds,
+    # then the rounds; C07's one near-zero mode is finished by scalar
+    # bisection.
     calls = []
     counts = _Tridiagonal._counts
     eigenvalues = _Tridiagonal.eigenvalues
 
-    def spy_eigenvalues(self, seeds=()):
-        calls.append([self.n, len(seeds), 0])
-        return eigenvalues(self, seeds)
+    def spy_eigenvalues(self, near=()):
+        calls.append([self.n, len(near), 0])
+        return eigenvalues(self, near)
 
     def spy_counts(self, xs):
         calls[-1][2] += 1
@@ -551,7 +561,7 @@ def test_larger_sector_seeds_the_other(monkeypatch, system, sectors, passes):
     monkeypatch.setattr(_Tridiagonal, "eigenvalues", spy_eigenvalues)
     monkeypatch.setattr(_Tridiagonal, "_counts", spy_counts)
     spectral_pairing_report(system())
-    assert [(n, seeds) for n, seeds, _ in calls] == sectors
+    assert [(n, near) for n, near, _ in calls] == sectors
     assert calls[1][2] == passes
 
 
@@ -576,10 +586,12 @@ def test_seeded_sector_spectra_match_unseeded(system, policy):
 
 
 def test_index_report_seeds_the_gram_lambda_max(monkeypatch):
-    # The sector analysis's spectral radius, widened by the Gram floor,
-    # seeds both Gram lambda_max bisections: C07's index report makes
-    # two counts at the seeds, about eleven steps of bisection and one
-    # count at the cutoff per Gram matrix (128 counts from Gershgorin).
+    # The sector analysis's spectral radius is the reference value of
+    # both Gram lambda_max bisections.  On C07 lambda_max sits within
+    # K / 2 = 4 floats of it, so each Gram matrix takes three counts at
+    # the seeds, three steps of bisection and one count at the cutoff:
+    # 14 counts (128 from Gershgorin).  Outside K / 2 floats but inside
+    # the Gram floor, each would take at most 12.
     system = c07_system(1.0)
     spectral_pairing_report(system)
     calls = []
@@ -587,7 +599,7 @@ def test_index_report_seeds_the_gram_lambda_max(monkeypatch):
     monkeypatch.setattr(_Tridiagonal, "_below",
                         lambda self, x: calls.append(x) or below(self, x))
     witten_index_report(system)
-    assert len(calls) <= 30
+    assert len(calls) <= 26
 
 
 def test_index_report_builds_no_kernel_vectors(monkeypatch):

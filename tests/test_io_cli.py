@@ -382,6 +382,16 @@ class TestDumpJson:
         obj = {2: [1.0], 1: {"x": None}}
         assert io.dump_json(obj) == _json_reference(obj)
 
+    @pytest.mark.parametrize("value", [np.int64(3), {1.0}],
+                             ids=["numpy-integer", "set"])
+    def test_unserializable_values_raise_as_json_does(self, value):
+        obj = {"a": [1.0, value]}
+        with pytest.raises(TypeError) as want:
+            _json_reference(obj)
+        with pytest.raises(TypeError) as got:
+            io.dump_json(obj)
+        assert str(got.value) == str(want.value)
+
     def test_dim64_system_with_four_matrices(self):
         system = random_graded_system(32, 32, seed=3)
         q1, q2 = real_from_complex(system.charges[0])
@@ -534,6 +544,31 @@ class TestCliPipeline:
         assert main(["index", "--json", str(graded)]) == 0
         assert json.loads(capsys.readouterr().out)["witten_index"] == -3
 
+    def test_every_verb_validates_the_whole_file(self, tmp_path, capsys):
+        # The spectral verbs act on the first charge only, but a broken
+        # second charge fails them as it fails validate.
+        system = random_graded_system(3, 2, 1)
+        q1, q2 = real_from_complex(system.charges[0])
+        path = tmp_path / "broken.json"
+        io.save_system(path, io.SystemFile(q1 @ q1, system.involution.matrix,
+                                           (q1, 1.001 * q2), False))
+        prefix = tmp_path / "blocks"
+        for argv in (["validate"], ["index"], ["pair"], ["spectrum"],
+                     ["repr", "--output", str(prefix)]):
+            assert main(argv + [str(path)]) == 1, argv
+            captured = capsys.readouterr()
+            assert "{Q2,Q2} = 2H (residual 2.520e-03" in captured.out + captured.err
+        assert not list(tmp_path.glob("blocks*"))
+
+    def test_involution_validates_the_files_hamiltonian(self, rng, tmp_path):
+        # construct_involution reads Q1^2, not the file's H = 2 Q1^2.
+        h, _, q1, q2 = real_pair_from_block(rank_deficient(rng, 3, 4, 2))
+        plain, graded = tmp_path / "doubled.json", tmp_path / "graded.json"
+        io.save_system(plain, io.SystemFile(2 * h, None, (q1, q2), False))
+        assert main(["validate", str(plain)]) == 1
+        assert main(["involution", str(plain), "--output", str(graded)]) == 1
+        assert not graded.exists()
+
     def test_involution_rejects_graded_input(self, minimal_system_file):
         assert main(["involution", str(minimal_system_file)]) == 2
 
@@ -677,6 +712,21 @@ class TestCliSpectrumPairRepr:
         assert capsys.readouterr().err == (
             "internal cross-check failure: bosonic eigenvalue 1.0 has no "
             "fermionic partner (nearest gap 1.000e-12)\n")
+
+    def test_pair_orphan_of_a_validated_file_exits_three(self, tmp_path, capsys):
+        # The validation accepts the 5e-11 bump as a block residual; it
+        # moves the eigenvalue 1e-6 out of its partner's pairing window.
+        # That exit is a verdict on the input (see the cli docstring).
+        h, k, q = block_system(np.diag([1.0, 1e-3]))
+        h[1, 1] += 5e-11
+        path = tmp_path / "bumped.json"
+        io.save_system(path, io.SystemFile(h, k, (q,), True))
+        assert main(["validate", str(path)]) == 0
+        assert main(["index", str(path)]) == 0
+        assert main(["pair", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "internal cross-check failure: fermionic eigenvalue 1e-06 has no "
+            "bosonic partner (nearest gap 5.000e-05)\n")
 
     def test_pair_needs_grading(self, tmp_path):
         path = tmp_path / "plain.json"

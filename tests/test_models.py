@@ -376,9 +376,8 @@ class TestRandomGradedSystem:
             expected = np.empty((rows, cols), dtype=complex)
             for i in range(rows):
                 for j in range(cols):
-                    re = 2.0 * ((reference.next_u64() >> 11) * 2.0**-53) - 1.0
-                    im = 2.0 * ((reference.next_u64() >> 11) * 2.0**-53) - 1.0
-                    expected[i, j] = complex(re, im)
+                    re = reference.symmetric()
+                    expected[i, j] = complex(re, reference.symmetric())
             assert stream.complex_matrix(rows, cols).tobytes() == expected.tobytes()
             assert stream.next_u64() == reference.next_u64()
 

@@ -365,6 +365,15 @@ class TestConstructInvolution:
         with pytest.raises(ValidationError):
             construct_involution(SIGMA1, SIGMA1)
 
+    @pytest.mark.parametrize("q2,broken", [(SIGMA1, "{Q1,Q2} = 0"),
+                                           (1.001 * SIGMA2, "{Q2,Q2} = 2H")],
+                             ids=["anticommutator", "square"])
+    def test_invalid_pair_names_the_broken_charge_relation(self, q2, broken):
+        # The validation of the result checks every relation of the pair.
+        with pytest.raises(ValidationError) as info:
+            construct_involution(SIGMA1, q2)
+        assert broken in [c.name for c in info.value.failures]
+
     def test_ill_conditioned_charge_passes_its_own_validation(self):
         # cond(Q1) = 188: a pseudo-inverse from sweeps stopped at
         # eigensolver_tol left [H, K] at 1.2e-10, above algebra_tol.
