@@ -39,15 +39,14 @@ from .core import (
     CrossCheckError,
     NumericPolicy,
     RelationCheck,
-    _as_operators,
     _binary_exponent,
     _dagger,
     _ldexp,
     _raise_failures,
     _readonly,
     _relative,
+    _require_hermitian,
     _require_int,
-    _require_self_adjoint,
     residual_norm,
 )
 from .spectral import _gram_split, _Tridiagonal, _zero_cut, kernel_basis
@@ -152,15 +151,22 @@ def _sector_analysis(system: GradedSystem, policy: NumericPolicy) -> _SectorAnal
     """The sector analysis of ``system`` under ``policy``, built on first
     use and kept on the system.  The policy is frozen and the system's
     arrays are read-only, so a kept analysis never goes stale; a build
-    that raises keeps nothing.  Both sector blocks must be Hermitian
-    within ``hermiticity_tol``.  Each sector is bisected once, the
-    smaller one from seeds, and a valid system has no empty sector."""
+    that raises keeps nothing.  H, the operator the caller passed, must
+    be Hermitian within ``hermiticity_tol``, the validators' ``H
+    self-adjoint`` rule.  The sector blocks need no gate of their own:
+    each is a compression of H, whose anti-Hermitian part is at most
+    H's, and the standard representation bounds it by twice the block
+    residual as well.  Judged at a block's own norm, about ``||H|| /
+    sqrt(2)``, the same defect would read up to ``sqrt(2)`` times larger,
+    and a report would refuse a system that validates.  Each sector is
+    bisected once, the smaller one from seeds, and a valid system has no
+    empty sector."""
     found = system._sector_analyses.get(policy)
     if found is None:
+        _require_hermitian((("H", system.hamiltonian),), policy,
+                           "sector analysis requires a Hermitian matrix")
         rep = standard_representation(system, policy)
-        blocks = (("h_plus", rep.h_plus), ("h_minus", rep.h_minus))
-        _require_self_adjoint(blocks, policy, "sector blocks must be Hermitian")
-        tris = [_Tridiagonal(block) for _, block in blocks]
+        tris = [_Tridiagonal(block) for block in (rep.h_plus, rep.h_minus)]
         # The larger sector, bosonic on ties, seeds the other (see the
         # module docstring); dim is that sector's, max(A.shape).
         first = 0 if tris[0].n >= tris[1].n else 1
@@ -347,30 +353,34 @@ def kernel_equality_check(q1, q2,
 
     For self-adjoint charges ``||Q1 phi||^2 = ||Q2 phi||^2`` whenever
     ``Q1^2 = Q2^2``, so each numerical kernel vector of one charge must
-    be annihilated by the other; charges that are not self-adjoint
-    within ``hermiticity_tol`` raise :class:`ValidationError`.  Each
-    kernel is :func:`kernel_basis`'s, at the zero cut ``c`` (the rule of
-    the :class:`NumericPolicy` docstring), so a kernel vector of one
-    charge is annihilated by it only to ``sqrt(c)`` times its largest
-    singular value.  The annihilation threshold is therefore ``sqrt(c)``
-    times the other charge's Frobenius norm, plus a slack term
-    ``sqrt(||Q1^2 - Q2^2||)`` accounting for the precondition residual,
-    exactly as the norm identity dictates.
+    be annihilated by the other.  Charges that are not self-adjoint
+    within ``hermiticity_tol`` raise :class:`ValidationError`, and so do
+    charges whose squares differ by more than ``algebra_tol * ||Q||^2``,
+    ``||Q||`` the larger charge norm: the scale of ``H != 0`` in the
+    validators.  A pair that validates with one H passes, since each
+    ``||Q_i^2 - H||`` is then at most ``algebra_tol * ||Q_i||^2 / 2``.
+    Each kernel is :func:`kernel_basis`'s, at the zero cut ``c`` (the
+    rule of the :class:`NumericPolicy` docstring), so a kernel vector of
+    one charge is annihilated by it only to ``sqrt(c)`` times its
+    largest singular value.  The annihilation threshold is therefore
+    ``sqrt(c)`` times the other charge's Frobenius norm, plus a slack
+    term ``sqrt(||Q1^2 - Q2^2||)`` accounting for the precondition
+    residual, exactly as the norm identity dictates.
 
     Both charges are squared scaled by one power of two ``2**-e``, ``e >=
     0`` putting their largest entry below one, so entries beyond about
     ``1e154`` do not overflow; the scaling is undone on the norms, and
     within that range it changes no bit.
     """
-    a, b = _as_operators((("Q1", q1), ("Q2", q2)))
-    _require_self_adjoint((("Q1", a), ("Q2", b)), policy,
-                          "kernel equality needs self-adjoint charges")
+    a, b = _require_hermitian((("Q1", q1), ("Q2", q2)), policy,
+                              "kernel equality needs self-adjoint charges")
     e = max(_binary_exponent(a), _binary_exponent(b), 0)
     a_s, b_s = _ldexp(a, -e), _ldexp(b, -e)
     h1, h2 = a_s @ a_s, b_s @ b_s
     # In units of 2**2e; the slack sqrt(||Q1^2 - Q2^2||) is then 2**e.
     pre = residual_norm(h1 - h2)
-    relative = _relative(pre, max(residual_norm(h1), residual_norm(h2)))
+    norm_q = max(residual_norm(a_s), residual_norm(b_s))
+    relative = _relative(pre, norm_q, norm_q)
     _raise_failures([RelationCheck.judge("Q1^2 = Q2^2", relative,
                                          policy.algebra_tol)],
                     "charges with Q1^2 != Q2^2 need not share a kernel")

@@ -16,7 +16,10 @@ array as it is).  A wrong shape raises :class:`ShapeError`:
 the first of several operators whose dimension differs; the algebra
 helpers stay thin after that.  A broken relation raises
 :class:`ValidationError` carrying a :class:`RelationCheck` for each
-failed relation (``_raise_failures``).
+failed relation (``_raise_failures``).  The validators judge
+Hermiticity among their relations; every other Hermiticity refusal goes
+through one gate, ``_require_hermitian``, which applies their rule to
+the operands a caller passed, never to a block derived from them.
 Every Hermiticity and algebra residual is divided by the Frobenius
 norms of its own relation's operands, one after another (``_relative``),
 so that the ratio has degree zero in them (over a zero norm, a nonzero
@@ -149,7 +152,10 @@ class NumericPolicy:
     operand of its relation's products in turn: ``{X,Y} = 2 delta H``,
     ``[X,Y] = 0`` and ``h_plus = A^dag A`` by ``||X||`` and then
     ``||Y||``.  ``H != 0`` holds when ``||H|| / ||Q||^2`` exceeds
-    ``algebra_tol``, ``||Q||`` the largest charge norm.  Over a zero norm
+    ``algebra_tol``, ``||Q||`` the largest charge norm, and
+    ``kernel_equality_check``'s ``Q1^2 = Q2^2`` divides ``||Q1^2 -
+    Q2^2||`` by the same ``||Q||^2``, the larger charge norm squared, so
+    no relation is judged on a scale of its own.  Over a zero norm
     a nonzero residual is infinite and a zero one is zero: the zero
     matrix is Hermitian, and a zero operand that breaks its relation is
     refused at every scale.  K has no units (``||K||_2 = 1``), so a
@@ -383,21 +389,17 @@ def _hermiticity_residual(a: np.ndarray, norm: float | None = None) -> float:
     return _relative(residual_norm(a - _dagger(a)), norm)
 
 
-def _require_self_adjoint(named, policy: NumericPolicy, what: str) -> None:
-    """Raise ``what`` naming each ``(name, x)`` of ``named`` not Hermitian."""
-    _raise_failures([RelationCheck.judge(f"{name} self-adjoint", _hermiticity_residual(x),
+def _require_hermitian(named, policy: NumericPolicy, what: str) -> list[np.ndarray]:
+    """Each ``(name, a)`` of ``named`` as an operator, all of one
+    dimension (:func:`_as_operators`), or :class:`ValidationError`
+    ``what`` naming each failed ``{name} self-adjoint`` check within
+    ``hermiticity_tol``.  The package's one gate on the Hermiticity of
+    what a caller passes."""
+    ops = _as_operators(named)
+    _raise_failures([RelationCheck.judge(f"{name} self-adjoint", _hermiticity_residual(op),
                                          policy.hermiticity_tol)
-                     for name, x in named], what)
-
-
-def _require_hermitian(a, policy: NumericPolicy, who: str,
-                       name: str = "A") -> np.ndarray:
-    """``a`` as an operator, or :class:`ValidationError` naming ``who``
-    and the failed ``{name} self-adjoint`` check if it is not Hermitian
-    within ``hermiticity_tol``."""
-    arr = as_operator(a, name)
-    _require_self_adjoint(((name, arr),), policy, f"{who} requires a Hermitian matrix")
-    return arr
+                     for (name, _), op in zip(named, ops)], what)
+    return ops
 
 
 def is_hermitian(a, policy: NumericPolicy = DEFAULT_POLICY) -> bool:

@@ -193,7 +193,8 @@ def grading_basis(k: Involution, policy: NumericPolicy = DEFAULT_POLICY) -> Grad
     Inside each sector the basis is opaque: downstream code must rely
     only on the block positions, never on the columns themselves.
     """
-    arr = _require_hermitian(k.matrix, policy, "grading_basis", "K")
+    [arr] = _require_hermitian((("K", k.matrix),), policy,
+                               "grading_basis requires a Hermitian matrix")
     n = arr.shape[0]
     dim_b = min(n, max(0, round((n + float(np.trace(arr).real)) / 2.0)))
     u = _signed_permutation_basis(arr)

@@ -199,7 +199,8 @@ def eigh(a, policy: NumericPolicy = DEFAULT_POLICY,
     reach the off-diagonal target; ``max_sweeps`` must be a nonnegative
     integer.
     """
-    arr = _require_hermitian(a, policy, "eigh")
+    [arr] = _require_hermitian((("A", a),), policy,
+                               "eigh requires a Hermitian matrix")
     w, v = _diagonalize(arr, policy, max_sweeps, track_vectors=True)
     return EigenDecomposition(frozen_copy(w), frozen_copy(v))
 
@@ -207,7 +208,8 @@ def eigh(a, policy: NumericPolicy = DEFAULT_POLICY,
 def eigvalsh(a, policy: NumericPolicy = DEFAULT_POLICY,
              max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
     """Eigenvalues only; skips accumulating the rotation product."""
-    arr = _require_hermitian(a, policy, "eigvalsh")
+    [arr] = _require_hermitian((("A", a),), policy,
+                               "eigvalsh requires a Hermitian matrix")
     w, _ = _diagonalize(arr, policy, max_sweeps, track_vectors=False)
     return w
 
@@ -767,5 +769,6 @@ def inverse_on_complement(q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarr
     the rest are dropped, so ``Q^+ Q`` is the orthogonal projector onto
     the complement of the kernel.
     """
-    arr = _require_hermitian(q, policy, "inverse_on_complement")
+    [arr] = _require_hermitian((("A", q),), policy,
+                               "inverse_on_complement requires a Hermitian matrix")
     return _pinv_and_kernel(arr, policy)[0]

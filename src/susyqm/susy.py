@@ -45,9 +45,9 @@ from .core import (
     _raise_failures,
     _real_if_exact,
     _relative,
+    _require_hermitian,
     _require_int,
     _require_numbers,
-    _require_self_adjoint,
     as_operator,
     frozen_copy,
     rel_residual,
@@ -463,12 +463,6 @@ def hermitian_parts(a1) -> tuple[np.ndarray, np.ndarray]:
     return part1, part2
 
 
-def _require_hermitian_parts(a1, a2, policy):
-    p1, p2 = _as_operators((("a1", a1), ("a2", a2)))
-    _require_self_adjoint((("a1", p1), ("a2", p2)), policy, "parts must be Hermitian")
-    return p1, p2
-
-
 def charges_from_parts(a1, a2,
                        policy: NumericPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the canonical charge pair from two Hermitian parts.
@@ -478,7 +472,8 @@ def charges_from_parts(a1, a2,
     ``K = sigma_3 (x) 1`` and satisfies ``Q2 = -iKQ1``.  ``Q2`` is unique
     up to this global sign, which flips under ``(a1, a2) -> (a2, -a1)``.
     """
-    p1, p2 = _require_hermitian_parts(a1, a2, policy)
+    p1, p2 = _require_hermitian((("a1", a1), ("a2", a2)), policy,
+                                "parts must be Hermitian")
     q1 = np.kron(SIGMA1, p1) + np.kron(SIGMA2, p2)
     q2 = np.kron(SIGMA2, p1) - np.kron(SIGMA1, p2)
     return q1, q2
@@ -488,7 +483,8 @@ def hamiltonian_from_parts(a1, a2,
                            policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Hamiltonian of the :func:`charges_from_parts` pair,
     ``1 (x) (a1^2 + a2^2) + sigma_3 (x) i[a1, a2]``."""
-    p1, p2 = _require_hermitian_parts(a1, a2, policy)
+    p1, p2 = _require_hermitian((("a1", a1), ("a2", a2)), policy,
+                                "parts must be Hermitian")
     even = np.kron(np.eye(2), p1 @ p1 + p2 @ p2)
     twist = np.kron(SIGMA3, 1j * (p1 @ p2 - p2 @ p1))
     return even + twist

@@ -55,6 +55,31 @@ def real_pair_from_block(a):
     return h, k, q1, q2
 
 
+def direct_sum(*triples):
+    """``(H, K, Q)`` of the direct sum of ``(H, K, Q)`` triples: each
+    operator block diagonal in its summands'."""
+    out = []
+    for ops in zip(*triples):
+        n = sum(len(m) for m in ops)
+        m = np.zeros((n, n), dtype=complex)
+        at = 0
+        for op in ops:
+            m[at:at + len(op), at:at + len(op)] = op
+            at += len(op)
+        out.append(m)
+    return tuple(out)
+
+
+def graded_tensor(first, second):
+    """``(H, K, Q)`` of the graded tensor product of two ``(H, K, Q)``
+    triples: ``H1 (x) 1 + 1 (x) H2``, ``K1 (x) K2`` and ``Q1 (x) 1 + K1 (x)
+    Q2``, which squares to 2H because ``{K1, Q1} = 0``."""
+    (h1, k1, q1), (h2, k2, q2) = first, second
+    i1, i2 = np.eye(len(h1)), np.eye(len(h2))
+    return (np.kron(h1, i2) + np.kron(i1, h2), np.kron(k1, k2),
+            np.kron(q1, i2) + np.kron(k1, q2))
+
+
 def rank_deficient(rng, df, db, rank):
     """Random (df x db) matrix of the given rank."""
     if rank == 0:

@@ -75,8 +75,8 @@ def _h_plus_off_partner_form():
 
 def _asymmetric_sector_block(report):
     # h_plus = A^T A + 1e-6 S with S antisymmetric passes the standard
-    # representation at algebra_tol 1e-3 and fails a 1e-12 Hermiticity
-    # tolerance on the sector block.
+    # representation at algebra_tol 1e-3, and H fails a 1e-12 Hermiticity
+    # tolerance: the sector analysis gates H, the operator passed in.
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     h = np.zeros((4, 4))
     h[:2, :2] = a.T @ a + 1e-6 * np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -115,9 +115,9 @@ RESIDUAL_REJECTIONS = [
     pytest.param(lambda: pauli_lattice(LatticeSpec(5, 1.0), np.zeros(25), np.ones(25)),
                  ["a_y(-r) = -a_y(r)"], id="pauli_lattice-parity"),
     pytest.param(lambda: _asymmetric_sector_block(witten_index_report),
-                 ["h_plus self-adjoint"], id="sector-blocks-index"),
+                 ["H self-adjoint"], id="sector-blocks-index"),
     pytest.param(lambda: _asymmetric_sector_block(spectral_pairing_report),
-                 ["h_plus self-adjoint"], id="sector-blocks-pairing"),
+                 ["H self-adjoint"], id="sector-blocks-pairing"),
     pytest.param(lambda: charges_from_parts(NOT_HERMITIAN, I2), ["a1 self-adjoint"],
                  id="charges_from_parts"),
 ]
@@ -148,7 +148,8 @@ def test_nan_precondition_residual_fails(monkeypatch):
 
 def test_charges_beyond_1e154_fail_the_precondition_with_a_finite_residual():
     # Squared bare, both charges would overflow to a NaN residual (and a
-    # RuntimeWarning); squared scaled, the residual is the unscaled one.
+    # RuntimeWarning); squared scaled, the residual is the unscaled one:
+    # ||Q1^2 - Q2^2|| = 1 divided twice by the larger charge norm, sqrt(2).
     q2 = np.diag([1.0, 0.0])
     with pytest.raises(ValidationError) as excinfo:
         kernel_equality_check(SIGMA1, q2)
@@ -157,7 +158,7 @@ def test_charges_beyond_1e154_fail_the_precondition_with_a_finite_residual():
         kernel_equality_check(2.0**600 * SIGMA1, 2.0**600 * q2)
     [check] = excinfo.value.failures
     assert check.name == "Q1^2 = Q2^2"
-    assert check.residual == want.residual == 1 / math.sqrt(2)
+    assert check.residual == want.residual == 1 / math.sqrt(2) / math.sqrt(2)
 
 
 SHAPE_MISMATCHES = [
