@@ -5,7 +5,11 @@ input, 3 internal cross-check failure.  The verbs mirror the library
 API; ``susyqm <verb> --help`` lists the verb-specific flags.  Every verb
 that reads a system validates the whole file, every charge against the
 file's own H, before it acts; ``index``, ``pair``, ``spectrum`` and
-``repr`` then read its first charge only.
+``repr`` then read its first charge only.  ``involution`` writes only a
+graded file that ``validate`` accepts against the file's own H (the
+construction itself validates against ``Q1^2``).  ``validate --json``
+writes a residual that overflowed as ``null``.  The verdicts of every
+verb are asserted in ``tests/test_io_cli.py``.
 
 Exit 3 from ``pair`` on a validated file is a verdict on the input, not
 a fault of the package: the validation accepts each sector block of H
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 
 from . import io
@@ -74,6 +79,12 @@ def _checks_table(checks) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_residual(residual: float) -> float | None:
+    """``residual``, or ``None`` (JSON ``null``) when it overflowed to an
+    infinity or a NaN, which JSON cannot write."""
+    return residual if math.isfinite(residual) else None
+
+
 def _graded_single_charge(path, policy: NumericPolicy):
     sf = io.load_system(path)
     if sf.involution is None:
@@ -95,7 +106,7 @@ def _cmd_validate(args, policy) -> int:
             _emit(args, io.dump_json({
                 "valid": False,
                 "failures": [
-                    {"name": c.name, "residual": c.residual,
+                    {"name": c.name, "residual": _json_residual(c.residual),
                      "tolerance": c.tolerance}
                     for c in exc.failures
                 ],
@@ -107,7 +118,7 @@ def _cmd_validate(args, policy) -> int:
         _emit(args, io.dump_json({
             "valid": True,
             "checks": [
-                {"name": c.name, "residual": c.residual,
+                {"name": c.name, "residual": _json_residual(c.residual),
                  "tolerance": c.tolerance, "passed": c.passed}
                 for c in system.checks
             ],
@@ -124,13 +135,14 @@ def _cmd_involution(args, policy) -> int:
     if sf.complex_charges or len(sf.charges) != 2:
         raise io.FormatError("involution construction needs exactly two "
                              "real charges")
-    # The file's own H, which construct_involution (reading Q1^2) never sees.
+    # construct_involution validates against Q1^2, never the file's own
+    # H: the pair is judged against H before the construction, and the
+    # graded system after it, so only a file validate accepts is written.
     _validate(sf.hamiltonian, sf.charges, policy=policy)
     involution = construct_involution(
         sf.charges[0], sf.charges[1], d_plus=args.d_plus, policy=policy)
-    augmented = io.SystemFile(sf.hamiltonian, involution.matrix,
-                              sf.charges, False)
-    _emit(args, io.dump_json(io.system_to_obj(augmented)))
+    graded = _validate(sf.hamiltonian, sf.charges, involution, False, policy)
+    _emit(args, io.dump_json(io.system_to_obj(graded)))
     return EXIT_OK
 
 

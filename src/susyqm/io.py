@@ -65,10 +65,14 @@ class SystemFile(NamedTuple):
 def matrix_to_obj(a) -> dict:
     """Serialize a matrix; square ones use the ``dim`` schema, rectangular
     blocks (a grading map between sectors of unequal size) carry explicit
-    ``rows`` and ``cols``."""
+    ``rows`` and ``cols``.  A matrix without entries raises the
+    :class:`FormatError` that :func:`matrix_from_obj` gives its file."""
     arr = _require_numbers(a, "matrix")
     if arr.ndim != 2:
         raise FormatError(f"only matrices are serializable, got shape {arr.shape}")
+    if not arr.size:
+        raise FormatError(f"matrix shape must be positive, got "
+                          f"{arr.shape[0]}x{arr.shape[1]}")
     entries = (np.ascontiguousarray(arr).reshape(-1).view(np.float64)
                .reshape(-1, 2).tolist())
     if arr.shape[0] == arr.shape[1]:

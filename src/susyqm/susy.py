@@ -145,6 +145,9 @@ class PairingSign(enum.Enum):
 # validators
 
 
+# A product that overflows is a residual of inf or NaN, which the
+# relation fails; numpy's RuntimeWarning would only repeat that verdict.
+@np.errstate(over="ignore", invalid="ignore")
 def _validate(h, charges, k=None, complex_charges: bool = False,
               policy: NumericPolicy = DEFAULT_POLICY):
     """Check the defining relations of any of the four formulations.
@@ -319,9 +322,12 @@ def check_pairing_relation(k, q1, q2,
                            policy: NumericPolicy = DEFAULT_POLICY) -> PairingSign:
     """Report which of ``Q2 = -iKQ1`` or ``Q2 = +iKQ1`` holds.
 
-    ``FAIL`` is reserved for systems sneaking past the validator while
-    satisfying neither sign relation (possible for degenerate spectra,
-    where the second charge is not unique up to sign).
+    The graded system ``(K, Q1, Q2)`` is validated first against
+    ``H = Q1^2``, not against a Hamiltonian of the caller's, so a pair
+    that validates with its own H within tolerance may still be refused
+    here.  ``FAIL`` is reserved for systems sneaking past the validator
+    while satisfying neither sign relation (possible for degenerate
+    spectra, where the second charge is not unique up to sign).
     """
     a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     h = a @ a
@@ -360,6 +366,9 @@ def construct_involution(q1, q2, d_plus: int | None = None,
     validated as a graded system with ``H = Q1^2`` and both charges,
     which checks every relation of the pair as well: an invalid pair
     raises one :class:`ValidationError` naming each relation that fails.
+    A caller holding its own H must validate ``(H, K, [Q1, Q2])`` itself:
+    ``[H,K] = 0`` against that H is never checked here.  A K that
+    validates but gives ``Q2 = +iKQ1`` raises :class:`CrossCheckError`.
     """
     a, b = _as_operators((("Q1", q1), ("Q2", q2)))
     if d_plus is not None:

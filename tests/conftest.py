@@ -4,8 +4,9 @@ System builders here assemble matrices directly with numpy, independent
 of the library's own constructors, so validator tests cannot be fooled
 by a bug shared with the code under test.  The exceptions are
 :func:`c07_system`, the library's 101-site superpotential lattice that
-many tests read, and the ``no_jacobi`` fixture.  The kernel oracle
-:func:`svd_kernel_dim` counts with LAPACK's SVD, not the library.
+many tests read, and the ``no_jacobi`` and ``negated_pinv`` fixtures.
+The kernel oracle :func:`svd_kernel_dim` counts with LAPACK's SVD, not
+the library.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from susyqm import Boundary, LatticeSpec, NumericPolicy, spectral, witten_model_lattice
+from susyqm import (
+    Boundary,
+    LatticeSpec,
+    NumericPolicy,
+    spectral,
+    susy,
+    witten_model_lattice,
+)
 
 
 def adj(a):
@@ -144,3 +152,17 @@ def no_jacobi(monkeypatch):
         raise AssertionError("Jacobi sweeps on a path that should take none")
 
     monkeypatch.setattr(spectral._kernel, "jacobi_sweeps", refuse)
+
+
+@pytest.fixture
+def negated_pinv(monkeypatch):
+    """Give ``construct_involution`` the negated pseudo-inverse of Q1.  Its
+    K then passes every relation of the graded validation, but satisfies
+    ``Q2 = +iKQ1``, which only the sign post-check refuses."""
+    pinv_and_kernel = susy._pinv_and_kernel
+
+    def negated(a, policy):
+        pinv, kernel = pinv_and_kernel(a, policy)
+        return -pinv, kernel
+
+    monkeypatch.setattr(susy, "_pinv_and_kernel", negated)

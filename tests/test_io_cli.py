@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import sys
 from unittest import mock
@@ -12,15 +13,19 @@ from susyqm import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    build_model,
+    construct_involution,
     io,
     random_graded_system,
     real_from_complex,
     spectral_pairing_report,
+    tensor_supercharge,
 )
 from susyqm.cli import build_parser, main
 
 from conftest import (
     block_system,
+    graded_tensor,
     random_complex,
     rank_deficient,
     real_pair_from_block,
@@ -257,7 +262,10 @@ class TestSaveRefusals:
         ([["1", 0.0], [0.0, 1.0]], TypeError, "^matrix must be numeric"),
         (np.zeros((2, 2, 2)), io.FormatError, "^only matrices are serializable"),
         ([[np.inf, 0.0], [0.0, 1.0]], ValueError, "^matrix contains non-finite entries$"),
-    ], ids=["string-entry", "3-d-array", "non-finite-entry"])
+        # The shapes that load_matrix refuses.
+        (np.zeros((0, 0)), io.FormatError, "^matrix shape must be positive, got 0x0$"),
+        (np.zeros((0, 3)), io.FormatError, "^matrix shape must be positive, got 0x3$"),
+    ], ids=["string-entry", "3-d-array", "non-finite-entry", "empty-0x0", "empty-0x3"])
     def test_refused_save_leaves_the_previous_file(self, tmp_path, bad, error, match):
         # The text is built before the file is opened, so a refused value
         # never truncates what was there.
@@ -569,6 +577,18 @@ class TestCliPipeline:
         assert main(["involution", str(plain), "--output", str(graded)]) == 1
         assert not graded.exists()
 
+    @pytest.mark.usefixtures("negated_pinv")
+    def test_involution_of_the_wrong_sign_exits_three(self, tmp_path, capsys):
+        system = random_graded_system(3, 2, 1)
+        plain, graded = tmp_path / "plain.json", tmp_path / "graded.json"
+        io.save_system(plain, io.SystemFile(
+            system.hamiltonian, None, real_from_complex(system.charges[0]), False))
+        assert main(["involution", str(plain), "--output", str(graded)]) == 3
+        assert capsys.readouterr().err == (
+            "internal cross-check failure: constructed involution violates "
+            "Q2 = -iKQ1 (residual 2.000e+00)\n")
+        assert not graded.exists()
+
     def test_involution_rejects_graded_input(self, minimal_system_file):
         assert main(["involution", str(minimal_system_file)]) == 2
 
@@ -621,23 +641,32 @@ class TestCliPipeline:
         spec_path.write_text(json.dumps({"model": "witten", "sites": 9}))
         assert main(["model", str(spec_path)]) == 2
 
-    @pytest.mark.parametrize("spec", [
-        {"model": "random", "dims": [2.9, 1.2]},
-        {"model": "random", "dims": [True, 1]},
-        {"model": "random", "dims": ["3", "2"]},
-        {"model": "random", "dims": [3, 2], "seed": "5"},
-        {"model": "free_particle", "sites": 5.7, "dx": 1.0},
-        {"model": "free_particle", "sites": True, "dx": 1.0},
-        {"model": "free_particle", "sites": 5, "dx": "0.5"},
-        {"model": "witten", "sites": 3, "dx": 0.5, "W": ["1", True, -1]},
-        {"model": "free_particle", "sites": 5, "dx": int("9" * 400)},
-        {"model": "witten", "sites": 3, "dx": 0.5,
-         "W": [1, -int("9" * 400), -1]},
+    @pytest.mark.parametrize("spec,message", [
+        ({"model": "random", "dims": [2.9, 1.2]}, "dims must be an integer, got 2.9"),
+        ({"model": "random", "dims": [True, 1]}, "dims must be an integer, got True"),
+        ({"model": "random", "dims": ["3", "2"]}, "dims must be an integer, got '3'"),
+        ({"model": "random", "dims": [3, 2], "seed": "5"},
+         "seed must be an integer, got '5'"),
+        ({"model": "free_particle", "sites": 5.7, "dx": 1.0},
+         "sites must be an integer, got 5.7"),
+        ({"model": "free_particle", "sites": True, "dx": 1.0},
+         "sites must be an integer, got True"),
+        ({"model": "free_particle", "sites": 5, "dx": "0.5"}, "dx must be real, got '0.5'"),
+        ({"model": "witten", "sites": 3, "dx": 0.5, "W": ["1", True, -1]},
+         "W must be real, got '1'"),
+        ({"model": "free_particle", "sites": 5, "dx": int("9" * 400)},
+         "dx has a number too large for a double"),
+        ({"model": "witten", "sites": 3, "dx": 0.5,
+          "W": [1, -int("9" * 400), -1]}, "W has a number too large for a double"),
+        ({"model": "witten", "sites": 3, "dx": 0.5, "W": [1.0, True, -1.0]},
+         "W must be real, got True"),
     ])
-    def test_model_mistyped_field_exits_two(self, tmp_path, spec):
+    def test_model_mistyped_field_exits_two(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "model.json"
         spec_path.write_text(json.dumps(spec))
         assert main(["model", str(spec_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model spec is missing or mistypes a field: {message}\n")
 
     @pytest.mark.parametrize("text,message", [
         ("[1, 2]", "model spec must be a JSON object"),
@@ -652,8 +681,9 @@ class TestCliPipeline:
         spec_path = tmp_path / "model.json"
         spec_path.write_text(text)
         assert main(["model", str(spec_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        # The spec loader names the file; the model builder does not.
+        assert capsys.readouterr().err in (f"error: {message}\n",
+                                           f"error: {spec_path}: {message}\n")
 
     @pytest.mark.parametrize("value,message", [
         ("0", "kernel_tol must lie in (0, 1e-3], got 0.0"),
@@ -756,3 +786,221 @@ class TestCliSpectrumPairRepr:
         assert main(["repr", str(system_path), "--output", str(prefix)]) == 0
         a = io.load_matrix(f"{prefix}.a.json")
         assert a.shape == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Verdict table: one verb on one input, its exit code and what it prints.
+# Each builder writes its input into the test's directory and returns the
+# path; in an argv, IN stands for that path and OUT for an output path.
+
+_RANDOM_SPEC = {"model": "random", "dims": [3, 2], "seed": 1}
+_WITTEN_SPEC = {"model": "witten", "sites": 21, "dx": 0.5,
+                "W": [0.5 * (j - 10) for j in range(21)]}
+_FREE_SPEC = {"model": "free_particle", "sites": 11, "dx": 0.5}
+
+
+def _spec_file(spec):
+    def build(directory):
+        path = directory / "spec.json"
+        path.write_text(json.dumps(spec))
+        return path
+    return build
+
+
+def _system_file(make, *args):
+    """Builder of the system file of ``make(*args)``, a system or a
+    SystemFile; a model's file has the bytes ``susyqm model`` writes."""
+    def build(directory):
+        path = directory / "system.json"
+        io.save_system(path, make(*args))
+        return path
+    return build
+
+
+def _random():
+    """The random model as ``io.load_system`` reads its file back."""
+    system = build_model(_RANDOM_SPEC)
+    return io.SystemFile(system.hamiltonian, system.involution.matrix,
+                         system.charges, True)
+
+
+def _split_pair():
+    """The random model's complex charge split into two real ones, no K."""
+    h, _, (q,), _ = _random()
+    return io.SystemFile(h, None, real_from_complex(q), False)
+
+
+def _constructed(d_plus=None):
+    """The split pair with the K that ``susyqm involution`` writes."""
+    h, _, (q1, q2), _ = _split_pair()
+    return io.SystemFile(h, construct_involution(q1, q2, d_plus).matrix,
+                         (q1, q2), False)
+
+
+def _scaled_h():
+    system = _random()
+    return system._replace(hamiltonian=system.hamiltonian * 1.001)
+
+
+def _short_q1():
+    system = _random()
+    return system._replace(charges=(system.charges[0][:-1, :-1],))
+
+
+def _units_bumped():
+    """A random system with Q scaled by 2^-17 and H by 2^-34, exactly,
+    then H's diagonal raised by 5%: refused at any scale."""
+    system = random_graded_system(5, 3, 1)
+    h, q = system.hamiltonian, system.charges[0]
+    h = np.ldexp(h.real, -34) + 1j * np.ldexp(h.imag, -34)
+    q = np.ldexp(q.real, -17) + 1j * np.ldexp(q.imag, -17)
+    return io.SystemFile(h + 0.05 * np.diag(np.diag(h)), system.involution.matrix,
+                         (q,), True)
+
+
+def _tensor():
+    """The graded tensor product of two random complex systems; its
+    charge has both off-diagonal blocks."""
+    first, second = random_graded_system(3, 1, 1), random_graded_system(2, 4, 2)
+    h, k, q = graded_tensor(*[(s.hamiltonian, s.involution.matrix, s.charges[0])
+                              for s in (first, second)])
+    return io.SystemFile(h, k, (q,), True)
+
+
+def _skew_h():
+    """A tensor_supercharge system with an antisymmetric pair in H: its
+    Hermiticity residual is 0.89e-10 of ||H||, within hermiticity_tol,
+    but would read 1.26e-10 of the norm of a sector block."""
+    a = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+    system = tensor_supercharge(a)
+    h = system.hamiltonian.copy()
+    d = 0.99 * 0.45e-10 * np.linalg.norm(h) / np.sqrt(2)
+    h[0, 1] += d
+    h[1, 0] -= d
+    return io.SystemFile(h, system.involution.matrix, system.charges, False)
+
+
+def _pair_with_h_bumped():
+    """A real pair whose H carries a symmetric pair of size 0.45e-10 of
+    ||H||: within tolerance of the pair, but [H,K] = 0 fails for the K
+    constructed from Q1^2."""
+    system = random_graded_system(1, 1, 1)
+    h = system.hamiltonian.copy()
+    bump = 0.45e-10 * np.linalg.norm(h)
+    h[0, 1] += bump
+    h[1, 0] += bump
+    return io.SystemFile(h, None, real_from_complex(system.charges[0]), False)
+
+
+def _overflowing():
+    """Products past 1e154 overflow: {Q1,Q1} to inf, [H,Q1] to NaN."""
+    return io.SystemFile(1e300 * np.eye(2), None,
+                         (np.array([[0.0, 1e200], [1e200, 0.0]]),), False)
+
+
+def _zero_charge():
+    """A zero charge against H = 1: {Q1,Q1} = 2H is infinitely off."""
+    return io.SystemFile(np.eye(2), None, (np.zeros((2, 2)),), False)
+
+
+_ANTI_Q = r"\{q1,q1\^dag\} = 2H"
+_ANTI_REAL = r"\{Q1,Q1\} = 2H"
+
+
+def _verdict(name, build, argv, code, expected=None):
+    """A table row.  ``expected`` is None (the exit code alone), a regex
+    searched line by line in stdout and stderr, as ``grep`` reads one, or
+    a dict of fields of the JSON on stdout ({} asks for the JSON alone)."""
+    return pytest.param(build, argv, code, expected, id=name)
+
+
+_VERDICTS = [
+    *[row for label, spec, index in (("random", _RANDOM_SPEC, 1),
+                                     ("witten", _WITTEN_SPEC, 0))
+      for row in (
+          _verdict(f"{label}-model", _spec_file(spec),
+                   ["model", "IN", "--output", "OUT"], 0),
+          _verdict(f"{label}-validate", _system_file(build_model, spec),
+                   ["validate", "IN"], 0, "^VALID$"),
+          _verdict(f"{label}-index", _system_file(build_model, spec),
+                   ["index", "IN", "--json"], 0, {"witten_index": index}),
+          _verdict(f"{label}-pair", _system_file(build_model, spec),
+                   ["pair", "IN"], 0, f"^witten index: {index}$"),
+          _verdict(f"{label}-spectrum", _system_file(build_model, spec),
+                   ["spectrum", "IN", "--json"], 0, {}),
+      )],
+    _verdict("free-model", _spec_file(_FREE_SPEC), ["model", "IN", "--output", "OUT"], 0),
+    _verdict("free-pair", _system_file(build_model, _FREE_SPEC),
+             ["pair", "IN"], 0, "^witten index: 1$"),
+    _verdict("free-spectrum", _system_file(build_model, _FREE_SPEC),
+             ["spectrum", "IN", "--json"], 0, {}),
+    _verdict("random-repr", _system_file(_random), ["repr", "IN", "--output", "OUT"], 0,
+             r"^wrote .*out\.a\.json\nwrote .*out\.h_plus\.json\n"
+             r"wrote .*out\.h_minus\.json$"),
+    _verdict("split-involution", _system_file(_split_pair),
+             ["involution", "IN", "--output", "OUT"], 0),
+    _verdict("split-involution-d-plus-0", _system_file(_split_pair),
+             ["involution", "IN", "--d-plus", "0", "--output", "OUT"], 0),
+    _verdict("split-graded-validate", _system_file(_constructed),
+             ["validate", "IN", "--json"], 0, {"valid": True}),
+    _verdict("split-graded-index", _system_file(_constructed),
+             ["index", "IN", "--json"], 0, {"witten_index": 1}),
+    _verdict("split-graded-d-plus-0-index", _system_file(_constructed, 0),
+             ["index", "IN", "--json"], 0, {"witten_index": -1}),
+    _verdict("random-scaled-h-validate", _system_file(_scaled_h), ["validate", "IN"], 1,
+             "^INVALID: .*" + _ANTI_Q),
+    _verdict("random-q1-wrong-shape-validate", _system_file(_short_q1), ["validate", "IN"],
+             2, "^error: q1 has shape"),
+    *[_verdict(f"units-bump-{verb}", _system_file(_units_bumped), [verb, "IN"], 1, _ANTI_Q)
+      for verb in ("validate", "index", "pair")],
+    _verdict("tensor-validate", _system_file(_tensor), ["validate", "IN"], 0, "^VALID$"),
+    _verdict("tensor-pair", _system_file(_tensor), ["pair", "IN"], 0,
+             "^witten index: -4$"),
+    _verdict("tensor-index", _system_file(_tensor), ["index", "IN", "--json"], 0,
+             {"witten_index": -4}),
+    _verdict("skew-h-validate", _system_file(_skew_h), ["validate", "IN"], 0, "^VALID$"),
+    _verdict("skew-h-index", _system_file(_skew_h), ["index", "IN", "--json"], 0, {}),
+    _verdict("skew-h-pair", _system_file(_skew_h), ["pair", "IN"], 0),
+    _verdict("skew-h-spectrum", _system_file(_skew_h), ["spectrum", "IN"], 0),
+    # involution writes only a graded file that validate accepts against
+    # the file's own H.
+    _verdict("bumped-h-pair-validate", _system_file(_pair_with_h_bumped),
+             ["validate", "IN"], 0, "^VALID$"),
+    _verdict("bumped-h-pair-involution", _system_file(_pair_with_h_bumped),
+             ["involution", "IN", "--output", "OUT"], 1, r"\[H,K\] = 0 \(residual"),
+    # A residual that overflowed is a verdict, not a warning, and JSON
+    # writes it as null.
+    _verdict("overflow-validate", _system_file(_overflowing), ["validate", "IN"], 1,
+             _ANTI_REAL),
+    _verdict("zero-charge-validate", _system_file(_zero_charge), ["validate", "IN"], 1,
+             _ANTI_REAL),
+    _verdict("overflow-validate-json", _system_file(_overflowing),
+             ["validate", "IN", "--json"], 1, {"valid": False}),
+    _verdict("zero-charge-validate-json", _system_file(_zero_charge),
+             ["validate", "IN", "--json"], 1,
+             {"valid": False, "failures": [{"name": "{Q1,Q1} = 2H", "residual": None,
+                                            "tolerance": 1e-10}]}),
+]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("build,argv,code,expected", _VERDICTS)
+def test_cli_verdict(tmp_path, capsys, build, argv, code, expected):
+    # A refused verb writes no file, and a file a verb says it wrote is
+    # not empty.
+    paths = {"IN": str(build(tmp_path)), "OUT": str(tmp_path / "out")}
+    before = set(tmp_path.iterdir())
+    assert main([paths.get(arg, arg) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert set(tmp_path.iterdir()) == before
+    for written in re.findall(r"^wrote (.+)$", out, re.M):
+        assert os.path.getsize(written) > 0
+    if isinstance(expected, dict):
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        assert {key: payload[key] for key in expected} == expected
+    elif expected is not None:
+        assert re.search(expected, out + err, re.M), out + err

@@ -3,6 +3,7 @@ import pytest
 
 from susyqm import (
     Boundary,
+    CrossCheckError,
     LatticeSpec,
     PairingSign,
     SIGMA1,
@@ -373,6 +374,13 @@ class TestConstructInvolution:
         with pytest.raises(ValidationError) as info:
             construct_involution(SIGMA1, q2)
         assert broken in [c.name for c in info.value.failures]
+
+    @pytest.mark.usefixtures("negated_pinv")
+    def test_wrong_sign_is_a_cross_check_failure(self):
+        q1, q2 = real_from_complex(random_graded_system(3, 2, 1).charges[0])
+        with pytest.raises(CrossCheckError, match=r"^constructed involution violates "
+                           r"Q2 = -iKQ1 \(residual 2\.000e\+00\)$"):
+            construct_involution(q1, q2)
 
     def test_ill_conditioned_charge_passes_its_own_validation(self):
         # cond(Q1) = 188: a pseudo-inverse from sweeps stopped at
