@@ -367,14 +367,16 @@ def kernel_equality_check(q1, q2,
     term ``sqrt(||Q1^2 - Q2^2||)`` accounting for the precondition
     residual, exactly as the norm identity dictates.
 
-    Both charges are squared scaled by one power of two ``2**-e``, ``e >=
-    0`` putting their largest entry below one, so entries beyond about
-    ``1e154`` do not overflow; the scaling is undone on the norms, and
-    within that range it changes no bit.
+    Both charges are squared scaled by one power of two ``2**-e`` that
+    puts the larger charge's largest entry in ``[0.5, 1)``
+    (:func:`~susyqm.core._binary_exponent`), so the squares neither
+    overflow nor underflow to zero, at any scale; the scaling is undone
+    on the norms, and it changes no bit of a report whose charges' squares
+    are normal floats.
     """
     a, b = _require_hermitian((("Q1", q1), ("Q2", q2)), policy,
                               "kernel equality needs self-adjoint charges")
-    e = max(_binary_exponent(a), _binary_exponent(b), 0)
+    e = _binary_exponent((a, b))
     a_s, b_s = _ldexp(a, -e), _ldexp(b, -e)
     h1, h2 = a_s @ a_s, b_s @ b_s
     # In units of 2**2e; the slack sqrt(||Q1^2 - Q2^2||) is then 2**e.

@@ -4,7 +4,8 @@ System builders here assemble matrices directly with numpy, independent
 of the library's own constructors, so validator tests cannot be fooled
 by a bug shared with the code under test.  The exceptions are
 :func:`c07_system`, the library's 101-site superpotential lattice that
-many tests read, and the ``no_jacobi`` and ``negated_pinv`` fixtures.
+many tests read, and the ``no_jacobi``, ``negated_pinv`` and
+``range_as_kernel`` fixtures.
 The kernel oracle :func:`svd_kernel_dim` counts with LAPACK's SVD, not
 the library.
 """
@@ -16,8 +17,10 @@ import pytest
 
 from susyqm import (
     Boundary,
+    KernelBasis,
     LatticeSpec,
     NumericPolicy,
+    analysis,
     spectral,
     susy,
     witten_model_lattice,
@@ -166,3 +169,19 @@ def negated_pinv(monkeypatch):
         return -pinv, kernel
 
     monkeypatch.setattr(susy, "_pinv_and_kernel", negated)
+
+
+@pytest.fixture
+def range_as_kernel(monkeypatch):
+    """Give ``kernel_equality_check``, for each charge, a basis of its
+    kernel's dimension taken from the charge's range instead: its top
+    right singular vectors.  Charges that share a kernel then fail only
+    the annihilation check."""
+    kernel_basis = analysis.kernel_basis
+
+    def from_range(a, policy):
+        dim = kernel_basis(a, policy).dim_kernel
+        top = np.linalg.svd(np.asarray(a))[2][:dim].conj().T
+        return KernelBasis(dim, top.astype(complex))
+
+    monkeypatch.setattr(analysis, "kernel_basis", from_range)

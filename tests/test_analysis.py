@@ -348,6 +348,14 @@ class TestKernelEqualityCheck:
                 "^kernel dimensions differ: dim ker Q1 = 0, dim ker Q2 = 1$")):
             kernel_equality_check(np.diag([1.0, 4e-8]), np.diag([1.0, 0.0]))
 
+    def test_kernel_vector_not_annihilated_raises(self, range_as_kernel):
+        # diag(+-1, 0) share the kernel e2; handed e1 as Q1's kernel, Q2
+        # moves it by 1, far above the bound sqrt(4 eps) ||Q2||_F.
+        with pytest.raises(CrossCheckError, match=(
+                r"^a kernel vector of Q1 is not annihilated by Q2 "
+                r"\(residual 1\.000e\+00 above 2\.980e-08\)$")):
+            kernel_equality_check(np.diag([1.0, 0.0]), np.diag([-1.0, 0.0]))
+
     def test_charges_at_two_to_the_540(self):
         # Squared bare, entries of 2**540 overflow; squared scaled, the
         # kernels match and the residuals are rescaled exactly.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -235,10 +237,16 @@ class TestPauliLattice:
         assert w[0] >= -1e-8 * w[-1]
 
     def test_rejects_parity_even_field(self):
-        spec = LatticeSpec(5, 1.0)
-        bad = np.ones(25)
-        with pytest.raises(ValidationError, match="parity odd"):
-            pauli_lattice(spec, bad, np.zeros(25))
+        # The builder's validation of the system it assembles is the one
+        # verdict on the fields: a constant field breaks {K,Q1} = 0.
+        for even in ("a_x", "a_y"):
+            fields = {"a_x": np.zeros(25), "a_y": np.zeros(25)}
+            fields[even] = np.ones(25)
+            with pytest.raises(ValidationError) as excinfo:
+                pauli_lattice(LatticeSpec(5, 1.0), **fields)
+            assert [(c.name, round(c.residual, 3))
+                    for c in excinfo.value.failures] == [
+                ("{K,Q1} = 0", 1.414), ("[H,K] = 0", 1.131)]
 
     @pytest.mark.parametrize("samples", NON_REAL_SAMPLES)
     @pytest.mark.parametrize("name", ["a_x", "a_y"])
@@ -362,6 +370,32 @@ class TestRandomGradedSystem:
         off_diag = np.asarray(system.involution.matrix).copy()
         np.fill_diagonal(off_diag, 0.0)
         assert residual_norm(off_diag) > 0.1
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.int64(-1), np.uint64(2**64 - 1),
+                                      np.uint8(200)])
+    def test_numpy_integers_draw_the_int_stream(self, seed):
+        stream, reference = Lcg(seed), Lcg(int(seed))
+        rows, cols = np.int32(3), np.uint16(4)
+        assert (stream.complex_matrix(rows, cols).tobytes()
+                == reference.complex_matrix(3, 4).tobytes())
+        assert stream.next_u64() == reference.next_u64()
+
+    @pytest.mark.parametrize("call,message", [
+        pytest.param(lambda: Lcg(True), "seed must be an integer, got True", id="bool"),
+        pytest.param(lambda: Lcg(np.bool_(False)),
+                     f"seed must be an integer, got {np.bool_(False)!r}", id="numpy-bool"),
+        pytest.param(lambda: Lcg(1.5), "seed must be an integer, got 1.5", id="float"),
+        pytest.param(lambda: Lcg("1"), "seed must be an integer, got '1'", id="string"),
+        pytest.param(lambda: Lcg(1).complex_matrix(True, 2),
+                     "rows must be an integer, got True", id="bool-rows"),
+        pytest.param(lambda: Lcg(1).complex_matrix(2, 2.0),
+                     "cols must be an integer, got 2.0", id="float-cols"),
+    ])
+    def test_mistyped_stream_arguments_are_named(self, call, message):
+        # One integer gate for the stream, which random_graded_system's
+        # seed passes through.
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_stream_documented_constants(self):
         stream = Lcg(0)

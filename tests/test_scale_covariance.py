@@ -5,18 +5,23 @@ floating point, and every residual is divided by the norms of its own
 relation's operands, so every residual ratio, every verdict and both
 reports must come out the same at every ``e``, bit for bit.
 """
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susyqm import (
+    SIGMA1,
     SIGMA3,
+    CrossCheckError,
     LatticeSpec,
     ValidationError,
     construct_involution,
     io,
     is_hermitian,
+    kernel_equality_check,
     random_graded_system,
     real_from_complex,
     spectral_pairing_report,
@@ -102,6 +107,52 @@ def test_constructed_involution_ignores_units(seed, e):
     assert k_e.tobytes() == k.tobytes()
     assert (_checks(validate_graded_real_system, q1_e @ q1_e, k_e, [q1_e, q2_e])
             == _checks(validate_graded_real_system, q1 @ q1, k, [q1, q2]))
+
+
+def _charge_pair(case, seed):
+    """A pair of self-adjoint charges: the real pair of a random graded
+    system or of a Witten lattice (equal squares, shared kernels), or a
+    pair that ``kernel_equality_check`` refuses on ``Q1^2 = Q2^2`` or on
+    its kernel dimensions."""
+    if case == "random":
+        s = random_graded_system(1 + seed % 5, 1 + seed // 5 % 4, seed)
+        return real_from_complex(s.charges[0])
+    if case == "lattice":
+        spec = LatticeSpec(21, 0.5, "dirichlet")
+        s = witten_model_lattice(spec, (-1) ** seed * spec.coordinates())
+        q1 = np.asarray(s.charges[0])
+        return q1, -1j * (np.asarray(s.involution.matrix) @ q1)
+    return {"unequal squares": (SIGMA1, 2.0 * SIGMA3),
+            "zero charge": (SIGMA1, np.zeros((2, 2))),
+            "kernels differ": (np.diag([1.0, 4e-8]), np.diag([1.0, 0.0]))}[case]
+
+
+def _kernel_equality(q1, q2, e):
+    """``kernel_equality_check`` of the pair scaled by ``2**e``: its kernel
+    dims and residuals, in the units of the unscaled pair, or its
+    refusal."""
+    try:
+        r = kernel_equality_check(_scaled(q1, e), _scaled(q2, e))
+    except ValidationError as exc:
+        return [(c.name, c.residual, c.passed) for c in exc.failures]
+    except CrossCheckError as exc:
+        return str(exc)
+    return (r.dim_kernel_q1, r.dim_kernel_q2, math.ldexp(r.max_residual_q2_on_ker_q1, -e),
+            math.ldexp(r.max_residual_q1_on_ker_q2, -e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["random", "lattice", "unequal squares", "zero charge",
+                             "kernels differ"]),
+       seed=st.integers(0, 39),
+       e=st.one_of(st.integers(-600, 600), st.integers(-600, -512)))
+@example(case="unequal squares", seed=0, e=-565)
+@example(case="zero charge", seed=0, e=-565)
+def test_kernel_equality_ignores_units(case, seed, e):
+    # Below 2**-512 the squares of the bare charges underflow to zero; the
+    # check squares them scaled by one power of two, both ways.
+    q1, q2 = _charge_pair(case, seed)
+    assert _kernel_equality(q1, q2, e) == _kernel_equality(q1, q2, 0)
 
 
 def _bumped(e):

@@ -59,6 +59,7 @@ class TestEighClosedForms:
 
     def test_diagonal_matrix(self):
         dec = eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        assert dec.dim == 3
         assert np.abs(dec.eigenvalues - np.array([1.0, 2.0, 3.0])).max() < 1e-12
 
     def test_sigma1_eigenvectors(self):

@@ -56,6 +56,7 @@ SQRT2 = np.sqrt(2.0)
 class TestValidateRealSystem:
     def test_pauli_pair_valid(self):
         system = validate_real_system(np.eye(2), [SIGMA1, SIGMA2])
+        assert system.dim == 2
         assert not system.complex_charges
         assert max(c.residual for c in system.checks if c.name.startswith("{")) < 1e-12
 

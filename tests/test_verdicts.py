@@ -14,19 +14,30 @@ below or just above the tolerances:
   Whenever a pair validates with its H, ``kernel_equality_check`` must
   accept it.
 
+A third corpus holds Pauli lattices (5x5 and 7x7 sites) whose
+parity-odd fields carry a bump of relative size ``10^U(-14, -6)`` on one
+sample: ``pauli_lattice`` must give the verdict, and the residuals, of
+``validate_graded_real_system`` on the system assembled here from the
+same fields.
+
 A later stage that judges an operand on a scale of its own, or judges
 blocks it derived instead of the operator passed in, refuses some of
 them.
 """
 
 import functools
+import math
 
 import numpy as np
 
 from susyqm import (
+    SIGMA1,
+    SIGMA2,
+    LatticeSpec,
     PairingError,
     ValidationError,
     kernel_equality_check,
+    pauli_lattice,
     random_graded_system,
     real_from_complex,
     spectral_pairing_report,
@@ -128,3 +139,46 @@ def test_a_validated_pair_shares_its_kernel():
         except ValidationError as exc:
             refused.append(str(exc))
     assert refused == []
+
+
+def _pauli_assembled(n, ax, ay):
+    """``(H, K, Q)`` of the planar spin lattice on ``n x n`` sites of unit
+    spacing, assembled from the fields as the model defines it:
+    ``sqrt(2) Q = (p_x - a_x) (x) sigma_1 + (p_y - a_y) (x) sigma_2``
+    with the periodic central difference ``p``, ``K = R (x) R (x) 1_2``
+    with the site reversal ``R``, and ``H = Q^2``."""
+    shift = np.zeros((n, n), dtype=complex)
+    shift[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    p = -1j * (shift - shift.T) / 2.0
+    eye = np.eye(n)
+    q = (np.kron(np.kron(p, eye) - np.diag(ax), SIGMA1)
+         + np.kron(np.kron(eye, p) - np.diag(ay), SIGMA2)) / math.sqrt(2.0)
+    reverse = np.eye(n)[::-1].astype(complex)
+    return q @ q, np.kron(np.kron(reverse, reverse), np.eye(2)), q
+
+
+def _verdict(build):
+    try:
+        checks, refused = build().checks, False
+    except ValidationError as exc:
+        checks, refused = exc.failures, True
+    return [(c.name, c.residual, c.passed) for c in checks], refused
+
+
+def test_pauli_lattice_refuses_exactly_what_its_system_validation_refuses():
+    rng = np.random.default_rng(33)
+    verdicts = []
+    for _ in range(60):
+        n = int(rng.choice([5, 7]))
+        fields = []
+        for _ in range(2):
+            # Row-major samples: the site -r is the flat index reversed.
+            v = rng.normal(size=n * n)
+            fields.append((v - v[::-1]) / 2.0 * 10.0 ** rng.uniform(-3, 1))
+        bumped = fields[rng.integers(2)]
+        bumped[rng.integers(n * n)] += 10.0 ** rng.uniform(-14, -6) * np.linalg.norm(bumped)
+        h, k, q = _pauli_assembled(n, *fields)
+        got = _verdict(lambda: pauli_lattice(LatticeSpec(n, 1.0), *fields))
+        assert got == _verdict(lambda: validate_graded_real_system(h, k, [q]))
+        verdicts.append(got[1])
+    assert 0.2 * len(verdicts) < sum(verdicts) < 0.8 * len(verdicts)
