@@ -3,15 +3,20 @@
 Matrix files are ``{"dim": n, "entries": [[re, im], ...]}`` with exactly
 ``n**2`` row-major entries; system files are ``{"H": <matrix>, "K":
 <matrix or null>, "charges": [<matrix>, ...], "complex": <bool>}``.
-Sizes must be JSON integers, entries finite JSON numbers that fit in a
-double and ``complex`` a JSON boolean; anything else raises
-:class:`FormatError`.  Serialization is deterministic (sorted keys, plain
-decimal doubles), so identical inputs produce byte-identical files.
+Sizes and entries are judged by the package's own gates, as every
+other value a caller passes: sizes by :func:`core._require_int`, and
+each entry must be a pair that :func:`core._require_numbers` takes to
+two finite doubles (``real=True``); ``complex`` must be a boolean.
+Anything else raises :class:`FormatError`.  A save checks the same
+fields as a load (:func:`system_to_obj`, :func:`matrix_to_obj`), so no
+file is written that its loader would refuse.  Serialization is
+deterministic (sorted keys, plain decimal doubles), so identical inputs
+produce byte-identical files.
 
 Matrices move between JSON and numpy as whole arrays.  A load whose
 entries are all ``[re, im]`` lists or tuples of plain ints and floats is
 one ``np.array`` call on the flattened numbers, viewed as complex; any
-other input (booleans, short pairs, strings, float subclasses, integers
+other input (booleans, short pairs, strings, numpy scalars, integers
 too large for a double, non-finite values) goes through a per-entry
 loop, which accepts the odd but valid cases and names the first bad
 entry in its :class:`FormatError`.  A save flattens the array to
@@ -29,7 +34,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .analysis import SpectralReport
-from .core import _require_numbers
+from .core import _require_int, _require_numbers
 from .susy import GradedSystem, SuperchargeSystem
 
 __all__ = [
@@ -81,12 +86,6 @@ def matrix_to_obj(a) -> dict:
             "entries": entries}
 
 
-def _is_number(value, types) -> bool:
-    """``isinstance(value, types)``, but JSON ``true``/``false`` (Python
-    bools, a subclass of int) never count as numbers."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, Mapping):
         raise FormatError(f"matrix object must be a mapping, got {type(obj).__name__}")
@@ -99,8 +98,10 @@ def matrix_from_obj(obj) -> np.ndarray:
     except KeyError as exc:
         raise FormatError(f"matrix object needs 'dim' (or 'rows'/'cols') "
                           f"and 'entries': {exc}") from exc
-    if not (_is_number(rows, int) and _is_number(cols, int)):
-        raise FormatError(f"matrix shape must be integers, got {rows!r}x{cols!r}")
+    try:
+        rows, cols = _require_int(rows, "rows"), _require_int(cols, "cols")
+    except TypeError:
+        raise FormatError(f"matrix shape must be integers, got {rows!r}x{cols!r}") from None
     if rows < 1 or cols < 1:
         raise FormatError(f"matrix shape must be positive, got {rows}x{cols}")
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -125,43 +126,31 @@ def matrix_from_obj(obj) -> np.ndarray:
 def _matrix_by_entry(entries: list, rows: int, cols: int) -> np.ndarray:
     """The entries checked and converted one at a time: the path for any
     input the whole-array load in :func:`matrix_from_obj` does not take.
-    It raises a :class:`FormatError` naming the first bad entry."""
-    out = np.empty(rows * cols, dtype=np.complex128)
+    Entry ``i`` must be a list or tuple that the number gate
+    (:func:`core._require_numbers`, named ``entry i``, ``real=True``)
+    takes to two finite doubles; its ``TypeError`` or ``ValueError``, or
+    a pair of any other shape, raises a :class:`FormatError` naming the
+    first bad entry."""
+    out = np.empty((rows * cols, 2))
     for i, pair in enumerate(entries):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(_is_number(x, (int, float)) for x in pair)):
-            raise FormatError(f"entry {i} must be a [re, im] number pair, "
-                              f"got {pair!r}")
-        try:
-            out[i] = complex(pair[0], pair[1])
-        except OverflowError:
-            raise FormatError(f"entry {i} has a number too large for a "
-                              f"double") from None
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise FormatError("matrix contains non-finite entries")
-    return out.reshape(rows, cols)
+        if isinstance(pair, (list, tuple)):
+            try:
+                values = _require_numbers(pair, f"entry {i}", real=True)
+            except (TypeError, ValueError) as exc:
+                raise FormatError(str(exc)) from None
+            if values.shape == (2,):
+                out[i] = values
+                continue
+        raise FormatError(f"entry {i} must be a [re, im] number pair, got {pair!r}")
+    return out.view(np.complex128).reshape(rows, cols)
 
 
-def system_to_obj(system) -> dict:
-    """Serialize a validated system or the raw ``(H, K, charges, flag)``
-    quadruple given as a :class:`SystemFile`."""
-    if isinstance(system, (SuperchargeSystem, GradedSystem)):
-        k = system.involution.matrix if isinstance(system, GradedSystem) else None
-        parts = SystemFile(system.hamiltonian, k, system.charges,
-                           system.complex_charges)
-    elif isinstance(system, SystemFile):
-        parts = system
-    else:
-        raise FormatError(f"cannot serialize {type(system).__name__} as a system")
-    return {
-        "H": matrix_to_obj(parts.hamiltonian),
-        "K": None if parts.involution is None else matrix_to_obj(parts.involution),
-        "charges": [matrix_to_obj(q) for q in parts.charges],
-        "complex": bool(parts.complex_charges),
-    }
-
-
-def system_from_obj(obj) -> SystemFile:
+def _system_fields(obj) -> tuple:
+    """The ``(H, K, charges, complex)`` fields of a system object, as
+    they are: it must be a mapping with all four keys, a non-empty
+    ``charges`` list and a boolean ``complex`` flag, or
+    :class:`FormatError` names what is wrong.  Load and save both check
+    a system's fields here, so a save refuses what a load would."""
     if not isinstance(obj, Mapping):
         raise FormatError(f"system object must be a mapping, got {type(obj).__name__}")
     for key in ("H", "K", "charges", "complex"):
@@ -174,10 +163,32 @@ def system_from_obj(obj) -> SystemFile:
     if not isinstance(complex_charges, bool):
         raise FormatError(f"system field 'complex' must be true or false, "
                           f"got {complex_charges!r}")
-    h = matrix_from_obj(obj["H"])
-    k = None if obj["K"] is None else matrix_from_obj(obj["K"])
-    return SystemFile(
-        h, k, tuple(matrix_from_obj(q) for q in charges), complex_charges)
+    return obj["H"], obj["K"], charges, complex_charges
+
+
+def system_to_obj(system) -> dict:
+    """Serialize a validated system or the raw ``(H, K, charges, flag)``
+    quadruple given as a :class:`SystemFile`.  Its fields must be what
+    :func:`system_from_obj` reads back: at least one charge and a
+    ``bool`` flag, else :class:`FormatError`, before any matrix is
+    serialized."""
+    if isinstance(system, (SuperchargeSystem, GradedSystem)):
+        k = system.involution.matrix if isinstance(system, GradedSystem) else None
+        system = SystemFile(system.hamiltonian, k, system.charges,
+                            system.complex_charges)
+    elif not isinstance(system, SystemFile):
+        raise FormatError(f"cannot serialize {type(system).__name__} as a system")
+    h, k, charges, complex_charges = _system_fields(
+        {"H": system.hamiltonian, "K": system.involution,
+         "charges": list(system.charges), "complex": system.complex_charges})
+    return {"H": matrix_to_obj(h), "K": None if k is None else matrix_to_obj(k),
+            "charges": [matrix_to_obj(q) for q in charges], "complex": complex_charges}
+
+
+def system_from_obj(obj) -> SystemFile:
+    h, k, charges, complex_charges = _system_fields(obj)
+    return SystemFile(matrix_from_obj(h), None if k is None else matrix_from_obj(k),
+                      tuple(matrix_from_obj(q) for q in charges), complex_charges)
 
 
 def report_to_obj(report: SpectralReport) -> dict:

@@ -256,7 +256,8 @@ class Lcg:
     to rounding.  The seed and the sizes of :meth:`complex_matrix` must
     be integers, numpy integers too, so ``Lcg(np.int64(s))`` draws
     ``Lcg(s)``'s stream; a bool, float or anything else raises
-    :class:`TypeError` naming the argument.
+    :class:`TypeError` naming the argument, and a negative size raises
+    :class:`ValueError` naming it (zero gives an empty matrix).
     """
 
     MULTIPLIER = 6364136223846793005
@@ -288,6 +289,9 @@ class Lcg:
         state, and the doubles are the same as one draw at a time.
         """
         rows, cols = _require_int(rows, "rows"), _require_int(cols, "cols")
+        for name, size in (("rows", rows), ("cols", cols)):
+            if size < 0:
+                raise ValueError(f"{name} must be nonnegative, got {size}")
         count = 2 * rows * cols
         out = np.empty((rows, cols), dtype=np.complex128)
         if count == 0:

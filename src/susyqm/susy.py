@@ -154,12 +154,13 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
 
     Real charges (``complex_charges=False``) must be self-adjoint with
     ``{Q_i,Q_j} = 2 delta_ij H``; complex ones must not be self-adjoint
-    and satisfy ``{q_i,q_j^dag} = 2 delta_ij H`` and
-    ``{q_i,q_j} = {q_i^dag,q_j^dag} = 0``.  Every charge must commute
-    with H.  Given an involution ``k``, the system is graded: K must also
-    pass the involution checks (:func:`grading._involution_checks`),
-    anticommute with every charge and commute with H.  ``k`` may be a
-    matrix or an :class:`Involution`.
+    and satisfy ``{q_i,q_j^dag} = 2 delta_ij H`` and ``{q_i,q_j} = 0``;
+    ``{q_i^dag,q_j^dag} = 0`` is the adjoint of ``{q_j,q_i} = 0``, whose
+    residual it shares in exact arithmetic, so it is not checked again.
+    Every charge must commute with H.  Given an involution ``k``, the
+    system is graded: K must also pass the involution checks
+    (:func:`grading._involution_checks`), anticommute with every charge
+    and commute with H.  ``k`` may be a matrix or an :class:`Involution`.
     Each residual is divided by the Frobenius norms of its relation's own
     operands in turn (:func:`core._relative`), so every ratio and every
     verdict is the same in any units: a Hermiticity residual by the
@@ -224,15 +225,13 @@ def _validate(h, charges, k=None, complex_charges: bool = False,
         return x @ y + y @ x
 
     qs_dag = [_dagger(q) for q in qs] if complex_charges else qs
-    for i, (qi, a, a_dag, na) in enumerate(zip(names, qs, qs_dag, norms)):
+    for i, (qi, a, na) in enumerate(zip(names, qs, norms)):
         for qj, b, b_dag, nb in zip(names[i:], qs[i:], qs_dag[i:], norms[i:]):
             target, rhs = (2.0 * h_arr, "2H") if qi == qj else (0.0, "0")
             if complex_charges:
                 relation(f"{{{qi},{qj}^dag}} = {rhs}",
                          anti(a, b_dag) - target, na, nb)
                 relation(f"{{{qi},{qj}}} = 0", anti(a, b), na, nb)
-                relation(f"{{{qi}^dag,{qj}^dag}} = 0",
-                         anti(a_dag, b_dag), na, nb)
             else:
                 relation(f"{{{qi},{qj}}} = {rhs}", anti(a, b) - target, na, nb)
     for name, q, nq in zip(names, qs, norms):
@@ -507,26 +506,28 @@ def reparametrize(system, rotation,
                   policy: NumericPolicy = DEFAULT_POLICY):
     """Rotate a two-real-charge system by an orthogonal 2x2 matrix.
 
-    The transformed charges satisfy the same algebra with the *same*
-    Hamiltonian, which is passed through untouched; the result is
-    revalidated.  Works for plain and graded systems alike and returns
-    the same kind it was given.
+    ``rotation`` must be real: it passes the number gate with
+    ``real=True`` (:func:`core._require_numbers`), so a complex entry,
+    even one with a zero imaginary part, raises :class:`TypeError`, as
+    at every entry point that takes real numbers.  ``R^T R = 1`` is
+    judged within ``algebra_tol``.  The transformed charges satisfy the
+    same algebra with the *same* Hamiltonian, which is passed through
+    untouched; the result is revalidated.  Works for plain and graded
+    systems alike and returns the same kind it was given.
     """
     if system.complex_charges or len(system.charges) != 2:
         raise ValueError("reparametrize needs a system with exactly two "
                          "real charges")
-    rot = _require_numbers(rotation, "rotation")
+    rot = _require_numbers(rotation, "rotation", real=True)
     if rot.shape != (2, 2):
         raise ShapeError(f"rotation must be 2x2, got shape {rot.shape}")
-    real = rot.real
     _raise_failures([
-        RelationCheck.judge("R real", residual_norm(rot.imag), 0.0),
-        RelationCheck.judge("R^T R = 1", residual_norm(real.T @ real - np.eye(2)),
+        RelationCheck.judge("R^T R = 1", residual_norm(rot.T @ rot - np.eye(2)),
                             policy.algebra_tol),
-    ], "rotation R must be real and orthogonal")
+    ], "rotation R must be orthogonal")
     q1, q2 = system.charges
-    new_charges = [real[0, 0] * q1 + real[0, 1] * q2,
-                   real[1, 0] * q1 + real[1, 1] * q2]
+    new_charges = [rot[0, 0] * q1 + rot[0, 1] * q2,
+                   rot[1, 0] * q1 + rot[1, 1] * q2]
     if isinstance(system, GradedSystem):
         return validate_graded_real_system(
             system.hamiltonian, system.involution.matrix, new_charges, policy)

@@ -24,20 +24,32 @@ with both, because on such inputs no value lies near its cuts:
   ``det(x - S)`` but the nearest is at most 24.5 in size, so each
   eigenvalue lies at least ``2^-6 / 24.5^5``, about ``1.8e-9``, from
   every such half-integer.
+* The relations of a graded system built from an integer A of dims
+  1-3, with one integer perturbation, have residuals whose entries are
+  Gaussian integers or halves of them: every float product the
+  validator forms is exact, so each residual is zero or at least 1/2 in
+  norm.  Every operand norm is below 100, so a nonzero relative
+  residual is above ``1/2 / 100^2 = 5e-5``, far beyond the default
+  tolerances; the validator must fail exactly the relations whose exact
+  residual is nonzero (zero, for the ``X != Y`` relations).
 
 ``numpy.linalg`` stays the other oracle elsewhere; these need none.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susyqm import (
+    DEFAULT_POLICY,
+    ValidationError,
     kernel_basis,
     tensor_supercharge,
     validate_graded_complex_system,
+    validate_graded_real_system,
     witten_index_report,
 )
 from susyqm.spectral import _Tridiagonal
@@ -134,3 +146,154 @@ def test_tensor_supercharge_counts_are_the_exact_corank(a):
 def test_sturm_count_is_the_exact_inertia(s, k):
     x = Fraction(2 * k + 1, 2)
     assert _Tridiagonal(s).count(float(x)) == exact_count_below(s, x)
+
+
+class _Exact:
+    """A matrix of Gaussian rationals: its real and imaginary parts as
+    object arrays of Fractions, so every sum and product is exact."""
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @classmethod
+    def of(cls, m):
+        exact = np.vectorize(Fraction, otypes=[object])
+        return cls(exact(m.real), exact(m.imag))
+
+    def __add__(self, other):
+        return _Exact(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _Exact(self.re - other.re, self.im - other.im)
+
+    def __rmul__(self, c: int):
+        return _Exact(c * self.re, c * self.im)
+
+    def __matmul__(self, other):
+        return _Exact(self.re @ other.re - self.im @ other.im,
+                      self.re @ other.im + self.im @ other.re)
+
+    def dag(self):
+        return _Exact(self.re.T, -self.im.T)
+
+    def norm2(self) -> Fraction:
+        """The squared Frobenius norm."""
+        return sum((self.re**2 + self.im**2).flat, Fraction(0))
+
+
+def _relative2(res2, *norms2):
+    """``core._relative`` on squares: the squared residual divided by
+    each squared norm in turn; over a zero norm a nonzero residual is
+    infinite and a zero one stays zero."""
+    for n2 in norms2:
+        if n2:
+            res2 /= n2
+        elif res2:
+            return math.inf
+    return res2
+
+
+def exact_relations(h, k, q, complex_charges):
+    """``name -> (squared relative residual, tolerance, must_exceed)`` of
+    every relation the validator checks on the single-charge graded
+    system ``(h, k, [q])``, in the validator's order, computed exactly."""
+    hh, kk, qq = _Exact.of(h), _Exact.of(k), _Exact.of(q)
+    one = _Exact.of(np.eye(len(h)))
+    n2 = len(h) ** 2
+    nh, nq = hh.norm2(), qq.norm2()
+    tol, h_tol = DEFAULT_POLICY.algebra_tol, DEFAULT_POLICY.hermiticity_tol
+    label = "q" if complex_charges else "Q"
+    herm = ("q1 not self-adjoint (a self-adjoint complex charge forces H = 0)"
+            if complex_charges else "Q1 self-adjoint")
+    out = {
+        "H self-adjoint": (_relative2((hh - hh.dag()).norm2(), nh), h_tol, False),
+        "H != 0": (_relative2(nh, nq, nq), tol, True),
+        herm: (_relative2((qq - qq.dag()).norm2(), nq), h_tol, complex_charges),
+    }
+    if complex_charges:
+        out["{q1,q1^dag} = 2H"] = (_relative2(
+            (qq @ qq.dag() + qq.dag() @ qq - 2 * hh).norm2(), nq, nq), tol, False)
+        out["{q1,q1} = 0"] = (_relative2((2 * (qq @ qq)).norm2(), nq, nq), tol, False)
+    else:
+        out["{Q1,Q1} = 2H"] = (_relative2((2 * (qq @ qq) - 2 * hh).norm2(), nq, nq),
+                               tol, False)
+    out[f"[H,{label}1] = 0"] = (_relative2((hh @ qq - qq @ hh).norm2(), nh, nq), tol, False)
+    out["K self-adjoint"] = (_relative2((kk - kk.dag()).norm2(), kk.norm2()), h_tol, False)
+    out["K^2 = 1"] = (_relative2((kk @ kk - one).norm2(), n2), tol, False)
+    out["K != +1"] = (_relative2((kk - one).norm2(), n2), tol, True)
+    out["K != -1"] = (_relative2((kk + one).norm2(), n2), tol, True)
+    out[f"{{K,{label}1}} = 0"] = (_relative2((kk @ qq + qq @ kk).norm2(), nq), tol, False)
+    out["[H,K] = 0"] = (_relative2((hh @ kk - kk @ hh).norm2(), nh), tol, False)
+    return out
+
+
+def integer_graded_system(a, complex_charges):
+    """``(H, K, charge)`` from an integer A of shape ``(df, db)``: ``Q =
+    [[0, A^T], [A, 0]]`` with ``H = Q^2``, or ``q = [[0, A^T], [0, 0]]``
+    with ``H = {q, q^dag}/2``, and ``K = diag(1, -1)``."""
+    df, db = a.shape
+    n = db + df
+    q = np.zeros((n, n), dtype=complex)
+    q[:db, db:] = a.T
+    if not complex_charges:
+        q[db:, :db] = a
+    h = (q @ q.conj().T + q.conj().T @ q) / 2 if complex_charges else q @ q
+    k = np.diag(np.concatenate([np.ones(db), -np.ones(df)])).astype(complex)
+    return h, k, q
+
+
+@st.composite
+def perturbed_graded_systems(draw):
+    """``(H, K, charge, complex_charges)``: an :func:`integer_graded_system`
+    of an A of dims 1-3, then one integer perturbation, Hermitian or
+    not, added to H, the charge or K, or none."""
+    db, df = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = np.array(draw(st.lists(_ENTRIES, min_size=db * df, max_size=db * df)),
+                 dtype=float).reshape(df, db)
+    complex_charges = draw(st.booleans())
+    h, k, q = integer_graded_system(a, complex_charges)
+    n = db + df
+    target = draw(st.sampled_from(["none", "H", "charge", "K"]))
+    if target != "none":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        v = draw(st.sampled_from([1, -1, 2, -2, 1j, -1j, 1 + 1j]))
+        e = np.zeros((n, n), dtype=complex)
+        e[i, j] += v
+        if draw(st.booleans()):
+            e[j, i] += np.conj(v)
+        if target == "H":
+            h = h + e
+        elif target == "charge":
+            q = q + e
+        else:
+            k = k + e
+    return h, k, q, complex_charges
+
+
+_H1, _K1, _Q1 = integer_graded_system(np.array([[1.0]]), False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=perturbed_graded_systems())
+# The perturbations that make K trivial, which a draw seldom makes.
+@example(system=(_H1, _K1 + np.diag([0.0, 2.0]), _Q1, False))
+@example(system=(_H1, _K1 - np.diag([2.0, 0.0]), _Q1, False))
+def test_validator_fails_exactly_the_relations_with_a_nonzero_exact_residual(system):
+    h, k, q, complex_charges = system
+    exact = exact_relations(h, k, q, complex_charges)
+    expected = [name for name, (rel2, tol, must_exceed) in exact.items()
+                if not (rel2 > tol**2 if must_exceed else rel2 <= tol**2)]
+    # No rounding band: the verdicts are those of zero and nonzero.
+    assert expected == [name for name, (rel2, _, must_exceed) in exact.items()
+                        if (rel2 == 0) == must_exceed]
+    validate = validate_graded_complex_system if complex_charges else validate_graded_real_system
+    try:
+        checks = validate(h, k, [q]).checks
+    except ValidationError as exc:
+        failed = [c.name for c in exc.failures]
+        for name in failed:
+            assert str(exc).count(f"{name} (residual ") == 1, name
+    else:
+        assert [c.name for c in checks] == list(exact)
+        failed = []
+    assert failed == expected

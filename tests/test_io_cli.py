@@ -1,7 +1,10 @@
 import json
+import math
+import numbers
 import os
 import re
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -86,7 +89,7 @@ class TestMatrixFormat:
         ([[1.0, 0.0]], "^matrix object must be a mapping, got list$"),
         ({"dim": 1}, "^matrix object needs 'dim' .* and 'entries'"),
         ({"rows": 0, "cols": 2, "entries": []}, "^matrix shape must be positive, got 0x2$"),
-        ({"dim": 1, "entries": [[True, False]]}, "pair"),
+        ({"dim": 1, "entries": [[True, False]]}, "^entry 0 must be real, got True$"),
         ({"dim": 1.9, "entries": [[1.0, 0.0]]}, "integers"),
         ({"dim": True, "entries": [[1.0, 0.0]]}, "integers"),
         ({"rows": 1, "cols": "1", "entries": [[1.0, 0.0]]}, "integers"),
@@ -97,16 +100,49 @@ class TestMatrixFormat:
 
 
 def _entry_loop(entries, rows, cols):
-    """A load that checks and converts one entry at a time: the reference
-    that ``matrix_from_obj``'s arrays and messages must match."""
+    """A load that checks and converts one entry at a time, by the number
+    gate's rule written out: the reference that ``matrix_from_obj``'s
+    arrays and messages must match.  An entry must be a list or tuple;
+    every number in it (nested lists read as numpy reads them) must be
+    real and not a boolean, fit in a double and be finite, in that order
+    over the whole entry; and then there must be exactly two of them."""
+    out = np.empty(rows * cols, dtype=np.complex128)
+    for i, pair in enumerate(entries):
+        if isinstance(pair, (list, tuple)):
+            items = np.asarray(pair, dtype=object)
+            for x in items.flat:
+                if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+                    raise io.FormatError(f"entry {i} must be real, got {x!r}")
+            try:
+                values = [float(x) for x in items.flat]
+            except OverflowError:
+                raise io.FormatError(f"entry {i} has a number too large for "
+                                     f"a double") from None
+            if not all(map(math.isfinite, values)):
+                raise io.FormatError(f"entry {i} contains non-finite entries")
+            if items.shape == (2,):
+                out[i] = complex(*values)
+                continue
+        raise io.FormatError(f"entry {i} must be a [re, im] number pair, "
+                             f"got {pair!r}")
+    return out.reshape(rows, cols)
+
+
+def _json_type_rule(entries, rows, cols):
+    """The loader's earlier rule, by JSON type: an entry is a list or
+    tuple of two ints or floats, never booleans, that fit in a double,
+    and the matrix is finite.  Every entry list that ``json.loads`` can
+    produce must get this rule's verdict, and the same array."""
     out = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(entries):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(isinstance(x, (int, float))
                            and not isinstance(x, bool) for x in pair)):
-            raise io.FormatError(f"entry {i} must be a [re, im] number "
-                                 f"pair, got {pair!r}")
-        out[i] = complex(pair[0], pair[1])
+            raise io.FormatError(f"entry {i} is not a number pair")
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise io.FormatError(f"entry {i} is too large") from None
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise io.FormatError("matrix contains non-finite entries")
     return out.reshape(rows, cols)
@@ -129,11 +165,27 @@ _PLAIN_NUMBERS = st.one_of(
 # Float subclasses load through the per-entry loop.
 _NUMPY_FLOATS = st.builds(np.float64, st.floats(allow_nan=False,
                                                 allow_infinity=False))
-# Each of these entries fails the per-entry check or the finiteness check.
+# Every value that json.loads can give: NaN and the infinities too.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**80, 2**80) | st.floats()
+    | st.sampled_from([10**400, -10**400]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6)
+# Each of these entries fails the per-entry check or the finiteness
+# check.  The nested lists of numbers at the end pass the number gate,
+# and only their shape tells them from a pair.
 _BAD_ENTRIES = [[True, 0.0], [1.0, False], [1.0], [], [1.0, 2.0, 3.0],
                 ["1", 0.0], [[1.0], 0.0], [1.0, None], 1.0, {"re": 1.0},
                 [float("inf"), 0.0], (0.0, -float("inf")),
-                [float("nan"), 0.0]]
+                [float("nan"), 0.0], "ab",
+                [[1.0, 2.0], [3.0, 4.0]], [[1.0], [2.0]], [[1.0, 2.0]], [[], []]]
+
+
+# Complex matrices of every shape up to 3x3, empty ones too.
+_MATRICES = st.builds(
+    lambda rows, cols, seed: random_complex(np.random.default_rng(seed), rows, cols),
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
 
 
 @st.composite
@@ -220,6 +272,32 @@ class TestMatrixLoad:
                                  f"too large for a double"):
             io.matrix_from_obj({"rows": 1, "cols": len(entries),
                                 "entries": entries})
+
+    @settings(max_examples=200, deadline=None)
+    @given(_entry_lists(_PLAIN_NUMBERS), st.data())
+    def test_json_values_keep_the_json_type_verdict(self, case, data):
+        # Any value json.loads can give, as an entry or inside a pair.
+        rows, cols, entries = case
+        for _ in range(data.draw(st.integers(0, 2))):
+            entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(
+                _JSON_VALUES | st.lists(_JSON_VALUES, min_size=2, max_size=2))
+        entries = json.loads(json.dumps(entries))
+        obj = {"rows": rows, "cols": cols, "entries": entries}
+        try:
+            expected = _json_type_rule(entries, rows, cols)
+        except io.FormatError:
+            with pytest.raises(io.FormatError):
+                io.matrix_from_obj(obj)
+        else:
+            _assert_same_bits(io.matrix_from_obj(obj), expected)
+
+    def test_numpy_and_fraction_values_load_as_their_doubles(self):
+        # What every other entry point accepts: numpy integer sizes, and
+        # numpy or Fraction entries, each as its double.
+        got = io.matrix_from_obj({"rows": np.int64(1), "cols": np.uint8(3), "entries": [
+            [np.float32(0.5), np.int64(-2)], (Fraction(1, 3), 2**70), [1, np.float64(2.0)]]})
+        _assert_same_bits(got, np.array(
+            [[complex(0.5, -2.0), complex(1 / 3, 2.0**70), complex(1.0, 2.0)]]))
 
 
 def _entry_pairs(a):
@@ -336,6 +414,41 @@ class TestSystemFormat:
             with pytest.raises(io.FormatError,
                                match=f"^{re.escape(str(path))}: not valid JSON"):
                 load(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=_MATRICES, k=st.none() | _MATRICES,
+           charges=st.lists(_MATRICES, max_size=3).map(tuple),
+           flag=st.sampled_from([True, False, "false", 1, 0, None, np.bool_(True)]))
+    def test_every_saved_system_loads_back(self, h, k, charges, flag):
+        """Save writes only what load reads: a system is refused on save
+        exactly when its file would be refused on load, and otherwise it
+        loads back to the same arrays and flag."""
+        sf = io.SystemFile(h, k, charges, flag)
+        if (type(flag) is not bool or not charges
+                or any(m is not None and m.size == 0 for m in (h, k, *charges))):
+            with pytest.raises(io.FormatError):
+                io.system_to_obj(sf)
+            return
+        loaded = io.system_from_obj(json.loads(io.dump_json(io.system_to_obj(sf))))
+        assert (loaded.involution is None) == (k is None)
+        assert len(loaded.charges) == len(charges)
+        assert loaded.complex_charges is flag
+        for got, saved in zip((loaded.hamiltonian, loaded.involution, *loaded.charges),
+                              (h, k, *charges)):
+            if saved is not None:
+                _assert_same_bits(got, saved)
+
+    @pytest.mark.parametrize("charges,flag,match", [
+        ((SIGMA1,), "false", "^system field 'complex' must be true or false, got 'false'$"),
+        ((SIGMA1,), 1, "^system field 'complex' must be true or false, got 1$"),
+        ((SIGMA1,), None, "^system field 'complex' must be true or false, got None$"),
+        ((), False, "^system object needs a non-empty 'charges' list$"),
+    ])
+    def test_save_writes_no_file_that_load_refuses(self, tmp_path, charges, flag, match):
+        path = tmp_path / "s.json"
+        with pytest.raises(io.FormatError, match=match):
+            io.save_system(path, io.SystemFile(np.eye(2), SIGMA3, charges, flag))
+        assert not path.exists()
 
     def test_serializes_validated_system(self):
         from susyqm import validate_graded_real_system

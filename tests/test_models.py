@@ -397,6 +397,16 @@ class TestRandomGradedSystem:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize("rows,cols,name,size", [
+        (-1, 2, "rows", -1), (0, -3, "cols", -3), (-2, -5, "rows", -2)])
+    def test_negative_sizes_are_named(self, rows, cols, name, size):
+        stream = Lcg(1)
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got {size}$"):
+            stream.complex_matrix(rows, cols)
+        # A refused call draws nothing; a zero size draws nothing either.
+        assert stream.complex_matrix(0, 3).shape == (0, 3)
+        assert stream.next_u64() == Lcg(1).next_u64()
+
     def test_stream_documented_constants(self):
         stream = Lcg(0)
         assert stream.next_u64() == 1442695040888963407

@@ -121,8 +121,6 @@ def reference_checks(h, charges, k, complex_charges, policy=DEFAULT_POLICY):
                 check(f"{{{qi},{qj}^dag}} = {rhs}", a @ dag(b) + dag(b) @ a - target,
                       terms, scale, tol)
                 check(f"{{{qi},{qj}}} = 0", a @ b + b @ a, 2.0 * na * nb, scale, tol)
-                check(f"{{{qi}^dag,{qj}^dag}} = 0", dag(a) @ dag(b) + dag(b) @ dag(a),
-                      2.0 * na * nb, scale, tol)
             else:
                 check(f"{{{qi},{qj}}} = {rhs}", a @ b + b @ a - target, terms, scale, tol)
     for name, q, nq in zip(names, qs, ns):
