@@ -119,10 +119,6 @@ class KernelEqualityReport:
     max_residual_q1_on_ker_q2: float
 
 
-def _relative_gap(x: float, y: float) -> float:
-    return abs(x - y) / max(abs(x), abs(y))
-
-
 @dataclass(frozen=True)
 class _SectorAnalysis:
     """A graded system's standard representation, the ascending spectra
@@ -201,8 +197,11 @@ def spectral_pairing_report(system: GradedSystem,
     do not widen the window: they are a partner mismatch of the input,
     which ``pairing_tol`` judges.  The recorded gap stays relative, so it
     exceeds ``pairing_tol`` only when ``|x - y|`` is within the
-    resolution.  An unmatched positive eigenvalue
-    raises :class:`PairingError` naming the first orphan and its sector,
+    resolution.  The matching is :func:`_pair_walk`, a pure function of
+    the two spectra, their zero-mode counts and the resolution.  An
+    unmatched positive eigenvalue, too far from its partner or left over
+    once the other sector is exhausted, raises :class:`PairingError`
+    naming the first orphan and its sector,
     which signals either a broken system or a too-tight pairing
     tolerance.  A validated system can raise it too: its sector blocks
     may sit up to ``algebra_tol * ||A||^2`` from ``A^dag A`` and ``A
@@ -214,30 +213,42 @@ def spectral_pairing_report(system: GradedSystem,
     sectors = _sector_analysis(system, policy)
     ev_b, ev_f = sectors.ev_b.tolist(), sectors.ev_f.tolist()
     zeros_b, zeros_f = sectors.zeros_b, sectors.zeros_f
-    pos_b = list(enumerate(ev_b))[zeros_b:]
-    pos_f = list(enumerate(ev_f))[zeros_f:]
-
-    pairs = []
-    for (i, vb), (j, vf) in zip(pos_b, pos_f):
-        gap = _relative_gap(vb, vf)
-        if abs(vb - vf) > policy.pairing_tol * max(vb, vf) + sectors.resolution:
-            orphan, sector, other = ((vb, "bosonic", "fermionic") if vb < vf
-                                     else (vf, "fermionic", "bosonic"))
-            raise PairingError(
-                f"{sector} eigenvalue {orphan!r} has no {other} partner "
-                f"(nearest gap {gap:.3e})", orphan, sector)
-        pairs.append((i, j, gap))
-    if len(pos_b) != len(pos_f):
-        longer, sector, other = ((pos_b, "bosonic", "fermionic")
-                                 if len(pos_b) > len(pos_f)
-                                 else (pos_f, "fermionic", "bosonic"))
-        orphan = longer[len(pairs)][1]
-        raise PairingError(
-            f"{sector} eigenvalue {orphan!r} has no {other} partner "
-            f"({other} sector exhausted)", orphan, sector)
-
+    pairs = _pair_walk(ev_b, ev_f, zeros_b, zeros_f, sectors.resolution, policy)
     return SpectralReport(tuple(ev_b), tuple(ev_f), tuple(pairs),
                           zeros_b, zeros_f, zeros_b - zeros_f)
+
+
+def _pair_walk(ev_b: list[float], ev_f: list[float], zeros_b: int, zeros_f: int,
+               resolution: float, policy: NumericPolicy) -> list[tuple[int, int, float]]:
+    """The pairs ``(i, j, gap)`` of the ascending sector spectra ``ev_b``
+    and ``ev_f`` past their first ``zeros_b`` and ``zeros_f`` values,
+    the zero modes: the k-th positive values ``x`` and ``y`` pair when
+    ``|x - y| <= pairing_tol * max(x, y) + resolution``, and ``gap`` is
+    ``|x - y| / max(x, y)`` (:func:`~susyqm.core._relative`).  The first
+    value left without a partner raises :class:`PairingError` through
+    :func:`_orphan`: the smaller of a pair too far apart, or the first
+    leftover of the longer list once the shorter one is exhausted."""
+    pairs = []
+    for i, j in zip(range(zeros_b, len(ev_b)), range(zeros_f, len(ev_f))):
+        vb, vf = ev_b[i], ev_f[j]
+        gap = _relative(abs(vb - vf), max(vb, vf))
+        if abs(vb - vf) > policy.pairing_tol * max(vb, vf) + resolution:
+            raise _orphan(*((vb, "bosonic") if vb < vf else (vf, "fermionic")),
+                          f"nearest gap {gap:.3e}")
+        pairs.append((i, j, gap))
+    for ev, zeros, sector in ((ev_b, zeros_b, "bosonic"), (ev_f, zeros_f, "fermionic")):
+        if len(ev) - zeros > len(pairs):
+            raise _orphan(ev[zeros + len(pairs)], sector)
+    return pairs
+
+
+def _orphan(value: float, sector: str, reason: str | None = None) -> PairingError:
+    """The :class:`PairingError` of ``value``, an eigenvalue of ``sector``
+    with no partner: ``reason`` gives its nearest gap, or, if ``None``,
+    the other sector is exhausted."""
+    other = "fermionic" if sector == "bosonic" else "bosonic"
+    return PairingError(f"{sector} eigenvalue {value!r} has no {other} partner "
+                        f"({reason or f'{other} sector exhausted'})", value, sector)
 
 
 def witten_index_report(system: GradedSystem,

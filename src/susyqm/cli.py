@@ -150,14 +150,9 @@ def _cmd_index(args, policy) -> int:
     system = _graded_single_charge(args.input, policy)
     report = witten_index_report(system, policy)
     if args.json:
-        _emit(args, io.dump_json({
-            "witten_index": report.index,
-            "dim_kernel_a": report.dim_kernel_a,
-            "dim_kernel_a_dagger": report.dim_kernel_a_dagger,
-            "bosonic_zero_modes": report.bosonic_zero_modes,
-            "fermionic_zero_modes": report.fermionic_zero_modes,
-            "trace_k": report.trace_k,
-        }))
+        fields = dataclasses.asdict(report)
+        fields["witten_index"] = fields.pop("index")
+        _emit(args, io.dump_json(fields))
     else:
         _emit(args,
               f"witten index: {report.index}\n"

@@ -262,9 +262,9 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except ValueError as exc:
-        # JSONDecodeError, or an integer past Python's digit limit for
-        # int-string conversion
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past Python's digit limit for
+        # int-string conversion, or nesting past the parser's depth
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyqm import (
     Boundary,
@@ -32,6 +35,7 @@ from susyqm import (
     witten_model_lattice,
 )
 from susyqm import analysis
+from susyqm.core import _relative
 from susyqm.spectral import _Tridiagonal
 
 from conftest import block_system, c07_system, rank_deficient, svd_kernel_dim, zero_cut
@@ -139,37 +143,82 @@ class TestSpectralPairingReport:
         (np.diag([1.0, 2.0]), 2, -1e-12, _TIGHT, None,
          "fermionic eigenvalue 0.999999999999 has no bosonic partner "
          "(nearest gap 1.000e-12)", 0.999999999999, "fermionic"),
-        (np.eye(2, 3), 2, 0.0, _LOOSE, ((1.0, 1.0, 2.0), (1.0, 1.0)),
+        (None, None, None, _LOOSE, ([1.0, 1.0, 2.0], [1.0, 1.0]),
          "bosonic eigenvalue 2.0 has no fermionic partner "
          "(fermionic sector exhausted)", 2.0, "bosonic"),
-        (np.eye(3, 2), 4, 0.0, _LOOSE, ((1.0, 1.0), (1.0, 1.0, 2.0)),
+        (None, None, None, _LOOSE, ([1.0, 1.0], [1.0, 1.0, 2.0]),
          "fermionic eigenvalue 2.0 has no bosonic partner "
          "(bosonic sector exhausted)", 2.0, "fermionic"),
     ], ids=["gap-bosonic", "gap-fermionic", "exhausted-fermionic",
             "exhausted-bosonic"])
-    def test_orphan_names_value_and_sector(self, monkeypatch, a, mode, bump, policy,
+    def test_orphan_names_value_and_sector(self, a, mode, bump, policy,
                                            spectra, message, orphan, sector):
-        system = _bumped_block_system(a, mode, bump, policy)
-        if spectra is not None:
-            # A sector runs out only when its largest eigenvalue is left
-            # over.  On a system that validates, that takes a kernel mode
-            # lifted to about the largest eigenvalue, a change of about
-            # 1/rank(A) of ||A||^2: far outside algebra_tol below rank
-            # 1000, and a lift the validation accepts stays under the
-            # sector cut, which the block residual widens.  The walk is
-            # given such spectra, with no zero modes, directly, through
-            # a mocked seam: a change to the signature of
-            # analysis._sector_analysis touches this test.
-            found = dataclasses.replace(
-                analysis._sector_analysis(system, policy),
-                ev_b=np.array(spectra[0]), ev_f=np.array(spectra[1]),
-                zeros_b=0, zeros_f=0)
-            monkeypatch.setattr(analysis, "_sector_analysis", lambda s, p: found)
         with pytest.raises(PairingError) as info:
-            spectral_pairing_report(system, policy)
+            if spectra is None:
+                spectral_pairing_report(_bumped_block_system(a, mode, bump, policy),
+                                        policy)
+            else:
+                # A sector runs out only when its largest eigenvalue is
+                # left over.  On a system that validates, that takes a
+                # kernel mode lifted to about the largest eigenvalue, a
+                # change of about 1/rank(A) of ||A||^2: far outside
+                # algebra_tol below rank 1000, and a lift the validation
+                # accepts stays under the sector cut, which the block
+                # residual widens.  The walk takes such spectra, with no
+                # zero modes, directly.
+                analysis._pair_walk(*spectra, 0, 0, 0.0, policy)
         assert str(info.value) == message
         assert info.value.orphan == orphan
         assert info.value.sector == sector
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=8),
+           shifts=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+                           min_size=8, max_size=8),
+           zeros=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+           tol=st.floats(1e-12, 1e-3), resolution=st.just(0.0) | st.floats(0.0, 1e-3),
+           moved=st.integers(0, 7), fermionic=st.booleans(), up=st.booleans())
+    def test_pair_walk_pairs_within_the_window(self, steps, shifts, zeros, tol,
+                                               resolution, moved, fermionic, up):
+        """The k-th positive values pair within ``pairing_tol * max +
+        resolution``, with the relative gap; one value moved past that
+        window, or one list longer than the other, raises naming the
+        first orphan and its sector."""
+        policy = NumericPolicy(pairing_tol=tol)
+        xs = list(itertools.accumulate(steps))
+        # Within half the window of its partner, and ascending, since
+        # each shift is below half a step.
+        ys = [x * (1.0 + u * tol) + v * resolution for x, (u, v) in zip(xs, shifts)]
+        zb, zf = zeros
+
+        def walk(pos_b, pos_f):
+            return analysis._pair_walk([0.0] * zb + pos_b, [0.0] * zf + pos_f,
+                                       zb, zf, resolution, policy)
+
+        assert walk(xs, ys) == [(zb + k, zf + k, _relative(abs(x - y), max(x, y)))
+                                for k, (x, y) in enumerate(zip(xs, ys))]
+
+        m = moved % len(xs)
+        lists = [list(xs), list(ys)]
+        off = 3.0 * tol * xs[m] + 2.0 * resolution
+        lists[fermionic][m] += off if up else -off
+        vb, vf = lists[0][m], lists[1][m]
+        orphan, sector = (vb, "bosonic") if vb < vf else (vf, "fermionic")
+        with pytest.raises(PairingError) as info:
+            walk(*lists)
+        assert (info.value.orphan, info.value.sector) == (orphan, sector)
+        assert str(info.value).startswith(f"{sector} eigenvalue {orphan!r} has no ")
+        assert str(info.value).endswith(
+            f"(nearest gap {_relative(abs(vb - vf), max(vb, vf)):.3e})")
+
+        longer, other = ("fermionic", "bosonic") if fermionic else ("bosonic", "fermionic")
+        lists = [xs[:m], ys[:m]]
+        lists[fermionic] = xs
+        with pytest.raises(PairingError) as info:
+            walk(*lists)
+        assert (info.value.orphan, info.value.sector) == (xs[m], longer)
+        assert str(info.value) == (f"{longer} eigenvalue {xs[m]!r} has no {other} "
+                                   f"partner ({other} sector exhausted)")
 
 
 class TestWittenIndex:

@@ -415,6 +415,12 @@ class TestSystemFormat:
                                match=f"^{re.escape(str(path))}: not valid JSON"):
                 load(path)
 
+    def test_nesting_past_the_parser_depth_names_the_file(self, tmp_path):
+        path = _deep_file(tmp_path)
+        with pytest.raises(io.FormatError,
+                           match=f"^{re.escape(str(path))}: not valid JSON"):
+            io.load_system(path)
+
     @settings(max_examples=100, deadline=None)
     @given(h=_MATRICES, k=st.none() | _MATRICES,
            charges=st.lists(_MATRICES, max_size=3).map(tuple),
@@ -920,6 +926,13 @@ def _spec_file(spec):
     return build
 
 
+def _deep_file(directory):
+    """A file of 100,000 nested ``[``, past the JSON parser's depth."""
+    path = directory / "deep.json"
+    path.write_text("[" * 100_000)
+    return path
+
+
 def _system_file(make, *args):
     """Builder of the system file of ``make(*args)``, a system or a
     SystemFile; a model's file has the bytes ``susyqm model`` writes."""
@@ -1066,6 +1079,10 @@ _VERDICTS = [
              2, "^error: q1 has shape"),
     *[_verdict(f"units-bump-{verb}", _system_file(_units_bumped), [verb, "IN"], 1, _ANTI_Q)
       for verb in ("validate", "index", "pair")],
+    # Nesting past the parser's depth is malformed input, not a failure
+    # of validation.
+    *[_verdict(f"deep-json-{verb}", _deep_file, [verb, "IN"], 2, "not valid JSON")
+      for verb in ("validate", "index", "model")],
     _verdict("tensor-validate", _system_file(_tensor), ["validate", "IN"], 0, "^VALID$"),
     _verdict("tensor-pair", _system_file(_tensor), ["pair", "IN"], 0,
              "^witten index: -4$"),
