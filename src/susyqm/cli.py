@@ -11,13 +11,16 @@ construction itself validates against ``Q1^2``).  ``validate --json``
 writes a residual that overflowed as ``null``.  The verdicts of every
 verb are asserted in ``tests/test_io_cli.py``.
 
-Exit 3 from ``pair`` on a validated file is a verdict on the input, not
-a fault of the package: the validation accepts each sector block of H
-within ``algebra_tol`` of ``A^dag A`` or ``A A^dag``, but partners must
-match within ``pairing_tol`` (see
+Exit 3 from ``pair`` or ``index`` on a validated file is a verdict on
+the input, not a fault of the package: the validation accepts each
+sector block of H within ``algebra_tol`` of ``A^dag A`` or ``A A^dag``.
+Partners must match within ``pairing_tol`` (see
 :func:`~susyqm.analysis.spectral_pairing_report`), so a small
 eigenvalue whose block residual moves it further from its partner is
-an orphan.
+an orphan.  The sector zero cut is widened by the same residuals (see
+:func:`~susyqm.analysis.witten_index_report`), so a small eigenvalue can
+count as zero in one sector while its partner, moved up by the
+residual, does not; the sector count then leaves ``Tr K``.
 """
 
 from __future__ import annotations
@@ -50,15 +53,18 @@ EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
 
+# The tolerance flags: ``--tol-NAME`` (``args.tol_NAME``) overrides the
+# policy's ``NAME_tol``; each verb takes all three.
+_TOLERANCES = {
+    "algebra": "override the algebra residual tolerance",
+    "kernel": "override the kernel detection tolerance",
+    "pairing": "override the eigenvalue pairing tolerance",
+}
+
+
 def _policy_from_args(args) -> NumericPolicy:
-    overrides = {}
-    if args.tol_algebra is not None:
-        overrides["algebra_tol"] = args.tol_algebra
-    if args.tol_kernel is not None:
-        overrides["kernel_tol"] = args.tol_kernel
-    if args.tol_pairing is not None:
-        overrides["pairing_tol"] = args.tol_pairing
-    return NumericPolicy(**overrides)
+    return NumericPolicy(**{f"{name}_tol": value for name in _TOLERANCES
+                            if (value := getattr(args, f"tol_{name}")) is not None})
 
 
 def _emit(args, text: str) -> None:
@@ -79,10 +85,14 @@ def _checks_table(checks) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_residual(residual: float) -> float | None:
-    """``residual``, or ``None`` (JSON ``null``) when it overflowed to an
-    infinity or a NaN, which JSON cannot write."""
-    return residual if math.isfinite(residual) else None
+def _check_obj(check, **extra) -> dict:
+    """A :class:`~susyqm.core.RelationCheck` as ``validate --json``
+    writes it, with ``extra`` fields: a residual that overflowed to an
+    infinity or a NaN, which JSON cannot write, is ``None`` (JSON
+    ``null``)."""
+    residual = check.residual if math.isfinite(check.residual) else None
+    return {"name": check.name, "tolerance": check.tolerance,
+            "residual": residual, **extra}
 
 
 def _graded_single_charge(path, policy: NumericPolicy):
@@ -105,24 +115,14 @@ def _cmd_validate(args, policy) -> int:
         if args.json:
             _emit(args, io.dump_json({
                 "valid": False,
-                "failures": [
-                    {"name": c.name, "residual": _json_residual(c.residual),
-                     "tolerance": c.tolerance}
-                    for c in exc.failures
-                ],
-            }))
+                "failures": [_check_obj(c) for c in exc.failures]}))
         else:
             _emit(args, f"INVALID: {exc}\n")
         return EXIT_INVALID
     if args.json:
         _emit(args, io.dump_json({
             "valid": True,
-            "checks": [
-                {"name": c.name, "residual": _json_residual(c.residual),
-                 "tolerance": c.tolerance, "passed": c.passed}
-                for c in system.checks
-            ],
-        }))
+            "checks": [_check_obj(c, passed=c.passed) for c in system.checks]}))
     else:
         _emit(args, _checks_table(system.checks) + "VALID\n")
     return EXIT_OK
@@ -150,9 +150,7 @@ def _cmd_index(args, policy) -> int:
     system = _graded_single_charge(args.input, policy)
     report = witten_index_report(system, policy)
     if args.json:
-        fields = dataclasses.asdict(report)
-        fields["witten_index"] = fields.pop("index")
-        _emit(args, io.dump_json(fields))
+        _emit(args, io.dump_json(io.report_to_obj(report)))
     else:
         _emit(args,
               f"witten index: {report.index}\n"
@@ -235,12 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text, needs_output_prefix=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="input file path")
-        p.add_argument("--tol-algebra", type=float, default=None,
-                       help="override the algebra residual tolerance")
-        p.add_argument("--tol-kernel", type=float, default=None,
-                       help="override the kernel detection tolerance")
-        p.add_argument("--tol-pairing", type=float, default=None,
-                       help="override the eigenvalue pairing tolerance")
+        for tol, tol_help in _TOLERANCES.items():
+            p.add_argument(f"--tol-{tol}", type=float, default=None,
+                           help=tol_help)
         p.add_argument("--json", action="store_true",
                        help="machine-readable JSON output")
         if needs_output_prefix:
@@ -272,12 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        policy = _policy_from_args(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    try:
-        return args.func(args, policy)
+        # A refused tolerance is a ValueError, so it exits 2 below.
+        return args.func(args, _policy_from_args(args))
     except ValidationError as exc:
         sys.stderr.write(f"validation failure: {exc}\n")
         return EXIT_INVALID

@@ -26,6 +26,7 @@ formats all the pairs of a matrix with one ``%`` operation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from itertools import chain
@@ -33,7 +34,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .analysis import SpectralReport
+from .analysis import SpectralReport, WittenIndexReport
 from .core import _require_int, _require_numbers
 from .susy import GradedSystem, SuperchargeSystem
 
@@ -191,15 +192,15 @@ def system_from_obj(obj) -> SystemFile:
                       tuple(matrix_from_obj(q) for q in charges), complex_charges)
 
 
-def report_to_obj(report: SpectralReport) -> dict:
-    return {
-        "bosonic_eigenvalues": [float(v) for v in report.bosonic_eigenvalues],
-        "fermionic_eigenvalues": [float(v) for v in report.fermionic_eigenvalues],
-        "pairs": [[int(i), int(j), float(g)] for i, j, g in report.pairs],
-        "unpaired_bosonic_zero_modes": report.unpaired_bosonic_zero_modes,
-        "unpaired_fermionic_zero_modes": report.unpaired_fermionic_zero_modes,
-        "witten_index": report.witten_index,
-    }
+def report_to_obj(report: SpectralReport | WittenIndexReport) -> dict:
+    """Every field of a :class:`SpectralReport` or a
+    :class:`WittenIndexReport` (``dataclasses.asdict``), the latter's
+    ``index`` written as ``witten_index``, the former's name for it; a
+    field a report gains reaches its JSON as it is."""
+    obj = dataclasses.asdict(report)
+    if isinstance(report, WittenIndexReport):
+        obj["witten_index"] = obj.pop("index")
+    return obj
 
 
 def dump_json(obj) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import numbers
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyqm import (
+    NumericPolicy,
     SIGMA1,
     SIGMA2,
     SIGMA3,
@@ -23,8 +25,9 @@ from susyqm import (
     real_from_complex,
     spectral_pairing_report,
     tensor_supercharge,
+    witten_index_report,
 )
-from susyqm.cli import build_parser, main
+from susyqm.cli import _policy_from_args, build_parser, main
 
 from conftest import (
     block_system,
@@ -1029,6 +1032,17 @@ def _zero_charge():
     return io.SystemFile(np.eye(2), None, (np.zeros((2, 2)),), False)
 
 
+def _band():
+    """The complex block system of ``A = diag(1, 1e-2)`` with ``1e-4``
+    added to H's entry (1, 1): valid at ``algebra_tol = 1e-3``, but the
+    block residual widens the sector cut past the fermionic ``1e-4``
+    while its bosonic partner sits at ``2e-4``, in the band the cut
+    leaves unresolved."""
+    h, k, q = block_system(np.diag([1.0, 1e-2]))
+    h[1, 1] += 1e-4
+    return io.SystemFile(h, k, (q,), True)
+
+
 _ANTI_Q = r"\{q1,q1\^dag\} = 2H"
 _ANTI_REAL = r"\{Q1,Q1\} = 2H"
 
@@ -1110,6 +1124,21 @@ _VERDICTS = [
              ["validate", "IN", "--json"], 1,
              {"valid": False, "failures": [{"name": "{Q1,Q1} = 2H", "residual": None,
                                             "tolerance": 1e-10}]}),
+    _verdict("random-pair-tol-pairing-0", _system_file(build_model, _RANDOM_SPEC),
+             ["pair", "IN", "--tol-pairing", "0"], 2,
+             r"^error: pairing_tol must lie in \(0, 1e-3\], got 0\.0$"),
+    # Exit 3 on a validated file is a verdict on the input (see the cli
+    # docstring): the block residual that validate accepts moves a zero
+    # mode across the sector cut, and an eigenvalue from its partner.
+    _verdict("band-validate", _system_file(_band),
+             ["validate", "IN", "--tol-algebra", "1e-3"], 0, "^VALID$"),
+    _verdict("band-index", _system_file(_band),
+             ["index", "IN", "--tol-algebra", "1e-3"], 3,
+             "^internal cross-check failure: index formulas disagree"),
+    _verdict("band-pair", _system_file(_band),
+             ["pair", "IN", "--tol-algebra", "1e-3"], 3,
+             "^internal cross-check failure: bosonic eigenvalue 0.0002 has no "
+             "fermionic partner"),
 ]
 
 
@@ -1134,3 +1163,40 @@ def test_cli_verdict(tmp_path, capsys, build, argv, code, expected):
         assert {key: payload[key] for key in expected} == expected
     elif expected is not None:
         assert re.search(expected, out + err, re.M), out + err
+
+
+_FLAGS = {"algebra": 1e-4, "kernel": 1e-11, "pairing": 1e-5}
+
+
+@pytest.mark.parametrize("left_out", [None, *_FLAGS])
+@pytest.mark.parametrize("verb", ["validate", "involution", "index", "spectrum",
+                                  "pair", "model", "repr"])
+def test_every_verb_takes_every_tolerance_flag(verb, left_out):
+    argv = [verb, "IN", *(["--output", "OUT"] if verb == "repr" else [])]
+    for name, value in _FLAGS.items():
+        if name != left_out:
+            argv += [f"--tol-{name}", repr(value)]
+    policy = _policy_from_args(build_parser().parse_args(argv))
+    expected = {f"{name}_tol": value for name, value in _FLAGS.items()}
+    if left_out is not None:
+        # A flag left out keeps its field's default.
+        expected[f"{left_out}_tol"] = getattr(NumericPolicy(), f"{left_out}_tol")
+    assert policy == NumericPolicy(**expected)
+
+
+@pytest.mark.parametrize("verb,make_report,renamed", [
+    ("pair", spectral_pairing_report, {}),
+    ("index", witten_index_report, {"index": "witten_index"}),
+])
+def test_report_json_carries_every_report_field(tmp_path, capsys, verb,
+                                                make_report, renamed):
+    # io.report_to_obj writes each field of the report as it is, and the
+    # verb's --json writes the same keys.
+    report = make_report(random_graded_system(5, 3, seed=11))
+    obj = io.report_to_obj(report)
+    assert obj == {renamed.get(f.name, f.name): getattr(report, f.name)
+                   for f in dataclasses.fields(report)}
+    assert io.dump_json(obj) == _json_reference(obj)
+    path = _system_file(build_model, _RANDOM_SPEC)(tmp_path)
+    assert main([verb, str(path), "--json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == set(obj)
